@@ -248,6 +248,18 @@ def frobenius_matrix(E: Curve, m: int) -> FrobeniusMatrix:
     return out
 
 
+def scalar_exponent(E: Curve, ell: int, cap: int) -> int:
+    """Largest a <= cap with Frobenius acting as a scalar on E[ell^a]."""
+    a = 0
+    while a < cap:
+        m = ell ** (a + 1)
+        (x, y), (z, w) = frobenius_matrix(E, m).matrix
+        if y % m or z % m or (x - w) % m:
+            break
+        a += 1
+    return a
+
+
 # ---------------------------------------------------------------------------
 # order elements acting on points
 
@@ -336,12 +348,12 @@ def evaluate_order_element(E: Curve, elem: tuple, P: Point) -> Point:
 # annihilator indices
 
 
-def _coords_in_basis(T: Point, P: Point, Q: Point, m: int) -> tuple[int, int]:
+def coords_in_basis(T: Point, P: Point, Q: Point, m: int) -> tuple[int, int]:
     """(x, y) with T = x*P + y*Q, embedding all three into a common field."""
     r_common = lcm(T.curve.field.r, P.curve.field.r)
     if r_common > R_MAX:
         raise BoundExceeded(
-            f"no common field for the kernel and the basis within degree {R_MAX}"
+            f"no common field for the point and the basis within degree {R_MAX}"
         )
     base = P.curve
     s = r_common // base.field.r
@@ -351,32 +363,42 @@ def _coords_in_basis(T: Point, P: Point, Q: Point, m: int) -> tuple[int, int]:
     Tm = T if T.curve == EK else embed_point(T, EK)
     dl = two_dim_dlog(Tm, Pm, Qm, m, m)
     if dl is None:
-        raise AssertionError("kernel generator must lie in the torsion plane")
+        raise AssertionError("point must lie in the torsion plane of the basis")
     return dl
 
 
-def _gamma_matrix(E: Curve, m: int):
-    """Matrix of f*gamma on E[m], plus the basis of E[m] it refers to.
+def gamma_matrix(E: Curve, prof: tuple[int, int, int], m: int):
+    """Matrix of f*gamma on a basis of E[m], plus that basis.
 
-    Computed on E[m*w] (w the denominator of f*gamma) where f*gamma lifts to
-    the integral pi - u0, then carried down along the multiplication-by-w map.
+    prof is (D0, f, f0) for End_k(E) = Z + Z*f*gamma.  f*gamma lifts to the
+    integral pi - u0 on E[m*w] (w the denominator f0/f), so the matrix comes
+    from one Frobenius matrix there, divided by w and read mod m.  The
+    result is checked against the minimal polynomial of f*gamma before
+    being returned.
     """
-    u, v, w = order_generator_element(E)
+    D0, f, f0 = prof
+    u0 = (E.trace - f0 * (D0 % 2)) // 2
+    w = f0 // f
+    if m * w > M_MAX:
+        raise BoundExceeded(
+            f"f*gamma on E[{m}] needs the {m * w}-torsion; cap is {M_MAX}"
+        )
     fm = frobenius_matrix(E, m * w)
     (a, b), (c, d) = fm.matrix
     mw = m * w
-    ent = (
-        (u + v * a) % mw,
-        (v * b) % mw,
-        (v * c) % mw,
-        (u + v * d) % mw,
-    )
-    assert all(z % w == 0 for z in ent), "f*gamma must be integral on E[m]"
+    ent = ((a - u0) % mw, b % mw, c % mw, (d - u0) % mw)
+    assert all(z % w == 0 for z in ent), "pi - u0 must kill E[w]"
     W = tuple(z // w % m for z in ent)
+    ring = quad_order(D0, f)
+    tr, nm = ring.Tw, ring.Nw
+    assert (W[0] * W[0] + W[1] * W[2] - tr * W[0] + nm) % m == 0
+    assert (W[3] * W[3] + W[1] * W[2] - tr * W[3] + nm) % m == 0
+    assert (W[1] * (W[0] + W[3] - tr)) % m == 0
+    assert (W[2] * (W[0] + W[3] - tr)) % m == 0
     P, Q = fm.basis
-    Pm = scalar_mul(w, P) if w > 1 else P
-    Qm = scalar_mul(w, Q) if w > 1 else Q
-    return (W[0], W[1], W[2], W[3]), Pm, Qm
+    if w > 1:
+        P, Q = scalar_mul(w, P), scalar_mul(w, Q)
+    return W, P, Q
 
 
 def annihilator_index(E: Curve, kernel_gen, m: int) -> int:
@@ -405,7 +427,7 @@ def annihilator_index(E: Curve, kernel_gen, m: int) -> int:
 
     if is_supersingular(E):
         P, Q, _ = torsion_basis(E, m)
-        k0, k1 = _coords_in_basis(kernel_gen, P, Q, m)
+        k0, k1 = coords_in_basis(kernel_gen, P, Q, m)
         rows = sum(
             1
             for r0 in range(m)
@@ -416,8 +438,9 @@ def annihilator_index(E: Curve, kernel_gen, m: int) -> int:
         assert (m**4) % count == 0
         return m**4 // count
 
-    W, Pm, Qm = _gamma_matrix(E, m)
-    k0, k1 = _coords_in_basis(kernel_gen, Pm, Qm, m)
+    desc = compute_endo_conductor(E)
+    W, Pm, Qm = gamma_matrix(E, (desc.D0, desc.f, desc.f0), m)
+    k0, k1 = coords_in_basis(kernel_gen, Pm, Qm, m)
     g0 = (W[0] * k0 + W[1] * k1) % m
     g1 = (W[2] * k0 + W[3] * k1) % m
     count = sum(

@@ -1,7 +1,7 @@
 """Exception hierarchy shared by every isogenion module.
 
 Everything derives from :class:`IsogenionError` so callers can catch the whole
-family at once; the CLI maps these to exit code 2.
+family at once.
 """
 
 

@@ -15,7 +15,7 @@ import itertools
 from functools import lru_cache
 
 from .errors import BoundExceeded, DivisionByZero, FieldMismatch, NotPrime
-from .intmath import is_prime, kronecker, prime_factors
+from .intmath import is_prime, prime_factors
 
 __all__ = [
     "Field",
@@ -514,3 +514,12 @@ def _tonelli_shanks(a: FieldElement) -> FieldElement:
 def frobenius(a: FieldElement) -> FieldElement:
     """The field-level Frobenius a -> a**p."""
     return a.field.frobenius(a, 1)
+
+
+def element_to_json(a: FieldElement):
+    """JSON value of an element: an int in the prime subfield, else the
+    coefficient list."""
+    try:
+        return a.lift_int()
+    except ValueError:
+        return list(a.lift())

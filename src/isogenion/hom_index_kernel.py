@@ -19,22 +19,26 @@ a subgroup, and the split prime-square p-part) lives here too.
 from __future__ import annotations
 
 import json
-from math import gcd, lcm, prod
+from math import lcm, prod
 
 from .elliptic_curve import (
     M_MAX,
     Curve,
     Point,
-    base_change,
     curve_class,
-    embed_point,
     is_supersingular,
     point_add,
     point_order,
     scalar_mul,
-    two_dim_dlog,
 )
-from .endo_ring import annihilator_index, compute_endo_conductor, frobenius_matrix
+from .endo_ring import (
+    annihilator_index,
+    compute_endo_conductor,
+    coords_in_basis,
+    frobenius_matrix,
+    gamma_matrix,
+    scalar_exponent,
+)
 from .errors import (
     BoundExceeded,
     CurveMismatch,
@@ -45,8 +49,8 @@ from .errors import (
     SupersingularUnsupported,
     TraceMismatch,
 )
-from .finite_field import R_MAX
-from .intmath import prime_factors, split_discriminant, valuation
+from .finite_field import element_to_json
+from .intmath import cyclic_lines, hnf2, prime_factors, split_discriminant, valuation
 from .isogeny import Isogeny, velu
 from .quadratic_order import (
     DISC_MAX,
@@ -74,18 +78,6 @@ def rho(e: int) -> int:
 # endomorphism-ring profiles
 
 
-def _scalar_exponent(E: Curve, ell: int, cap: int) -> int:
-    """Largest a <= cap with Frobenius scalar on E[ell^a]."""
-    a = 0
-    while a < cap:
-        fm = frobenius_matrix(E, ell ** (a + 1))
-        (x, y), (z, w) = fm.matrix
-        if y % fm.m or z % fm.m or (x - w) % fm.m:
-            break
-        a += 1
-    return a
-
-
 def _endo_profile(E: Curve) -> tuple[int, int, int]:
     """(D0, f, f0) for End_k(E) when that ring is imaginary quadratic.
 
@@ -103,7 +95,7 @@ def _endo_profile(E: Curve) -> tuple[int, int, int]:
         f = 1
         for ell in prime_factors(f0):
             depth = valuation(f0, ell)
-            f *= ell ** (depth - _scalar_exponent(E, ell, depth))
+            f *= ell ** (depth - scalar_exponent(E, ell, depth))
         return D0, f, f0
     raise OrdinaryOnly(
         "End_k(E) is not an imaginary quadratic order for supersingular "
@@ -151,91 +143,6 @@ def corresponds_to_kernel_ideal(E2: Curve, E1: Curve) -> bool:
 # the annihilator lattice
 
 
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    s0, s1, t0, t1 = 1, 0, 0, 1
-    while b:
-        k, a, b = a // b, b, a % b
-        s0, s1 = s1, s0 - k * s1
-        t0, t1 = t1, t0 - k * t1
-    return a, s0, t0
-
-
-def _hnf2(vecs: list[tuple[int, int]]) -> tuple[int, int, int]:
-    """Lower-triangular basis ((A, 0), (c, d)) of the lattice the vectors span.
-
-    Normalized to A > 0, d > 0, 0 <= c < A; the input must span a finite-index
-    sublattice of Z^2.
-    """
-    c, d = 0, 0
-    for x, y in vecs:
-        if y == 0:
-            continue
-        if d == 0:
-            c, d = x, y
-        elif y % d:
-            g, s, t = _xgcd(d, y)
-            c, d = s * c + t * x, g
-    assert d > 0, "vectors do not span rank two"
-    A = 0
-    for x, y in vecs:
-        assert y % d == 0
-        A = gcd(A, x - (y // d) * c)
-    assert A > 0, "vectors do not span rank two"
-    return A, c % A, d
-
-
-def _coords(T: Point, P: Point, Q: Point, m: int) -> tuple[int, int]:
-    """(x, y) with T = x*P + y*Q, moving all three onto one field first."""
-    r_common = lcm(T.curve.field.r, P.curve.field.r)
-    if r_common > R_MAX:
-        raise BoundExceeded(
-            f"no common field for the point and the basis within degree {R_MAX}"
-        )
-    base = P.curve
-    s = r_common // base.field.r
-    EK = base_change(base, s) if s > 1 else base
-    Pm = P if s == 1 else embed_point(P, EK)
-    Qm = Q if s == 1 else embed_point(Q, EK)
-    Tm = T if T.curve == EK else embed_point(T, EK)
-    dl = two_dim_dlog(Tm, Pm, Qm, m, m)
-    if dl is None:
-        raise AssertionError("point must lie in the torsion plane of the basis")
-    return dl
-
-
-def _gamma_action(E: Curve, prof: tuple[int, int, int], m: int):
-    """Matrix of f*gamma on a basis of E[m], plus that basis.
-
-    f*gamma lifts to the integral pi - u0 on E[m*w] (w the denominator
-    f0/f), so the matrix comes from one Frobenius matrix there, divided by
-    w and read mod m.  The result is checked against the minimal polynomial
-    of f*gamma before being returned.
-    """
-    D0, f, f0 = prof
-    u0 = (E.trace - f0 * (D0 % 2)) // 2
-    w = f0 // f
-    if m * w > M_MAX:
-        raise BoundExceeded(
-            f"f*gamma on E[{m}] needs the {m * w}-torsion; cap is {M_MAX}"
-        )
-    fm = frobenius_matrix(E, m * w)
-    (a, b), (c, d) = fm.matrix
-    mw = m * w
-    ent = ((a - u0) % mw, b % mw, c % mw, (d - u0) % mw)
-    assert all(z % w == 0 for z in ent), "pi - u0 must kill E[w]"
-    W = tuple(z // w % m for z in ent)
-    ring = quad_order(D0, f)
-    tr, nm = ring.Tw, ring.Nw
-    assert (W[0] * W[0] + W[1] * W[2] - tr * W[0] + nm) % m == 0
-    assert (W[3] * W[3] + W[1] * W[2] - tr * W[3] + nm) % m == 0
-    assert (W[1] * (W[0] + W[3] - tr)) % m == 0
-    assert (W[2] * (W[0] + W[3] - tr)) % m == 0
-    P, Q = fm.basis
-    if w > 1:
-        P, Q = scalar_mul(w, P), scalar_mul(w, Q)
-    return W, P, Q
-
-
 def _annihilator_lattice(
     E: Curve, prof: tuple[int, int, int], pts: list[Point], n: int
 ) -> tuple[int, int, int]:
@@ -244,10 +151,10 @@ def _annihilator_lattice(
     n must be a multiple of the exponent of the subgroup the points
     generate; the lattice contains n*Z^2, so residues mod n determine it.
     """
-    W, P, Q = _gamma_action(E, prof, n)
+    W, P, Q = gamma_matrix(E, prof, n)
     images = []
     for T in pts:
-        k0, k1 = _coords(T, P, Q, n)
+        k0, k1 = coords_in_basis(T, P, Q, n)
         g0 = (W[0] * k0 + W[1] * k1) % n
         g1 = (W[2] * k0 + W[3] * k1) % n
         images.append((k0, k1, g0, g1))
@@ -260,7 +167,7 @@ def _annihilator_lattice(
             for k0, k1, g0, g1 in images
         )
     ]
-    A, c, d = _hnf2(members + [(n, 0), (0, n)])
+    A, c, d = hnf2(members + [(n, 0), (0, n)])
     assert A * d * len(members) == n * n, "annihilators must form a subgroup"
     return A, c, d
 
@@ -486,7 +393,7 @@ def kernel_of_ideal(E: Curve, I: QuadIdeal) -> list[Point]:
     n = I.a * I.t
     if n > M_MAX:
         raise BoundExceeded(f"H(I) lives in E[{n}]; torsion cap is {M_MAX}")
-    W, P, Q = _gamma_action(E, prof, n)
+    W, P, Q = gamma_matrix(E, prof, n)
     m00 = (I.t * (I.b + W[0])) % n
     m01 = (I.t * W[1]) % n
     m10 = (I.t * W[2]) % n
@@ -580,26 +487,12 @@ def stable_cyclic_kernels(E: Curve, n: int) -> list[Point]:
     fm = frobenius_matrix(E, n)
     P, Q = fm.basis
     (a, b), (c, d) = fm.matrix
-    gens = []
-    seen = set()
-    for s in range(n):
-        for u in range(n):
-            if gcd(gcd(s, u), n) != 1:
-                continue
-            sub = frozenset(((k * s) % n, (k * u) % n) for k in range(n))
-            if sub in seen:
-                continue
-            seen.add(sub)
-            if ((a * s + b * u) % n, (c * s + d * u) % n) in sub:
-                gens.append((s, u))
-    return [point_add(scalar_mul(s, P), scalar_mul(u, Q)) for s, u in gens]
-
-
-def _j_json(j):
-    try:
-        return j.lift_int()
-    except ValueError:
-        return list(j.lift())
+    # the image (s', u') lies on the line through (s, u) iff s*u' - u*s' = 0 mod n
+    return [
+        point_add(scalar_mul(s, P), scalar_mul(u, Q))
+        for s, u in cyclic_lines(n)
+        if (s * (c * s + d * u) - u * (a * s + b * u)) % n == 0
+    ]
 
 
 def pair_report(E2: Curve, E1: Curve, degrees=(2, 3, 4, 6, 8, 9, 12)) -> str:
@@ -631,8 +524,8 @@ def pair_report(E2: Curve, E1: Curve, degrees=(2, 3, 4, 6, 8, 9, 12)) -> str:
             oracle.append(check)
             break
     doc = {
-        "source_j": _j_json(curve_class(E2).j),
-        "target_j": _j_json(cls1.j),
+        "source_j": element_to_json(curve_class(E2).j),
+        "target_j": element_to_json(cls1.j),
         "conductor_ratio": {str(ell): e for ell, e in ratio.items()},
         "sample_degrees": sample,
         "formula_index": formula,

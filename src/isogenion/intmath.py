@@ -1,5 +1,6 @@
 """Exact integer helpers: primality, factoring, Kronecker symbols,
-fundamental-discriminant splitting, and one certified irrational floor.
+fundamental-discriminant splitting, one certified irrational floor, the
+Hermite form of a planar lattice, and the cyclic lines of (Z/n)^2.
 
 Everything here is arbitrary-precision and deterministic.  The only place the
 number pi appears in the whole package is `floor_two_over_pi_sqrt`, which
@@ -195,6 +196,63 @@ def crt_pair(r1: int, m1: int, r2: int, m2: int) -> tuple[int, int]:
         raise ValueError("moduli must be coprime")
     r = (r1 + (r2 - r1) * pow(m1, -1, m2) % m2 * m1) % (m1 * m2)
     return r, m1 * m2
+
+
+def xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, s, t) with g = gcd(a, b) >= 0 and s*a + t*b = g."""
+    old_r, r, old_s, s, old_t, t = a, b, 1, 0, 0, 1
+    while r:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_s, s = s, old_s - q * s
+        old_t, t = t, old_t - q * t
+    if old_r < 0:
+        old_r, old_s, old_t = -old_r, -old_s, -old_t
+    return old_r, old_s, old_t
+
+
+def hnf2(rows) -> tuple[int, int, int]:
+    """Hermite basis ((A, 0), (c, d)) of the lattice the integer rows span.
+
+    Normalized to A > 0, d > 0, 0 <= c < A; ValueError unless the rows span
+    a rank-two lattice.
+    """
+    x1 = y1 = 0
+    d1 = 0
+    for x, y in rows:
+        if y == 0:
+            d1 = gcd(d1, x)
+        elif y1 == 0:
+            x1, y1 = x, y
+        else:
+            g, u, v = xgcd(y1, y)
+            d1 = gcd(d1, (x * y1 - x1 * y) // g)
+            x1, y1 = u * x1 + v * x, g
+    if y1 < 0:
+        x1, y1 = -x1, -y1
+    d1 = abs(d1)
+    if not d1 or not y1:
+        raise ValueError("rows do not generate a rank-2 lattice")
+    return d1, x1 % d1, y1
+
+
+@lru_cache(maxsize=None)
+def cyclic_lines(n: int) -> tuple[tuple[int, int], ...]:
+    """One generator per cyclic subgroup of order n in (Z/n)^2.
+
+    Each generator is the lex-least point of order n on its line, and the
+    lines come in lex order of those generators; there are
+    psi(n) = n * prod(1 + 1/ell) of them.
+    """
+    seen = set()
+    out = []
+    for s in range(n):
+        for u in range(n):
+            if (s, u) in seen or gcd(gcd(s, u), n) != 1:
+                continue
+            out.append((s, u))
+            seen.update(((k * s) % n, (k * u) % n) for k in range(n))
+    return tuple(out)
 
 
 def sqrt_mod_prime_power(a: int, ell: int, e: int) -> list[int]:

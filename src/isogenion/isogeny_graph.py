@@ -36,9 +36,9 @@ from .elliptic_curve import (
     j_invariant,
     twist_classes,
 )
-from .endo_ring import compute_endo_conductor, frobenius_matrix
+from .endo_ring import compute_endo_conductor, scalar_exponent
 from .errors import NoCurveWithTrace, NotImaginaryQuadratic, NotOnSurface
-from .finite_field import Field
+from .finite_field import Field, element_to_json
 from .intmath import divisors, kronecker, split_discriminant, valuation
 from .isogeny import modular_polynomial, stable_cyclic_subgroups, velu
 from .polyring import roots
@@ -126,18 +126,6 @@ class IsogenyGraph:
         )
 
 
-def _scalar_exponent(E, ell: int, cap: int) -> int:
-    """Largest a <= cap with Frobenius acting as a scalar on E[ell^a]."""
-    a = 0
-    while a < cap:
-        m = ell ** (a + 1)
-        (x, y), (z, w) = frobenius_matrix(E, m).matrix
-        if y % m or z % m or (x - w) % m:
-            break
-        a += 1
-    return a
-
-
 def _vertex_level(cls: CurveClass, ell: int, depth: int) -> int:
     if depth == 0:
         return 0
@@ -147,7 +135,7 @@ def _vertex_level(cls: CurveClass, ell: int, depth: int) -> int:
         # supersingular family with two levels; the conductor valuation
         # is read off the largest ell-power torsion Frobenius is scalar
         # on, exactly as for ordinary curves.
-        return depth - _scalar_exponent(E, ell, depth)
+        return depth - scalar_exponent(E, ell, depth)
     return compute_endo_conductor(E).levels.get(ell, 0)
 
 
@@ -381,13 +369,6 @@ def _j_text(j) -> str:
         return str(j.lift())
 
 
-def _j_json(j):
-    try:
-        return j.lift_int()
-    except ValueError:
-        return list(j.lift())
-
-
 def graph_to_dot(g: IsogenyGraph) -> str:
     """GraphViz source: undirected, one repeated edge per kernel, vertex
     labels "j=<val> [L<level>]".  Where automorphisms make the two
@@ -415,7 +396,7 @@ def graph_to_json(g: IsogenyGraph) -> str:
         "ell": g.ell,
         "depth": g.depth,
         "vertices": [
-            {"j": _j_json(c.j), "trace": c.trace, "twist": c.twist_index}
+            {"j": element_to_json(c.j), "trace": c.trace, "twist": c.twist_index}
             for c in g.vertices
         ],
         "levels": list(g.levels),

@@ -16,8 +16,6 @@ of p are handled by splicing in Frobenius steps), so every returned
 minimum is exact, with the found isogeny as witness.
 """
 
-from math import gcd
-
 from .elliptic_curve import (
     Curve,
     base_change,
@@ -31,7 +29,7 @@ from .elliptic_curve import (
 )
 from .errors import BoundExceeded, NoCurveWithTrace, NotIsogenous, SearchExhausted
 from .finite_field import Field, field_create
-from .intmath import factorize, floor_two_over_pi_sqrt
+from .intmath import cyclic_lines, floor_two_over_pi_sqrt
 from .isogeny import (
     compose,
     cyclic_isogenies,
@@ -175,41 +173,6 @@ class MdResult:
         return f"MdResult({a.j!r}/{a.trace} -> {b.j!r}/{b.trace}, md={self.md})"
 
 
-def witness_degree_chain(phi) -> tuple:
-    """Step degrees of a witness in application order (first map first).
-
-    Velu steps report their kernel order, Frobenius steps p^|e| and
-    multiplication steps m^2; model-glue isomorphisms are silent.  The
-    product of the chain is deg(phi).
-    """
-    p = phi.source_curve.field.p
-    chain = []
-    pending = 1  # inverse-Frobenius factor awaiting its paired multiplication
-    for step in phi._steps:
-        order = getattr(step, "order", None)
-        if order is not None:
-            if order > 1:
-                chain.append(order)
-        elif hasattr(step, "e"):
-            if step.e > 0:
-                chain.append(p**step.e)
-            elif step.e < 0:
-                pending *= p ** (-step.e)
-        elif hasattr(step, "m"):
-            d = step.m * step.m
-            assert d % pending == 0, "unmatched inverse-Frobenius step"
-            if d > pending:
-                chain.append(d // pending)
-            pending = 1
-    got = 1
-    for d in chain:
-        got *= d
-    assert pending == 1 and got == phi.degree, (
-        "step degrees must multiply to the full degree"
-    )
-    return tuple(chain)
-
-
 # enumerations reused across the pair sweeps in rB and the bounds reports
 _CYCLIC: dict = {}
 _CLOSURE: dict = {}
@@ -234,19 +197,10 @@ def _cyclic_closure(E: Curve, m: int):
         return got
     P, Q, _ = torsion_basis(E, m)
     EK = P.curve
-    out = []
-    seen = set()
-    for x in range(m):
-        for y in range(m):
-            if gcd(gcd(x, y), m) != 1:
-                continue
-            line = frozenset(((a * x) % m, (a * y) % m) for a in range(m))
-            if line in seen:
-                continue
-            seen.add(line)
-            T = point_add(scalar_mul(x, P), scalar_mul(y, Q))
-            out.append(velu(EK, T, m))
-    got = _CLOSURE[(E, m)] = tuple(out)
+    got = _CLOSURE[(E, m)] = tuple(
+        velu(EK, point_add(scalar_mul(x, P), scalar_mul(y, Q)), m)
+        for x, y in cyclic_lines(m)
+    )
     return got
 
 

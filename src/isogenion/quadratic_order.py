@@ -23,7 +23,7 @@ quadratic forms, and computes the floor((2/pi)*sqrt|disc|) norm bound with
 exact bracketing.
 """
 
-from math import gcd, isqrt
+from math import gcd
 
 from .errors import (
     BoundExceeded,
@@ -35,6 +35,7 @@ from .errors import (
 from .intmath import (
     factorize,
     floor_two_over_pi_sqrt,
+    hnf2,
     is_prime,
     kronecker,
     prime_factors,
@@ -205,39 +206,6 @@ def is_invertible(I: QuadIdeal) -> bool:
 # products
 
 
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    old_r, r, old_s, s, old_t, t = a, b, 1, 0, 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
-
-
-def _hnf(rows) -> tuple[int, int, int]:
-    """Hermite basis ((d1, 0), (x1, y1)) of the lattice the rows generate."""
-    x1 = y1 = 0
-    d1 = 0
-    for x, y in rows:
-        if y == 0:
-            d1 = gcd(d1, x)
-        elif y1 == 0:
-            x1, y1 = x, y
-        else:
-            g, u, v = _xgcd(y1, y)
-            d1 = gcd(d1, (x * y1 - x1 * y) // g)
-            x1, y1 = u * x1 + v * x, g
-    if y1 < 0:
-        x1, y1 = -x1, -y1
-    d1 = abs(d1)
-    if not d1 or not y1:
-        raise ValueError("rows do not generate a rank-2 lattice")
-    return d1, x1 % d1, y1
-
-
 def ideal_multiply(I: QuadIdeal, J: QuadIdeal) -> QuadIdeal:
     """Product ideal, renormalized to (t, a, b) form.
 
@@ -257,7 +225,7 @@ def ideal_multiply(I: QuadIdeal, J: QuadIdeal) -> QuadIdeal:
         (a2 * s * b1, a2 * s),
         (s * (b1 * b2 - O.Nw), s * (b1 + b2 + O.Tw)),
     ]
-    d1, x1, t = _hnf(rows)
+    d1, x1, t = hnf2(rows)
     if d1 % t or x1 % t:
         raise AssertionError("product of ideals is not an ideal")
     return QuadIdeal(O, t, d1 // t, x1 // t)

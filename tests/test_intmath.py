@@ -6,6 +6,7 @@ oracle at 60 significant digits, plus the frozen values the search bounds
 depend on.
 """
 
+import math
 import random
 
 import mpmath
@@ -16,9 +17,11 @@ from hypothesis import strategies as st
 
 from isogenion.intmath import (
     crt_pair,
+    cyclic_lines,
     divisors,
     factorize,
     floor_two_over_pi_sqrt,
+    hnf2,
     is_prime,
     is_square,
     kronecker,
@@ -26,6 +29,7 @@ from isogenion.intmath import (
     sqrt_mod_prime_power,
     squarefree_part,
     valuation,
+    xgcd,
 )
 
 # ---------------------------------------------------------------------------
@@ -224,3 +228,82 @@ def test_sqrt_mod_prime_power():
             got = sqrt_mod_prime_power(a, ell, e)
             expected = sorted({x for x in range(mod) if (x * x - a) % mod == 0})
             assert got == expected, (a, ell, e)
+
+
+# ---------------------------------------------------------------------------
+# planar lattices and cyclic lines
+
+
+@given(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6))
+def test_xgcd_bezout(a, b):
+    g, s, t = xgcd(a, b)
+    assert g == math.gcd(a, b) and s * a + t * b == g
+
+
+def _in_hermite(A, c, d, x, y):
+    return y % d == 0 and (x - (y // d) * c) % A == 0
+
+
+def test_hnf2_matches_brute_membership_mod_n():
+    """Lattices containing n*Z^2 (the annihilator shape) against the
+    subgroup of (Z/n)^2 the rows generate, closed by brute force."""
+    rng = random.Random(11)
+    for _ in range(300):
+        n = rng.randrange(2, 25)
+        rows = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randrange(4))]
+        closure = {(0, 0)}
+        frontier = [(0, 0)]
+        while frontier:
+            x, y = frontier.pop()
+            for rx, ry in rows:
+                pt = ((x + rx) % n, (y + ry) % n)
+                if pt not in closure:
+                    closure.add(pt)
+                    frontier.append(pt)
+        A, c, d = hnf2(rows + [(n, 0), (0, n)])
+        assert A > 0 and d > 0 and 0 <= c < A
+        members = {(x, y) for x in range(n) for y in range(n) if _in_hermite(A, c, d, x, y)}
+        assert members == closure, (n, rows)
+
+
+def test_hnf2_matches_minors_and_contains_rows():
+    """Any rank-two rows: each lies in the Hermite lattice, whose covolume
+    A*d is the gcd of the rows' 2x2 minors (the index of their span)."""
+    rng = random.Random(12)
+    for _ in range(500):
+        rows = [(rng.randrange(-30, 31), rng.randrange(-30, 31)) for _ in range(rng.randrange(2, 6))]
+        minors = 0
+        for i, (x1, y1) in enumerate(rows):
+            for x2, y2 in rows[i + 1 :]:
+                minors = math.gcd(minors, x1 * y2 - x2 * y1)
+        if minors == 0:
+            with pytest.raises(ValueError):
+                hnf2(rows)
+            continue
+        A, c, d = hnf2(rows)
+        assert A > 0 and d > 0 and 0 <= c < A
+        assert A * d == minors
+        assert all(_in_hermite(A, c, d, x, y) for x, y in rows)
+
+
+def test_hnf2_rejects_rank_deficient_rows():
+    for rows in ([], [(3, 0)], [(0, 5)], [(2, 4), (-1, -2)], [(4, 0), (6, 0)]):
+        with pytest.raises(ValueError):
+            hnf2(rows)
+
+
+@pytest.mark.parametrize("n", range(2, 65))
+def test_cyclic_lines_one_generator_per_line(n):
+    lines = cyclic_lines(n)
+    psi = n
+    for ell, _ in factorize(n):
+        psi = psi * (ell + 1) // ell
+    assert len(lines) == psi
+    assert list(lines) == sorted(lines)
+    spans = set()
+    for s, u in lines:
+        assert math.gcd(math.gcd(s, u), n) == 1  # order exactly n
+        generators = {((k * s) % n, (k * u) % n) for k in range(n) if math.gcd(k, n) == 1}
+        assert (s, u) == min(generators)
+        spans.add(frozenset(generators))
+    assert len(spans) == psi

@@ -1,0 +1,45 @@
+"""Minimal isogeny degrees: the CM classifier and the supersingular survey.
+
+md_classifier reads Md(E) over the closure off congruence data alone; the
+search in md_between enumerates kernels degree by degree, so the two are
+independent and must agree on every class of a small prime field.
+"""
+
+import pytest
+
+from isogenion.elliptic_curve import twist_classes
+from isogenion.finite_field import field_create
+from isogenion.minimal_degree import md_between, md_classifier, md_supersingular_bounds
+
+
+def _all_classes(p):
+    F = field_create(p)
+    return [c for j in F.elements() for c in twist_classes(F, j)]
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_md_classifier_matches_closure_search(p):
+    for cls in _all_classes(p):
+        E = cls.representative
+        assert md_classifier(E) == md_between(E, E, over_k=False).md, cls
+
+
+def test_md_classifier_sweep_covers_every_value():
+    classes = [c for p in (5, 7, 11, 13) for c in _all_classes(p)]
+    assert len(classes) == 84
+    assert {md_classifier(c.representative) for c in classes} == {2, 3, 4}
+
+
+def test_md_supersingular_bounds_at_11():
+    report = md_supersingular_bounds(11)
+    assert report["p"] == 11
+    assert report["fp_bound"] == 4
+    assert report["fp_bound_ok"]
+    assert len(report["fp_pairs"]) == 6
+    assert all(entry["md"] <= report["fp_bound"] for entry in report["fp_pairs"])
+    assert report["fp2_deviations"] == []
+    assert report["fp2_skipped"] == []
+    assert report["full_trace_matches_closure"]
+    assert all(entry["equal"] for entry in report["full_trace_matches_closure"])
+    assert report["fp2_expected_p"]
+    assert all(entry["md"] == 11 for entry in report["fp2_expected_p"])
