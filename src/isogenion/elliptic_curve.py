@@ -311,7 +311,14 @@ def curve_order_over_extension(E: Curve, s: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _base_change_cached(E: Curve, s: int) -> Curve:
+def base_change(E: Curve, s: int) -> Curve:
+    """E over GF(q^s), with its order filled in via the trace recurrence.
+
+    Cached by curve value: base_change(E, 1) is the first curve equal to E
+    that was passed, not necessarily E itself.
+    """
+    if s == 1:
+        return E
     K = field_create(E.field.p, E.field.r * s)
     emb = subfield_embedding(E.field, K)
     EK = Curve(K, emb.map(E.A), emb.map(E.B))
@@ -319,12 +326,14 @@ def _base_change_cached(E: Curve, s: int) -> Curve:
     return EK
 
 
-def base_change(E: Curve, s: int) -> Curve:
-    """E over GF(q^s), with its order filled in via the trace recurrence."""
-    if s == 1:
-        return E
-    E.order  # ensure the base count exists before extending
-    return _base_change_cached(E, s)
+def base_change_degree(E: Curve, C: Curve) -> int:
+    """The s with C = base_change(E, s); CurveMismatch if there is none."""
+    if C.field.p != E.field.p or C.field.r % E.field.r:
+        raise CurveMismatch("point lives over an incompatible field")
+    s = C.field.r // E.field.r
+    if C != base_change(E, s):
+        raise CurveMismatch("point is not on a base change of the curve")
+    return s
 
 
 def embed_point(P: Point, EK: Curve) -> Point:
@@ -432,6 +441,16 @@ def twist_classes(field: Field, j) -> list[CurveClass]:
     return out
 
 
+def classes_with_trace(field: Field, t: int) -> list[CurveClass]:
+    """Every k-isomorphism class with trace t, from a full j-line sweep,
+    sorted by key."""
+    classes = [
+        c for j in field.elements() for c in twist_classes(field, j) if c.trace == t
+    ]
+    classes.sort(key=CurveClass.key)
+    return classes
+
+
 def curve_from_j(field: Field, j, trace: int) -> Curve:
     """The deterministic representative with this j-invariant and trace."""
     if isinstance(j, int):
@@ -502,7 +521,8 @@ def discriminant_frobenius_order(q: int, t: int) -> tuple[int, int]:
 # Sylow bases, discrete logs, torsion
 
 
-def _curve_seed(E: Curve, *extra: int) -> int:
+def curve_seed(E: Curve, *extra: int) -> int:
+    """A sampling seed from the coefficient integers of E (and `extra`)."""
     seed = E.field.p * 1000003 + E.field.r
     for v in (*E.A.coeffs, *E.B.coeffs, *extra):
         seed = (seed * 1000003 + v + 7) % (2**61 - 1)
@@ -543,7 +563,7 @@ def sylow_basis(E: Curve, ell: int) -> tuple[Point, Point, int, int]:
     if v == 0:
         return (inf, inf, 0, 0)
     cof = N // ell**v
-    rng = random.Random(_curve_seed(E, ell))
+    rng = random.Random(curve_seed(E, ell))
     pool: list[tuple[Point, int]] = []
     for _ in range(600):
         T = scalar_mul(cof, E.random_point(rng))
@@ -650,9 +670,7 @@ def _divide_in_field(P: Point, n: int) -> Point | None:
     return None
 
 
-_TORSION: dict[tuple, tuple[Point, Point, Field]] = {}
-
-
+@lru_cache(maxsize=None, typed=True)
 def torsion_basis(E: Curve, m: int) -> tuple[Point, Point, Field]:
     """A basis (P, Q) of E[m] over the smallest extension containing it.
 
@@ -669,9 +687,6 @@ def torsion_basis(E: Curve, m: int) -> tuple[Point, Point, Field]:
         raise BoundExceeded(f"torsion cap is m <= {M_MAX}")
     if m % E.field.p == 0:
         raise ValueError("m must be coprime to the characteristic")
-    cached = _TORSION.get((E, m))
-    if cached is not None:
-        return cached
     E.order
     r0 = E.field.r
     fac = factorize(m)
@@ -699,7 +714,6 @@ def torsion_basis(E: Curve, m: int) -> tuple[Point, Point, Field]:
             P = point_add(P, Pl)
             Q = point_add(Q, Ql)
         _certify_basis(P, Q, m)
-        _TORSION[(E, m)] = (P, Q, EK.field)
         return (P, Q, EK.field)
     raise BoundExceeded(
         f"E[{m}] needs an extension beyond the degree cap {R_MAX}"

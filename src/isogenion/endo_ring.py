@@ -14,11 +14,11 @@ annihilator of a finite subgroup inside End(E).
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import lcm
 
 from .errors import (
     BoundExceeded,
-    CurveMismatch,
     NotInEndomorphismRing,
     OrdinaryOnly,
     WrongOrder,
@@ -32,6 +32,7 @@ from .elliptic_curve import (
     CurveClass,
     Point,
     base_change,
+    base_change_degree,
     curve_class,
     discriminant_frobenius_order,
     embed_point,
@@ -121,10 +122,6 @@ class FrobeniusMatrix:
 # ---------------------------------------------------------------------------
 # conductor probing
 
-_DESCRIPTORS: dict[Curve, EndoDescriptor] = {}
-_FROBENIUS: dict[tuple[Curve, int], FrobeniusMatrix] = {}
-
-
 def _branches(E: Curve, kernels, ell: int) -> list:
     """Velu quotients for every stable order-ell subgroup of E, sorted by
     target j-invariant (then kernel polynomial) so that walks which have a
@@ -185,6 +182,7 @@ def _ell_level(E: Curve, ell: int, depth: int) -> int:
     return depth - best
 
 
+@lru_cache(maxsize=None)
 def compute_endo_conductor(E: Curve) -> EndoDescriptor:
     """Determine End(E) for an ordinary curve.
 
@@ -192,9 +190,6 @@ def compute_endo_conductor(E: Curve) -> EndoDescriptor:
     OrdinaryOnly for supersingular input and BoundExceeded when a prime of
     f0 is beyond the kernel-order cap.
     """
-    cached = _DESCRIPTORS.get(E)
-    if cached is not None:
-        return cached
     if is_supersingular(E):
         raise OrdinaryOnly("supersingular curves have a quaternionic End(E)")
     q = E.field.order
@@ -205,15 +200,14 @@ def compute_endo_conductor(E: Curve) -> EndoDescriptor:
         lvl = _ell_level(E, ell, depth)
         levels[ell] = lvl
         f *= ell**lvl
-    desc = EndoDescriptor(curve_class(E), D0, f, f0, levels)
-    _DESCRIPTORS[E] = desc
-    return desc
+    return EndoDescriptor(curve_class(E), D0, f, f0, levels)
 
 
 # ---------------------------------------------------------------------------
 # Frobenius matrices
 
 
+@lru_cache(maxsize=None, typed=True)
 def frobenius_matrix(E: Curve, m: int) -> FrobeniusMatrix:
     """Matrix of the base-field Frobenius on a basis of E[m].
 
@@ -224,13 +218,8 @@ def frobenius_matrix(E: Curve, m: int) -> FrobeniusMatrix:
         raise ValueError("modulus must be a positive integer")
     if m > M_MAX:
         raise BoundExceeded(f"torsion cap is m <= {M_MAX}")
-    cached = _FROBENIUS.get((E, m))
-    if cached is not None:
-        return cached
     if m == 1:
-        out = FrobeniusMatrix(1, (E.infinity(), E.infinity()), ((0, 0), (0, 0)))
-        _FROBENIUS[(E, m)] = out
-        return out
+        return FrobeniusMatrix(1, (E.infinity(), E.infinity()), ((0, 0), (0, 0)))
     P, Q, _ = torsion_basis(E, m)
     r0 = E.field.r
     cols = []
@@ -243,9 +232,7 @@ def frobenius_matrix(E: Curve, m: int) -> FrobeniusMatrix:
     t, q = E.trace, E.field.order
     if ((a + d) - t) % m or ((a * d - b * c) - q) % m:
         raise AssertionError("matrix violates the characteristic polynomial")
-    out = FrobeniusMatrix(m, (P, Q), ((a, b), (c, d)))
-    _FROBENIUS[(E, m)] = out
-    return out
+    return FrobeniusMatrix(m, (P, Q), ((a, b), (c, d)))
 
 
 def scalar_exponent(E: Curve, ell: int, cap: int) -> int:
@@ -284,14 +271,6 @@ def order_generator_element(E: Curve) -> tuple[int, int, int]:
     return (u, v, w)
 
 
-def _check_on_curve(E: Curve, P: Point) -> None:
-    C = P.curve
-    if C.field.p != E.field.p or C.field.r % E.field.r:
-        raise CurveMismatch("point lives over an incompatible field")
-    if C != base_change(E, C.field.r // E.field.r):
-        raise CurveMismatch("point is not on a base change of the curve")
-
-
 def _descend_point(R: Point, C: Curve) -> Point:
     """Rewrite R, known to be rational over C's field, as a point of C."""
     if R.curve == C:
@@ -317,7 +296,7 @@ def evaluate_order_element(E: Curve, elem: tuple, P: Point) -> Point:
         raise TypeError("element coordinates must be integers")
     if w < 1:
         raise ValueError("denominator must be a positive integer")
-    _check_on_curve(E, P)
+    base_change_degree(E, P.curve)
     desc = compute_endo_conductor(E)
     t = E.trace
     u0 = (t - desc.f0 * (desc.D0 % 2)) // 2
@@ -421,7 +400,7 @@ def annihilator_index(E: Curve, kernel_gen, m: int) -> int:
         raise ValueError("order must be coprime to the characteristic")
     if not isinstance(kernel_gen, Point) or not kernel_gen:
         raise WrongOrder("kernel generator must be a finite point")
-    _check_on_curve(E, kernel_gen)
+    base_change_degree(E, kernel_gen.curve)
     if point_order(kernel_gen) != m:
         raise WrongOrder(f"generator does not have exact order {m}")
 

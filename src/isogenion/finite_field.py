@@ -23,16 +23,14 @@ __all__ = [
     "field_create",
     "arith",
     "sqrt",
-    "kronecker",
     "frobenius",
+    "element_to_json",
     "P_MAX",
     "R_MAX",
 ]
 
 P_MAX = 2**16
 R_MAX = 24
-
-_EXHAUSTIVE_SQRT_MAX = 2**10
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +448,7 @@ def field_create(p: int, r: int = 1) -> Field:
 
 
 def arith(a: FieldElement, b: FieldElement, op: str) -> FieldElement:
-    """Dispatch add/sub/mul/div by name (mostly a convenience for the CLI)."""
+    """Dispatch add/sub/mul/div by name."""
     if op == "add":
         return a + b
     if op == "sub":
@@ -476,11 +474,6 @@ def sqrt(a: FieldElement):
         return (s, s)
     if a ** ((q - 1) // 2) != field.one:
         return None
-    if q <= _EXHAUSTIVE_SQRT_MAX:
-        for el in field.elements():
-            if el * el == a:
-                return (el, -el) if el < -el else (-el, el)
-        raise AssertionError("euler criterion said square")
     s = _tonelli_shanks(a)
     t = -s
     return (s, t) if s < t else (t, s)

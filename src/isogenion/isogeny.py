@@ -25,7 +25,6 @@ from importlib import resources
 from .errors import (
     BoundExceeded,
     ClassMismatch,
-    CurveMismatch,
     FieldMismatch,
     NotRational,
     UnsupportedLevel,
@@ -39,7 +38,9 @@ from .elliptic_curve import (
     CurveClass,
     Point,
     base_change,
+    base_change_degree,
     curve_class,
+    curve_seed,
     frobenius_endo,
     is_supersingular,
     isomorphism_scale,
@@ -384,14 +385,6 @@ def _identity(E: Curve) -> Isogeny:
     return Isogeny((), E, E, 1, 0, None)
 
 
-def _check_kernel_curve(E: Curve, P: Point) -> None:
-    C = P.curve
-    if C.field.p != E.field.p or C.field.r % E.field.r:
-        raise CurveMismatch("kernel generator lives over an incompatible field")
-    if C != base_change(E, C.field.r // E.field.r):
-        raise CurveMismatch("kernel generator is not on a base change of E")
-
-
 def velu(E: Curve, kernel_gen, order: int) -> Isogeny:
     """The separable isogeny with kernel generated by `kernel_gen`.
 
@@ -414,20 +407,13 @@ def velu(E: Curve, kernel_gen, order: int) -> Isogeny:
     P = kernel_gen
     if not isinstance(P, Point) or not P:
         raise WrongOrder("kernel generator must be a finite point")
-    _check_kernel_curve(E, P)
+    base_change_degree(E, P.curve)
     if scalar_mul(order, P):
         raise WrongOrder(f"generator is not annihilated by {order}")
     for ell in prime_factors(order):
         if not scalar_mul(order // ell, P):
             raise WrongOrder(f"generator order strictly divides {order}")
-    # Frobenius stability of <P>: pi_q(P) must be a multiple of P
-    R = frobenius_endo(P, E.field.r)
-    W = P
-    for _ in range(order - 1):
-        if W == R:
-            break
-        W = point_add(W, P)
-    else:
+    if _frobenius_eigenvalue(P, order, E.field.r) is None:
         raise NotRational("kernel is not stable under the base-field Frobenius")
 
     xs = []
@@ -489,16 +475,7 @@ def evaluate(phi: Isogeny, P: Point) -> Point:
     """phi(P).  P must lie on phi's source model or a base change of it."""
     if not isinstance(P, Point):
         raise TypeError("evaluate wants a Point")
-    E0 = phi.source_curve
-    C = P.curve
-    if C == E0:
-        s = 1
-    else:
-        if C.field.p != E0.field.p or C.field.r % E0.field.r:
-            raise CurveMismatch("point is not on the source curve")
-        s = C.field.r // E0.field.r
-        if C != base_change(E0, s):
-            raise CurveMismatch("point is not on the source curve")
+    s = base_change_degree(phi.source_curve, P.curve)
     cur = P
     for step in phi._steps:
         if not cur:
@@ -577,9 +554,7 @@ def _dual_velu_step(st: _VeluStep):
     T = tau.target_curve
     u0 = isomorphism_scale(T, E)
     cands = list(dict.fromkeys(u0 * z for z in _automorphism_scales(E)))
-    rng = random.Random(
-        hash((E.field.p, E.field.r, E.A.coeffs, E.B.coeffs, st.F.coeffs, "dual"))
-    )
+    rng = random.Random(curve_seed(E, *(v for c in st.F.coeffs for v in c.coeffs)))
     for s in (1, 2, 3, 4):
         EK = base_change(E, s)
         for _ in range(24):

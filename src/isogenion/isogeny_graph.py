@@ -31,10 +31,10 @@ import json
 
 from .elliptic_curve import (
     CurveClass,
+    classes_with_trace,
     curve_class,
     is_supersingular,
     j_invariant,
-    twist_classes,
 )
 from .endo_ring import compute_endo_conductor, scalar_exponent
 from .errors import NoCurveWithTrace, NotImaginaryQuadratic, NotOnSurface
@@ -157,16 +157,11 @@ def build_graph(field: Field, trace: int, ell: int) -> IsogenyGraph:
         raise ValueError(f"ell = {ell} equals the field characteristic")
     phi = modular_polynomial(ell)
 
-    classes = []
-    for j in field.elements():
-        for cls in twist_classes(field, j):
-            if cls.trace == trace:
-                classes.append(cls)
+    classes = classes_with_trace(field, trace)
     if not classes:
         raise NoCurveWithTrace(
             f"no curve over GF({field.order}) has trace {trace}"
         )
-    classes.sort(key=lambda c: c.key())
     index = {cls: i for i, cls in enumerate(classes)}
 
     q = field.order

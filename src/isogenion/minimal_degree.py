@@ -16,9 +16,12 @@ of p are handled by splicing in Frobenius steps), so every returned
 minimum is exact, with the found isogeny as witness.
 """
 
+from functools import lru_cache
+
 from .elliptic_curve import (
     Curve,
     base_change,
+    classes_with_trace,
     curve_class,
     is_supersingular,
     j_invariant,
@@ -174,17 +177,12 @@ class MdResult:
 
 
 # enumerations reused across the pair sweeps in rB and the bounds reports
-_CYCLIC: dict = {}
-_CLOSURE: dict = {}
-
-
+@lru_cache(maxsize=None)
 def _cyclic_rational(E: Curve, m: int):
-    got = _CYCLIC.get((E, m))
-    if got is None:
-        got = _CYCLIC[(E, m)] = tuple(cyclic_isogenies(E, m))
-    return got
+    return tuple(cyclic_isogenies(E, m))
 
 
+@lru_cache(maxsize=None)
 def _cyclic_closure(E: Curve, m: int):
     """Every cyclic degree-m isogeny from E over the closure.
 
@@ -192,16 +190,12 @@ def _cyclic_closure(E: Curve, m: int):
     its subgroups are Frobenius-stable and Velu applies; one generator is
     kept per line of E[m].
     """
-    got = _CLOSURE.get((E, m))
-    if got is not None:
-        return got
     P, Q, _ = torsion_basis(E, m)
     EK = P.curve
-    got = _CLOSURE[(E, m)] = tuple(
+    return tuple(
         velu(EK, point_add(scalar_mul(x, P), scalar_mul(y, Q)), m)
         for x, y in cyclic_lines(m)
     )
-    return got
 
 
 def _lands_on(phi, target, over_k: bool) -> bool:
@@ -317,15 +311,6 @@ def md_between(E2: Curve, E1: Curve, over_k: bool = True) -> MdResult:
     raise SearchExhausted(f"no isogeny of degree <= {bound} connects the classes")
 
 
-def _classes_with_trace(field: Field, t: int):
-    seen = {}
-    for j in field.elements():
-        for c in twist_classes(field, j):
-            if c.trace == t and c.key() not in seen:
-                seen[c.key()] = c
-    return sorted(seen.values(), key=lambda c: c.key())
-
-
 def rB(field: Field, t: int) -> tuple:
     """Largest minimal degree across one isogeny class, with its pair.
 
@@ -338,7 +323,7 @@ def rB(field: Field, t: int) -> tuple:
         raise TypeError("the trace must be an integer")
     if field.order > CLASS_SWEEP_MAX:
         raise BoundExceeded(f"class sweeps are capped at order {CLASS_SWEEP_MAX}")
-    classes = _classes_with_trace(field, t)
+    classes = classes_with_trace(field, t)
     if not classes:
         raise NoCurveWithTrace(f"no class over {field!r} has trace {t}")
     best = None
@@ -404,7 +389,7 @@ def md_supersingular_bounds(p: int) -> dict:
     }
 
     Fp = field_create(p)
-    trace0 = _classes_with_trace(Fp, 0)
+    trace0 = classes_with_trace(Fp, 0)
     for i, A in enumerate(trace0):
         for B in trace0[i + 1 :]:
             res = md_between(A.representative, B.representative)

@@ -3,7 +3,7 @@
 The factoring stack is squarefree decomposition -> distinct-degree ->
 Cantor-Zassenhaus equal-degree splitting.  The randomized splitting step is
 seeded from the polynomial's own coefficients, so factorizations (and hence
-everything downstream: kernel enumeration, graph layouts, CLI output) are
+everything downstream: kernel enumeration, graph layouts, reports) are
 bit-for-bit reproducible.
 
 Subfield embeddings GF(p^a) -> GF(p^b) for a | b also live here, because they

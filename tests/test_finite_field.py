@@ -230,7 +230,7 @@ def test_sqrt_nonresidue_gf7():
     assert sqrt(F.from_int(3)) is None
 
 
-@pytest.mark.parametrize("p,r", [(41, 1), (7, 2), (3, 4)])
+@pytest.mark.parametrize("p,r", [(41, 1), (7, 2), (3, 4), (11, 2), (31, 2)])
 def test_sqrt_exhaustive_fields(p, r):
     """Every element: sqrt agrees with the full squaring table (q < 2**10)."""
     F = field_create(p, r)
@@ -276,6 +276,16 @@ def test_sqrt_characteristic_two():
     for el in F.elements():
         s, t = sqrt(el)
         assert s == t and s * s == el  # squaring is a bijection in char 2
+
+
+def test_star_import_matches_all():
+    """Every name in __all__ exists, so `import *` works."""
+    import isogenion.finite_field as ff
+
+    assert all(hasattr(ff, name) for name in ff.__all__)
+    namespace = {}
+    exec("from isogenion.finite_field import *", namespace)
+    assert set(ff.__all__) <= set(namespace)
 
 
 def test_is_square_matches_sqrt():

@@ -11,9 +11,15 @@ polynomials (degree <= 4, stated explicitly) and from brute enumeration of
 P^1(Z/m) inside a certified torsion basis.
 """
 
+import os
 import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
+
+import isogenion
 
 from isogenion.errors import (
     BoundExceeded,
@@ -484,6 +490,34 @@ class TestDual:
             assert evaluate(V, evaluate(pi, P)) == scalar_mul(41, P)
             assert evaluate(pi, evaluate(V, P)) == scalar_mul(41, P)
         assert dual(V) == pi
+
+    def test_sampling_does_not_depend_on_the_hash_seed(self):
+        """The points dual draws are seeded from curve coefficients, so two
+        interpreters with different string-hash salts draw equally many."""
+        script = textwrap.dedent("""
+            from isogenion.elliptic_curve import Curve, curve_from_j
+            from isogenion.finite_field import field_create
+            from isogenion.isogeny import dual, stable_cyclic_subgroups, velu
+            E = curve_from_j(field_create(41), 29, 6)
+            phis = [velu(E, K, 2) for K in stable_cyclic_subgroups(E, 2)]
+            draws = []
+            sample = Curve.random_point
+
+            def counted(C, rng):
+                draws.append(C)
+                return sample(C, rng)
+
+            Curve.random_point = counted
+            print([dual(phi).kernel_polynomial().coeffs for phi in phis], len(draws))
+        """)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(isogenion.__file__)))
+        outputs = set()
+        for hash_seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+            proc = subprocess.run([sys.executable, "-c", script], env=env,
+                                  capture_output=True, text=True, check=True)
+            outputs.add(proc.stdout)
+        assert len(outputs) == 1
 
 
 # ---------------------------------------------------------------------------
