@@ -1,15 +1,17 @@
 """Endomorphism rings of elliptic curves over small finite fields.
 
-For an ordinary curve E over GF(q) with Frobenius trace t, the ring End(E)
-is an imaginary quadratic order squeezed between Z[pi] (discriminant
+For an ordinary curve E over GF(q) with Frobenius trace t, and for a
+supersingular curve over the prime field, the ring End_k(E) is an
+imaginary quadratic order squeezed between Z[pi] (discriminant
 t^2 - 4q = f0^2 * D0) and the maximal order of Q(sqrt(D0)).  Its conductor
 f divides f0, and the exponent of each prime ell in f is the depth of E
-below the surface of its ell-isogeny structure.  This module pins that
-conductor down by walking non-backtracking chains of ell-isogenies until
-they hit a degree-one vertex, represents the Frobenius as an explicit 2x2
-matrix on torsion bases, evaluates arbitrary order elements (u + v*pi)/w on
-points by lifting through division, and measures the index of the
-annihilator of a finite subgroup inside End(E).
+below the surface of its ell-volcano.  `conductor_level` finds that
+exponent by walking non-backtracking chains of ell-isogenies until they hit
+a degree-one vertex; `compute_endo_conductor` runs it for every prime of
+f0.  The module also represents the Frobenius as an explicit 2x2 matrix on
+torsion bases, evaluates arbitrary order elements (u + v*pi)/w on points by
+lifting through division, and measures the index of the annihilator of a
+finite subgroup inside End(E).
 """
 
 from __future__ import annotations
@@ -159,14 +161,16 @@ def _walk_to_floor(phi, ell: int, cap: int):
     return None
 
 
-def _ell_level(E: Curve, ell: int, depth: int) -> int:
-    """v_ell of the conductor of End(E), given v_ell(f0) = depth >= 1.
+def conductor_level(E: Curve, ell: int, depth: int) -> int:
+    """v_ell of the conductor of End_k(E), given v_ell(f0) = depth.
 
     A vertex strictly above the floor has ell + 1 rational ell-isogenies
     (the Frobenius is scalar on E[ell] there), a floor vertex exactly one.
     A walk that starts downward descends forever, so the shortest distance
     to the floor over all starting branches is depth minus the level.
     """
+    if depth == 0:
+        return 0
     kernels = stable_cyclic_subgroups(E, ell)
     if len(kernels) == 1:
         return depth
@@ -184,20 +188,24 @@ def _ell_level(E: Curve, ell: int, depth: int) -> int:
 
 @lru_cache(maxsize=None)
 def compute_endo_conductor(E: Curve) -> EndoDescriptor:
-    """Determine End(E) for an ordinary curve.
+    """Determine End_k(E) for an ordinary curve or a supersingular curve
+    over the prime field, the curves whose End_k(E) is quadratic.
 
-    Probes one prime of f0 at a time by kernel enumeration; raises
-    OrdinaryOnly for supersingular input and BoundExceeded when a prime of
-    f0 is beyond the kernel-order cap.
+    Probes one prime of f0 at a time with `conductor_level`; raises
+    OrdinaryOnly for supersingular curves beyond the prime field and
+    BoundExceeded when a prime of f0 is beyond the kernel-order cap.
     """
-    if is_supersingular(E):
-        raise OrdinaryOnly("supersingular curves have a quaternionic End(E)")
+    if is_supersingular(E) and E.field.r > 1:
+        raise OrdinaryOnly(
+            "End_k(E) is not an imaginary quadratic order for supersingular "
+            "curves beyond the prime field"
+        )
     q = E.field.order
     D0, f0 = discriminant_frobenius_order(q, E.trace)
     levels = {}
     f = 1
     for ell, depth in factorize(f0):
-        lvl = _ell_level(E, ell, depth)
+        lvl = conductor_level(E, ell, depth)
         levels[ell] = lvl
         f *= ell**lvl
     return EndoDescriptor(curve_class(E), D0, f, f0, levels)
@@ -233,18 +241,6 @@ def frobenius_matrix(E: Curve, m: int) -> FrobeniusMatrix:
     if ((a + d) - t) % m or ((a * d - b * c) - q) % m:
         raise AssertionError("matrix violates the characteristic polynomial")
     return FrobeniusMatrix(m, (P, Q), ((a, b), (c, d)))
-
-
-def scalar_exponent(E: Curve, ell: int, cap: int) -> int:
-    """Largest a <= cap with Frobenius acting as a scalar on E[ell^a]."""
-    a = 0
-    while a < cap:
-        m = ell ** (a + 1)
-        (x, y), (z, w) = frobenius_matrix(E, m).matrix
-        if y % m or z % m or (x - w) % m:
-            break
-        a += 1
-    return a
 
 
 # ---------------------------------------------------------------------------
@@ -346,18 +342,17 @@ def coords_in_basis(T: Point, P: Point, Q: Point, m: int) -> tuple[int, int]:
     return dl
 
 
-def gamma_matrix(E: Curve, prof: tuple[int, int, int], m: int):
+def gamma_matrix(E: Curve, m: int):
     """Matrix of f*gamma on a basis of E[m], plus that basis.
 
-    prof is (D0, f, f0) for End_k(E) = Z + Z*f*gamma.  f*gamma lifts to the
-    integral pi - u0 on E[m*w] (w the denominator f0/f), so the matrix comes
-    from one Frobenius matrix there, divided by w and read mod m.  The
-    result is checked against the minimal polynomial of f*gamma before
-    being returned.
+    End_k(E) = Z + Z*f*gamma.  f*gamma lifts to the integral pi - u0 on
+    E[m*w] (w the denominator f0/f), so the matrix comes from one Frobenius
+    matrix there, divided by w and read mod m.  The result is checked
+    against the minimal polynomial of f*gamma before being returned.
     """
-    D0, f, f0 = prof
-    u0 = (E.trace - f0 * (D0 % 2)) // 2
-    w = f0 // f
+    desc = compute_endo_conductor(E)
+    u0 = (E.trace - desc.f0 * (desc.D0 % 2)) // 2
+    w = desc.f0 // desc.f
     if m * w > M_MAX:
         raise BoundExceeded(
             f"f*gamma on E[{m}] needs the {m * w}-torsion; cap is {M_MAX}"
@@ -368,7 +363,7 @@ def gamma_matrix(E: Curve, prof: tuple[int, int, int], m: int):
     ent = ((a - u0) % mw, b % mw, c % mw, (d - u0) % mw)
     assert all(z % w == 0 for z in ent), "pi - u0 must kill E[w]"
     W = tuple(z // w % m for z in ent)
-    ring = quad_order(D0, f)
+    ring = desc.order()
     tr, nm = ring.Tw, ring.Nw
     assert (W[0] * W[0] + W[1] * W[2] - tr * W[0] + nm) % m == 0
     assert (W[3] * W[3] + W[1] * W[2] - tr * W[3] + nm) % m == 0
@@ -417,8 +412,7 @@ def annihilator_index(E: Curve, kernel_gen, m: int) -> int:
         assert (m**4) % count == 0
         return m**4 // count
 
-    desc = compute_endo_conductor(E)
-    W, Pm, Qm = gamma_matrix(E, (desc.D0, desc.f, desc.f0), m)
+    W, Pm, Qm = gamma_matrix(E, m)
     k0, k1 = coords_in_basis(kernel_gen, Pm, Qm, m)
     g0 = (W[0] * k0 + W[1] * k1) % m
     g1 = (W[2] * k0 + W[3] * k1) % m

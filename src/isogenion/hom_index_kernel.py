@@ -37,20 +37,18 @@ from .endo_ring import (
     coords_in_basis,
     frobenius_matrix,
     gamma_matrix,
-    scalar_exponent,
 )
 from .errors import (
     BoundExceeded,
     CurveMismatch,
     NotIsogenous,
     OrderMismatch,
-    OrdinaryOnly,
     PPartUnsupported,
     SupersingularUnsupported,
     TraceMismatch,
 )
 from .finite_field import element_to_json
-from .intmath import cyclic_lines, hnf2, prime_factors, split_discriminant, valuation
+from .intmath import cyclic_lines, hnf2, prime_factors, valuation
 from .isogeny import Isogeny, velu
 from .quadratic_order import (
     DISC_MAX,
@@ -58,7 +56,6 @@ from .quadratic_order import (
     ideal_create,
     ideal_multiply,
     primes_above,
-    quad_order,
     unit_ideal,
 )
 
@@ -75,32 +72,7 @@ def rho(e: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# endomorphism-ring profiles
-
-
-def _endo_profile(E: Curve) -> tuple[int, int, int]:
-    """(D0, f, f0) for End_k(E) when that ring is imaginary quadratic.
-
-    Ordinary curves delegate to the conductor probe.  Supersingular curves
-    over the prime field keep a quadratic *rational* endomorphism ring and
-    are profiled through Frobenius-scalarity instead; all other
-    supersingular inputs are rejected.
-    """
-    if not is_supersingular(E):
-        desc = compute_endo_conductor(E)
-        return desc.D0, desc.f, desc.f0
-    if E.field.r == 1:
-        assert E.trace == 0, "supersingular over a prime field forces trace 0"
-        D0, f0 = split_discriminant(-4 * E.field.p)
-        f = 1
-        for ell in prime_factors(f0):
-            depth = valuation(f0, ell)
-            f *= ell ** (depth - scalar_exponent(E, ell, depth))
-        return D0, f, f0
-    raise OrdinaryOnly(
-        "End_k(E) is not an imaginary quadratic order for supersingular "
-        "curves beyond the prime field"
-    )
+# conductor exponents
 
 
 def conductor_ratio(E2: Curve, E1: Curve) -> dict[int, int]:
@@ -115,8 +87,8 @@ def conductor_ratio(E2: Curve, E1: Curve) -> dict[int, int]:
         raise NotIsogenous(
             f"traces {E2.trace} and {E1.trace} differ; no k-isogeny exists"
         )
-    _, f2, _ = _endo_profile(E2)
-    _, f1, _ = _endo_profile(E1)
+    f2 = compute_endo_conductor(E2).f
+    f1 = compute_endo_conductor(E1).f
     out = {}
     for ell in sorted(set(prime_factors(f1)) | set(prime_factors(f2))):
         e = valuation(f1, ell) - valuation(f2, ell)
@@ -143,15 +115,13 @@ def corresponds_to_kernel_ideal(E2: Curve, E1: Curve) -> bool:
 # the annihilator lattice
 
 
-def _annihilator_lattice(
-    E: Curve, prof: tuple[int, int, int], pts: list[Point], n: int
-) -> tuple[int, int, int]:
+def _annihilator_lattice(E: Curve, pts: list[Point], n: int) -> tuple[int, int, int]:
     """Hermite form ((A, 0), (c, d)) of {x + y*f*gamma : kills every point}.
 
     n must be a multiple of the exponent of the subgroup the points
     generate; the lattice contains n*Z^2, so residues mod n determine it.
     """
-    W, P, Q = gamma_matrix(E, prof, n)
+    W, P, Q = gamma_matrix(E, n)
     images = []
     for T in pts:
         k0, k1 = coords_in_basis(T, P, Q, n)
@@ -265,11 +235,12 @@ def hom_index(E2: Curve, E1: Curve, beta: Isogeny) -> HomIdealDescription:
             cls2, cls1, beta.degree, back, {}, beta.degree**2, None
         )
 
-    prof2 = _endo_profile(E2)
     ratio = conductor_ratio(E2, E1)
     outer = prod(ell ** rho(e) for ell, e in ratio.items())
     corr = prod(ell ** (rho(e) - e) for ell, e in ratio.items())
-    assert prof2[1] % corr == 0, "correction factor must divide the conductor"
+    assert compute_endo_conductor(E2).f % corr == 0, (
+        "correction factor must divide the conductor"
+    )
     index = outer * beta.degree
     deg_prime = beta.degree // (back * back)
     assert deg_prime % (outer * corr) == 0, (
@@ -284,7 +255,7 @@ def hom_index(E2: Curve, E1: Curve, beta: Isogeny) -> HomIdealDescription:
             assert deg_prime == 1 and outer == 1 and corr == 1
             basis = (back, (mult, 0, corr))
         else:
-            A, c, d = _annihilator_lattice(E2, prof2, pts, n)
+            A, c, d = _annihilator_lattice(E2, pts, n)
             assert A * d == index, (
                 "annihilator lattice disagrees with the index formula"
             )
@@ -378,11 +349,11 @@ def kernel_of_ideal(E: Curve, I: QuadIdeal) -> list[Point]:
     """
     if not isinstance(I, QuadIdeal):
         raise TypeError("expected a QuadIdeal")
-    prof = _endo_profile(E)
-    if quad_order(prof[0], prof[1]) != I.order:
+    desc = compute_endo_conductor(E)
+    if desc.order() != I.order:
         raise OrderMismatch(
             f"ideal belongs to {I.order!r}, not to End(E) = "
-            f"QuadOrder(D0={prof[0]}, f={prof[1]})"
+            f"QuadOrder(D0={desc.D0}, f={desc.f})"
         )
     if I.norm % E.field.p == 0:
         raise PPartUnsupported(
@@ -393,7 +364,7 @@ def kernel_of_ideal(E: Curve, I: QuadIdeal) -> list[Point]:
     n = I.a * I.t
     if n > M_MAX:
         raise BoundExceeded(f"H(I) lives in E[{n}]; torsion cap is {M_MAX}")
-    W, P, Q = gamma_matrix(E, prof, n)
+    W, P, Q = gamma_matrix(E, n)
     m00 = (I.t * (I.b + W[0])) % n
     m01 = (I.t * W[1]) % n
     m10 = (I.t * W[2]) % n
@@ -416,8 +387,7 @@ def annihilator_ideal(E: Curve, points) -> QuadIdeal:
     subgroup itself.  Point orders must be coprime to p.
     """
     pts = [T for T in points if T]
-    prof = _endo_profile(E)
-    order = quad_order(prof[0], prof[1])
+    order = compute_endo_conductor(E).order()
     if not pts:
         return unit_ideal(order)
     n = 1
@@ -427,7 +397,7 @@ def annihilator_ideal(E: Curve, points) -> QuadIdeal:
         raise PPartUnsupported("point orders must be coprime to p")
     if n > M_MAX:
         raise BoundExceeded(f"subgroup exponent cap is {M_MAX}")
-    A, c, d = _annihilator_lattice(E, prof, pts, n)
+    A, c, d = _annihilator_lattice(E, pts, n)
     assert A % d == 0 and c % d == 0, "annihilators always form an ideal"
     return ideal_create(order, d, A // d, (c // d) % (A // d))
 
@@ -447,15 +417,15 @@ def p_part_ideal(E: Curve, e1: int, e: int) -> QuadIdeal:
         raise SupersingularUnsupported(
             "pi is not split in the supersingular endomorphism algebra"
         )
-    D0, f, f0 = _endo_profile(E)
-    order = quad_order(D0, f)
+    desc = compute_endo_conductor(E)
+    order = desc.order()
     p = E.field.p
     if p**e > DISC_MAX:
         raise BoundExceeded(f"ideal norm cap is {DISC_MAX}")
     above = primes_above(order, p)
     assert len(above) == 2, "p must split in the CM order of an ordinary curve"
-    u0 = (E.trace - f0 * (D0 % 2)) // 2
-    ypi = f0 // f
+    u0 = (E.trace - desc.f0 * (desc.D0 % 2)) // 2
+    ypi = desc.f0 // desc.f
     hits = [Pr for Pr in above if (u0 - ypi * Pr.b) % p == 0]
     assert len(hits) == 1, "pi lies in exactly one prime above p"
     P1 = hits[0]

@@ -33,10 +33,9 @@ from .elliptic_curve import (
     CurveClass,
     classes_with_trace,
     curve_class,
-    is_supersingular,
     j_invariant,
 )
-from .endo_ring import compute_endo_conductor, scalar_exponent
+from .endo_ring import conductor_level
 from .errors import NoCurveWithTrace, NotImaginaryQuadratic, NotOnSurface
 from .finite_field import Field, element_to_json
 from .intmath import divisors, kronecker, split_discriminant, valuation
@@ -126,19 +125,6 @@ class IsogenyGraph:
         )
 
 
-def _vertex_level(cls: CurveClass, ell: int, depth: int) -> int:
-    if depth == 0:
-        return 0
-    E = cls.representative
-    if is_supersingular(E):
-        # Trace 0 over a prime field with p = 3 mod 4 is the one
-        # supersingular family with two levels; the conductor valuation
-        # is read off the largest ell-power torsion Frobenius is scalar
-        # on, exactly as for ordinary curves.
-        return depth - scalar_exponent(E, ell, depth)
-    return compute_endo_conductor(E).levels.get(ell, 0)
-
-
 def build_graph(field: Field, trace: int, ell: int) -> IsogenyGraph:
     """The ell-isogeny graph of all classes over `field` with this trace.
 
@@ -174,7 +160,9 @@ def build_graph(field: Field, trace: int, ell: int) -> IsogenyGraph:
     else:
         disc0, cond0 = split_discriminant(disc)
         depth = valuation(cond0, ell)
-        levels = tuple(_vertex_level(cls, ell, depth) for cls in classes)
+        levels = tuple(
+            conductor_level(c.representative, ell, depth) for c in classes
+        )
 
     counts: dict[tuple[int, int], int] = {}
     for u, cls in enumerate(classes):

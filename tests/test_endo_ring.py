@@ -33,6 +33,7 @@ from isogenion.endo_ring import (
     EndoDescriptor,
     annihilator_index,
     compute_endo_conductor,
+    conductor_level,
     evaluate_order_element,
     frobenius_matrix,
     order_generator_element,
@@ -186,6 +187,34 @@ class TestConductor:
     def test_non_floor_has_full_degree(self, e5, e29):
         assert len(stable_cyclic_subgroups(e5, 2)) == 3
         assert len(stable_cyclic_subgroups(e29, 2)) == 3
+
+    @pytest.mark.parametrize("p", [7, 11, 19, 23])
+    def test_supersingular_prime_field(self, p):
+        """Trace 0 over GF(p), p = 3 mod 4: -4p = 2^2 * (-p), and the walk
+        splits the classes between Z[(1 + sqrt(-p))/2] and Z[sqrt(-p)]."""
+        F = field_create(p)
+        seen = set()
+        for j in range(p):
+            for cls in twist_classes(F, j):
+                if cls.trace != 0:
+                    continue
+                E = cls.representative
+                d = compute_endo_conductor(E)
+                assert (d.D0, d.f0) == (-p, 2)
+                assert d.levels[2] == scalar_level_oracle(E, 2, 1)
+                assert d.f == 2 ** d.levels[2]
+                seen.add(d.f)
+        assert seen == {1, 2}
+
+    @pytest.mark.parametrize("a, level", [(-1, 0), (1, 1)])
+    def test_supersingular_level_beyond_prime_field(self, a, level):
+        """y^2 = x^3 + a*x over GF(7^3) has trace 0 and t^2 - 4q =
+        14^2 * (-7); its 2-level is read by the walk alone."""
+        E = base_change(Curve(field_create(7), a, 0), 3)
+        assert E.trace == 0
+        assert conductor_level(E, 2, 1) == level
+        assert conductor_level(E, 2, 1) == scalar_level_oracle(E, 2, 1)
+        assert conductor_level(E, 2, 0) == 0
 
     def test_supersingular_rejected(self, e49):
         with pytest.raises(OrdinaryOnly):

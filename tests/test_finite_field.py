@@ -232,7 +232,8 @@ def test_sqrt_nonresidue_gf7():
 
 @pytest.mark.parametrize("p,r", [(41, 1), (7, 2), (3, 4), (11, 2), (31, 2)])
 def test_sqrt_exhaustive_fields(p, r):
-    """Every element: sqrt agrees with the full squaring table (q < 2**10)."""
+    """Every element: sqrt agrees with the full squaring table of a field
+    small enough to tabulate."""
     F = field_create(p, r)
     squares = {}
     for el in F.elements():
@@ -252,7 +253,8 @@ def test_sqrt_exhaustive_fields(p, r):
 
 @pytest.mark.parametrize("p,r", [(1031, 1), (53, 2), (41, 3)])
 def test_sqrt_tonelli_shanks_fields(p, r):
-    """Fields over the exhaustive-search cutoff exercise Tonelli-Shanks."""
+    """Fields too big to tabulate: 120 random samples, each checked against
+    Euler's criterion and by squaring the roots."""
     F = field_create(p, r)
     assert F.order > 2**10
     rng = random.Random(F.order)

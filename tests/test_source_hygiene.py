@@ -1,0 +1,68 @@
+"""Import hygiene of the package sources, read with `ast`.
+
+Every top-level import must be used by its module (the `from __future__`
+feature `annotations` and names re-exported through `__all__` excepted),
+and no module reaches into another's private names with
+`from .module import _name`.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import isogenion
+
+SOURCES = sorted(Path(isogenion.__file__).parent.glob("*.py"))
+
+
+def parse(path):
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def exported(tree):
+    """Names listed in a top-level `__all__`."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return {ast.literal_eval(elt) for elt in node.value.elts}
+    return set()
+
+
+def top_level_imports(tree):
+    """(bound name, line) for every import statement in the module body."""
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield (alias.asname or alias.name.split(".")[0]), node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield (alias.asname or alias.name), node.lineno
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.stem)
+def test_no_unused_top_level_imports(path):
+    tree = parse(path)
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    keep = used | exported(tree)
+    unused = [
+        f"{name} (line {line})"
+        for name, line in top_level_imports(tree)
+        if name not in keep
+    ]
+    assert not unused, f"{path.name} imports but never uses: {', '.join(unused)}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.stem)
+def test_no_private_cross_module_imports(path):
+    tree = parse(path)
+    private = [
+        f"{'.' * node.level}{node.module or ''}.{alias.name} (line {node.lineno})"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").startswith("isogenion"))
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert not private, f"{path.name} imports private names: {', '.join(private)}"
