@@ -7,8 +7,12 @@ output is certified after the fact (so the randomness never affects
 correctness, only how long the search takes).
 
 Curves compare by value (field, A, B).  The point-count cache is write-once
-per instance; base_change propagates counts to extensions so the big fields
-never need a sweep.
+per instance.  Curves built from a counted curve inherit its count instead
+of sweeping: base changes (trace recurrence), Velu targets and Frobenius
+images over the same field (equal #E(k)), quadratic twists (2q + 2 - #E(k)),
+the other member of a generic-j twist-scan pair, and the scan member
+isomorphic to a counted curve.  Only curves made from bare coefficients are
+swept.
 """
 
 from __future__ import annotations
@@ -259,7 +263,10 @@ def point_order(P: Point, multiple: int | None = None) -> int:
 
 
 def count_points(E: Curve) -> tuple[int, int]:
-    """Exhaustive (order, trace) for q <= 2^20; caches on the curve."""
+    """Exhaustive (order, trace) for q <= 2^20; caches on the curve.
+
+    Only curves made from bare coefficients reach the sweep; the module
+    docstring lists the curves that inherit a count instead."""
     if E._order is not None:
         return (E._order, E._trace)
     F = E.field
@@ -383,9 +390,25 @@ def j_invariant(E: Curve) -> FieldElement:
     return 1728 * A3 / disc
 
 
+def share_count(src: Curve, dst: Curve):
+    """Give dst the count of src, if any.  dst must be isogenous to src over
+    the same field: such curves have equal #E(k) (Tate 1966)."""
+    if src._order is not None:
+        dst._set_count(src._order)
+
+
+def _share_twist_count(src: Curve, dst: Curve):
+    """dst is the quadratic twist of src: #dst(k) = 2q + 2 - #src(k)."""
+    if src._order is not None:
+        dst._set_count(2 * src.field.order + 2 - src._order)
+
+
 def quadratic_twist(E: Curve) -> Curve:
+    """The twist by the least non-residue; it carries E's count when E has one."""
     d = E.field.least_nonresidue()
-    return Curve(E.field, E.A * d * d, E.B * d * d * d)
+    T = Curve(E.field, E.A * d * d, E.B * d * d * d)
+    _share_twist_count(E, T)
+    return T
 
 
 def _sixth_power_test(c: FieldElement, k: int) -> bool:
@@ -417,8 +440,7 @@ def _twist_scan(field: Field, j: FieldElement) -> tuple[tuple[int, Curve], ...]:
         c = j * (F.from_int(1728) - j)
         base = Curve(F, 3 * c, 2 * c * (F.from_int(1728) - j))
         assert j_invariant(base) == j
-        d = F.least_nonresidue()
-        return ((0, base), (1, Curve(F, base.A * d * d, base.B * d * d * d)))
+        return ((0, base), (1, quadratic_twist(base)))
     classes: list[tuple[int, Curve]] = []
     for pos, el in enumerate(F.elements()):
         if not el:
@@ -431,14 +453,25 @@ def _twist_scan(field: Field, j: FieldElement) -> tuple[tuple[int, Curve], ...]:
     return tuple(classes)
 
 
+def _scan_trace(scan, k: int) -> int:
+    """The trace of member k of a twist scan.  A generic-j scan (A and B
+    nonzero) is a curve and its quadratic twist, so a count on one member
+    gives the other's without a sweep."""
+    E = scan[k][1]
+    if E._order is None and len(scan) == 2 and E.A and E.B:
+        _share_twist_count(scan[1 - k][1], E)
+    return E.trace
+
+
 def twist_classes(field: Field, j) -> list[CurveClass]:
     """Every k-isomorphism class with this j-invariant (counts its traces)."""
     if isinstance(j, int):
         j = field.from_int(j)
-    out = []
-    for idx, E in _twist_scan(field, j):
-        out.append(CurveClass(j, E.trace, E, idx))
-    return out
+    scan = _twist_scan(field, j)
+    return [
+        CurveClass(j, _scan_trace(scan, k), E, idx)
+        for k, (idx, E) in enumerate(scan)
+    ]
 
 
 def classes_with_trace(field: Field, t: int) -> list[CurveClass]:
@@ -455,8 +488,9 @@ def curve_from_j(field: Field, j, trace: int) -> Curve:
     """The deterministic representative with this j-invariant and trace."""
     if isinstance(j, int):
         j = field.from_int(j)
-    for _, E in _twist_scan(field, j):
-        if E.trace == trace:
+    scan = _twist_scan(field, j)
+    for k, (_, E) in enumerate(scan):
+        if _scan_trace(scan, k) == trace:
             return E
     raise NoSuchTwist(f"no curve over {field!r} with j={j!r} and trace {trace}")
 
@@ -501,11 +535,11 @@ def isomorphism_scale(E1: Curve, E2: Curve) -> FieldElement:
 def curve_class(E: Curve) -> CurveClass:
     """Canonical class identity of E: matches E against the twist scan."""
     j = j_invariant(E)
-    for idx, C in _twist_scan(E.field, j):
+    scan = _twist_scan(E.field, j)
+    for k, (idx, C) in enumerate(scan):
         if _isomorphic_over_k(C, E):
-            if E._order is not None and C._order is None:
-                C._set_count(E.order)  # isomorphic curves share counts
-            return CurveClass(j, C.trace, C, idx)
+            share_count(E, C)
+            return CurveClass(j, _scan_trace(scan, k), C, idx)
     raise AssertionError("twist scan must contain every class")
 
 

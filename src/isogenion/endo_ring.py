@@ -378,10 +378,11 @@ def gamma_matrix(E: Curve, m: int):
 def annihilator_index(E: Curve, kernel_gen, m: int) -> int:
     """[End(E) : I(<kernel_gen>)] for a point of exact order m.
 
-    Brute force: End(E)/m*End(E) has m^2 residues x + y*f*gamma (ordinary)
-    or m^4 matrix residues (supersingular, where End tensor Z/m is the full
-    2x2 matrix ring); the index is the residue count divided by the number
-    of residues annihilating the generator.
+    Brute force: End(E)/m*End(E) has m^2 residues x + y*f*gamma when
+    End_k(E) is quadratic (ordinary curves, supersingular ones over GF(p))
+    or m^4 matrix residues (supersingular beyond the prime field, where End
+    tensor Z/m is the full 2x2 matrix ring); the index is the residue count
+    divided by the number of residues annihilating the generator.
     """
     if not isinstance(m, int) or m < 1:
         raise ValueError("order must be a positive integer")
@@ -399,7 +400,7 @@ def annihilator_index(E: Curve, kernel_gen, m: int) -> int:
     if point_order(kernel_gen) != m:
         raise WrongOrder(f"generator does not have exact order {m}")
 
-    if is_supersingular(E):
+    if is_supersingular(E) and E.field.r > 1:
         P, Q, _ = torsion_basis(E, m)
         k0, k1 = coords_in_basis(kernel_gen, P, Q, m)
         rows = sum(

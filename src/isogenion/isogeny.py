@@ -48,6 +48,7 @@ from .elliptic_curve import (
     point_add,
     point_order,
     scalar_mul,
+    share_count,
     sylow_basis,
     torsion_basis,
 )
@@ -98,6 +99,7 @@ class _FrobStep:
         k = e % F.r
         self.src = src
         self.dst = Curve(F, F.frobenius(src.A, k), F.frobenius(src.B, k))
+        share_count(src, self.dst)
         self.e = e
 
 
@@ -445,6 +447,7 @@ def _velu_from_kernel_poly(E, F, n, gen):
     v = 3 * p2 + (n - 1) * A
     w = 5 * p3 + 3 * A * p1 + 2 * (n - 1) * B
     target = Curve(base, A - 5 * v, B - 7 * w)
+    share_count(E, target)
     f = Poly(base, [B, A, base.zero, base.one])
     Fp = F.derivative()
     Fpp = Fp.derivative()

@@ -677,6 +677,14 @@ class TestPairReport:
             "target_j": 5,
         }
 
+    @pytest.mark.parametrize("js", [(0, 46), (46, 0)])
+    def test_supersingular_prime_field_pair(self, js):
+        # End_k(E) is quadratic for trace 0 over GF(p), so the oracle counts
+        # residues of that order, not of the full matrix ring
+        E1, E2 = (curve_from_j(F53, j, 0) for j in js)
+        doc = json.loads(pair_report(E1, E2, degrees=(2, 3, 4)))
+        assert doc["oracle_index"] == doc["formula_index"] == [2]
+
     def test_deterministic(self, volcano):
         once = pair_report(volcano[29], volcano[25])
         again = pair_report(volcano[29], volcano[25])

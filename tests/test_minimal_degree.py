@@ -7,9 +7,9 @@ independent and must agree on every class of a small prime field.
 
 import pytest
 
-from isogenion.elliptic_curve import twist_classes
+from isogenion.elliptic_curve import classes_with_trace, twist_classes
 from isogenion.finite_field import field_create
-from isogenion.minimal_degree import md_between, md_classifier, md_supersingular_bounds
+from isogenion.minimal_degree import md_between, md_classifier, md_supersingular_bounds, rB
 
 
 def _all_classes(p):
@@ -43,3 +43,17 @@ def test_md_supersingular_bounds_at_11():
     assert all(entry["equal"] for entry in report["full_trace_matches_closure"])
     assert report["fp2_expected_p"]
     assert all(entry["md"] == 11 for entry in report["fp2_expected_p"])
+
+
+def test_doubling_witness_over_cubic_extension():
+    # for odd t the witness [2] = dual(phi) o phi lives over GF(103^3), past
+    # the sweep cap: its Velu targets must inherit their counts
+    c = classes_with_trace(field_create(103), 1)[0]
+    assert md_between(c.representative, c.representative).md == 4
+
+
+def test_rB_at_101():
+    F = field_create(101)
+    value, pair = rB(F, 1)
+    assert value == 11
+    assert [(c.j, c.twist_index) for c in pair] == [(F.from_int(16), 0), (F.from_int(99), 1)]
