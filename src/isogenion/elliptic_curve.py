@@ -586,10 +586,13 @@ def _bottom_independent(S1: Point, a: int, S2: Point, b: int, ell: int) -> bool:
     return True
 
 
+@lru_cache(maxsize=None)
 def sylow_basis(E: Curve, ell: int) -> tuple[Point, Point, int, int]:
     """Generators (S1, S2) of the ell-Sylow subgroup of E(k), with orders
     ell^a >= ell^b.  Certified: the pair is independent and a + b equals the
     full ell-valuation of |E(k)|, which forces <S1, S2> = Sylow exactly.
+    Cached per (curve, ell); the draws are seeded by curve_seed, so a cold
+    recompute returns the same pair.
     """
     N = E.order
     v = valuation(N, ell)

@@ -18,6 +18,7 @@ a subgroup, and the split prime-square p-part) lives here too.
 
 from __future__ import annotations
 
+import itertools
 import json
 from math import lcm, prod
 
@@ -25,7 +26,9 @@ from .elliptic_curve import (
     M_MAX,
     Curve,
     Point,
+    base_change,
     curve_class,
+    embed_point,
     is_supersingular,
     point_add,
     point_order,
@@ -35,7 +38,6 @@ from .endo_ring import (
     annihilator_index,
     compute_endo_conductor,
     coords_in_basis,
-    frobenius_matrix,
     gamma_matrix,
 )
 from .errors import (
@@ -48,8 +50,8 @@ from .errors import (
     TraceMismatch,
 )
 from .finite_field import element_to_json
-from .intmath import cyclic_lines, hnf2, prime_factors, valuation
-from .isogeny import Isogeny, velu
+from .intmath import factorize, hnf2, prime_factors, valuation
+from .isogeny import Isogeny, stable_cyclic_subgroups, velu
 from .quadratic_order import (
     DISC_MAX,
     QuadIdeal,
@@ -446,7 +448,11 @@ def stable_cyclic_kernels(E: Curve, n: int) -> list[Point]:
     """One generator per Frobenius-stable cyclic order-n subgroup of E.
 
     These are exactly the kernels of the non-backtracking degree-n
-    isogenies leaving E.  n may be composite; n = 1 is rejected.
+    isogenies leaving E.  n may be composite; n = 1 is rejected.  Each
+    generator lives on the smallest extension of E's field where its
+    subgroup is pointwise rational, and the kernels come in the same order
+    as the isogenies of cyclic_isogenies(E, n).  Past the M_MAX cap on n,
+    it refuses only when some kernel needs an extension beyond R_MAX.
     """
     if not isinstance(n, int) or n < 2:
         raise ValueError("subgroup order must be an integer >= 2")
@@ -454,15 +460,16 @@ def stable_cyclic_kernels(E: Curve, n: int) -> list[Point]:
         raise ValueError("subgroup order must be coprime to p")
     if n > M_MAX:
         raise BoundExceeded(f"torsion cap is {M_MAX}")
-    fm = frobenius_matrix(E, n)
-    P, Q = fm.basis
-    (a, b), (c, d) = fm.matrix
-    # the image (s', u') lies on the line through (s, u) iff s*u' - u*s' = 0 mod n
-    return [
-        point_add(scalar_mul(s, P), scalar_mul(u, Q))
-        for s, u in cyclic_lines(n)
-        if (s * (c * s + d * u) - u * (a * s + b * u)) % n == 0
-    ]
+    per_prime = [stable_cyclic_subgroups(E, ell, e) for ell, e in factorize(n)]
+    out = []
+    for combo in itertools.product(*per_prime):
+        # the sum's subgroup is rational where every prime-power part is
+        EK = base_change(E, lcm(*(T.curve.field.r for T in combo)) // E.field.r)
+        K = EK.infinity()
+        for T in combo:
+            K = point_add(K, embed_point(T, EK))
+        out.append(K)
+    return out
 
 
 def pair_report(E2: Curve, E1: Curve, degrees=(2, 3, 4, 6, 8, 9, 12)) -> str:

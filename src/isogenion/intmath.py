@@ -189,15 +189,6 @@ def floor_two_over_pi_sqrt(x: int) -> int:
     return m
 
 
-def crt_pair(r1: int, m1: int, r2: int, m2: int) -> tuple[int, int]:
-    """Combine r mod m1 and r mod m2 (coprime moduli) into r mod m1*m2."""
-    g = gcd(m1, m2)
-    if g != 1:
-        raise ValueError("moduli must be coprime")
-    r = (r1 + (r2 - r1) * pow(m1, -1, m2) % m2 * m1) % (m1 * m2)
-    return r, m1 * m2
-
-
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
     """(g, s, t) with g = gcd(a, b) >= 0 and s*a + t*b = g."""
     old_r, r, old_s, s, old_t, t = a, b, 1, 0, 0, 1
@@ -253,13 +244,6 @@ def cyclic_lines(n: int) -> tuple[tuple[int, int], ...]:
             out.append((s, u))
             seen.update(((k * s) % n, (k * u) % n) for k in range(n))
     return tuple(out)
-
-
-def sqrt_mod_prime_power(a: int, ell: int, e: int) -> list[int]:
-    """All solutions x of x**2 = a mod ell**e (small ell**e, brute force)."""
-    mod = ell**e
-    a %= mod
-    return [x for x in range(mod) if x * x % mod == a]
 
 
 def multiplicative_order(a: int, m: int) -> int:

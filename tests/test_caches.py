@@ -9,12 +9,23 @@ import pytest
 
 import isogenion
 from isogenion import minimal_degree
-from isogenion.elliptic_curve import base_change, curve_from_j, torsion_basis
+from isogenion.elliptic_curve import (
+    base_change,
+    curve_from_j,
+    sylow_basis,
+    torsion_basis,
+)
 from isogenion.endo_ring import compute_endo_conductor, frobenius_matrix
 from isogenion.finite_field import field_create
 from isogenion.hom_index_kernel import pair_report
 
-CURVE_CACHES = (torsion_basis, frobenius_matrix, compute_endo_conductor, base_change)
+CURVE_CACHES = (
+    sylow_basis,
+    torsion_basis,
+    frobenius_matrix,
+    compute_endo_conductor,
+    base_change,
+)
 
 
 @pytest.fixture(scope="module")
@@ -57,16 +68,19 @@ def test_float_modulus_is_refused_after_the_int_is_cached(volcano):
 
 def test_cold_recompute_equals_cached(volcano):
     E29, E25 = volcano
+    warm_sylow = sylow_basis(E29, 2)
     warm_basis = torsion_basis(E29, 4)
     warm_frob = frobenius_matrix(E29, 4)
     warm_report = pair_report(E29, E25)
     for fn in CURVE_CACHES:
         fn.cache_clear()
+    assert sylow_basis(E29, 2) == warm_sylow
     assert torsion_basis(E29, 4) == warm_basis
     cold_frob = frobenius_matrix(E29, 4)
     assert (cold_frob.m, cold_frob.basis, cold_frob.matrix) == (
         warm_frob.m, warm_frob.basis, warm_frob.matrix,
     )
     assert pair_report(E29, E25) == warm_report
+    assert sylow_basis.cache_info().misses >= 1
     assert torsion_basis.cache_info().misses >= 1
     assert compute_endo_conductor.cache_info().misses >= 1

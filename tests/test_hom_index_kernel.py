@@ -30,6 +30,7 @@ from isogenion.elliptic_curve import (
 from isogenion.endo_ring import (
     annihilator_index,
     evaluate_order_element,
+    frobenius_matrix,
     order_generator_element,
 )
 from isogenion.errors import (
@@ -55,7 +56,8 @@ from isogenion.hom_index_kernel import (
     rho,
     stable_cyclic_kernels,
 )
-from isogenion.isogeny import compose, dual, velu
+from isogenion.intmath import cyclic_lines
+from isogenion.isogeny import compose, cyclic_isogenies, dual, evaluate, velu
 from isogenion.quadratic_order import (
     ideal_conjugate,
     ideal_create,
@@ -103,6 +105,20 @@ def lifted_members(E, K, n):
         for y in range(n)
         if not point_add(scalar_mul(x, K), scalar_mul(y, image))
     }
+
+
+def line_scan_kernels(E, n):
+    """Stable cyclic kernels the long way: scan every cyclic line of (Z/n)^2
+    on a basis of all of E[n] for the lines the Frobenius matrix fixes."""
+    fm = frobenius_matrix(E, n)
+    P, Q = fm.basis
+    (a, b), (c, d) = fm.matrix
+    # the image (s', u') lies on the line through (s, u) iff s*u' - u*s' = 0 mod n
+    return [
+        point_add(scalar_mul(s, P), scalar_mul(u, Q))
+        for s, u in cyclic_lines(n)
+        if (s * (c * s + d * u) - u * (a * s + b * u)) % n == 0
+    ]
 
 
 def basis_span(desc, n):
@@ -648,10 +664,40 @@ class TestStableCyclicKernels:
         with pytest.raises(BoundExceeded):
             list(stable_cyclic_kernels(volcano[5], 65))
 
+    def test_order_32_on_the_floor(self, volcano):
+        # E[32] on a floor curve lies past the field cap, but each of its
+        # four stable cyclic subgroups is pointwise rational over GF(41^8)
+        E = volcano[13]
+        kernels = stable_cyclic_kernels(E, 32)
+        assert len(kernels) == 4
+        assert all(point_order(K) == 32 for K in kernels)
+        polys = {velu(E, K, 32).kernel_polynomial() for K in kernels}
+        assert len(polys) == 4
+
     def test_extension_cap_on_the_floor(self, volcano):
-        # E[32] on a floor curve needs an extension past the field cap
+        # the roots of x^2 - 6x + 41 mod 59 have multiplicative order 29, so
+        # the kernels would need GF(41^29)
         with pytest.raises(BoundExceeded):
-            list(stable_cyclic_kernels(volcano[13], 32))
+            stable_cyclic_kernels(volcano[13], 59)
+
+    @pytest.mark.parametrize("j, n", [(5, 6), (29, 12), (13, 12)])
+    def test_same_order_as_cyclic_isogenies(self, volcano, j, n):
+        # K of exact order n in the kernel of a degree-n isogeny generates it
+        kernels = stable_cyclic_kernels(volcano[j], n)
+        isogenies = cyclic_isogenies(volcano[j], n)
+        assert len(kernels) == len(isogenies)
+        for K, phi in zip(kernels, isogenies):
+            assert not evaluate(phi, K)
+
+    @pytest.mark.parametrize(
+        "j, n", [(j, n) for j in (5, 29, 13) for n in (8, 9, 12)] + [(29, 16)]
+    )
+    def test_same_subgroups_as_the_line_scan(self, volcano, j, n):
+        E = volcano[j]
+        got = [velu(E, K, n).kernel_polynomial() for K in stable_cyclic_kernels(E, n)]
+        want = {velu(E, K, n).kernel_polynomial() for K in line_scan_kernels(E, n)}
+        assert len(set(got)) == len(got)
+        assert set(got) == want
 
 
 class TestPairReport:

@@ -16,7 +16,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isogenion.intmath import (
-    crt_pair,
     cyclic_lines,
     divisors,
     factorize,
@@ -26,7 +25,6 @@ from isogenion.intmath import (
     is_square,
     kronecker,
     split_discriminant,
-    sqrt_mod_prime_power,
     squarefree_part,
     valuation,
     xgcd,
@@ -208,26 +206,6 @@ def test_squarefree_part():
         n = rng.randrange(1, 10**6)
         s = squarefree_part(n)
         assert is_square(n // s) and n % s == 0
-
-
-# ---------------------------------------------------------------------------
-# modular helpers
-
-
-def test_crt_pair():
-    assert crt_pair(2, 3, 3, 5) == (8, 15)
-    for a, m, b, n in [(1, 4, 2, 9), (0, 7, 6, 8), (5, 9, 5, 16)]:
-        x, mn = crt_pair(a, m, b, n)
-        assert x % m == a % m and x % n == b % n and 0 <= x < m * n == mn
-
-
-def test_sqrt_mod_prime_power():
-    for ell, e in [(2, 1), (2, 3), (2, 5), (3, 2), (5, 3), (7, 2)]:
-        mod = ell**e
-        for a in range(mod):
-            got = sqrt_mod_prime_power(a, ell, e)
-            expected = sorted({x for x in range(mod) if (x * x - a) % mod == 0})
-            assert got == expected, (a, ell, e)
 
 
 # ---------------------------------------------------------------------------
