@@ -249,9 +249,11 @@ def scalar_mul(m: int, P: Point) -> Point:
 
 
 def point_order(P: Point, multiple: int | None = None) -> int:
-    """The exact order of P; `multiple` may supply a known annihilator."""
+    """The exact order of P; `multiple` may supply a known annihilator
+    (ValueError if it does not kill P)."""
     n = multiple if multiple is not None else P.curve.order
-    assert not scalar_mul(n, P)
+    if scalar_mul(n, P):
+        raise ValueError(f"{n} does not annihilate the point")
     for ell, _ in factorize(n):
         while n % ell == 0 and not scalar_mul(n // ell, P):
             n //= ell
@@ -711,8 +713,7 @@ def _divide_in_field(P: Point, n: int) -> Point | None:
 def torsion_basis(E: Curve, m: int) -> tuple[Point, Point, Field]:
     """A basis (P, Q) of E[m] over the smallest extension containing it.
 
-    The basis is certified by exhaustively checking that the m^2 combinations
-    i*P + j*Q are pairwise distinct (m <= 64 keeps this trivial).  Bases are
+    The basis is certified prime by prime (see _certify_basis).  Bases are
     cached per (curve, m): every caller treats the choice as arbitrary, and
     recomputing them dominated profile runs.
     """
@@ -758,16 +759,15 @@ def torsion_basis(E: Curve, m: int) -> tuple[Point, Point, Field]:
 
 
 def _certify_basis(P: Point, Q: Point, m: int):
-    seen = set()
-    iP = P.curve.infinity()
-    for _ in range(m):
-        T = iP
-        for _ in range(m):
-            seen.add(T)
-            T = point_add(T, Q)
-        iP = point_add(iP, P)
-    if len(seen) != m * m:
-        raise AssertionError("proposed basis does not span m^2 points")
+    """Raise unless P, Q are killed by m and, for each prime ell | m, the
+    points (m/ell)P and (m/ell)Q are independent of order ell.  Then no
+    nonzero (i, j) mod m has i*P + j*Q = O, so the pair spans E[m]."""
+    if scalar_mul(m, P) or scalar_mul(m, Q):
+        raise AssertionError("proposed basis is not m-torsion")
+    for ell, _ in factorize(m):
+        U1, U2 = scalar_mul(m // ell, P), scalar_mul(m // ell, Q)
+        if not U1 or not _bottom_independent(U1, 1, U2, 1, ell):
+            raise AssertionError(f"proposed basis is dependent modulo {ell}")
 
 
 def group_structure(E: Curve) -> tuple[int, int]:

@@ -4,21 +4,21 @@ The workhorse is Velu's construction: given a Frobenius-stable cyclic
 subgroup presented by a generator (possibly over an extension), it produces
 the quotient curve together with explicit rational maps defined over the
 base field.  On top of that sit composition, dual isogenies, pure Frobenius
-powers, enumeration of all stable cyclic kernels of a given order, and the
-classical modular polynomials for levels 2, 3, 5 and 7.
+powers, [m], enumeration of all stable cyclic kernels of a given order,
+and the classical modular polynomials for levels 2, 3, 5 and 7.  Duals
+sample no points: Velu's normalisation fixes their closing isomorphism.
 
 An :class:`Isogeny` is stored as a chain of elementary steps (one Velu
-quotient per prime power, scaling isomorphisms, Frobenius powers), each a
-map between concrete Weierstrass models over the base field.  Evaluation at
-a point over any extension walks the chain; degrees and inseparability
-exponents are tracked explicitly.
+quotient per prime power, scaling isomorphisms, Frobenius powers, [m]),
+each a map between concrete Weierstrass models over the base field.
+Evaluation at a point over any extension walks the chain; degrees and
+inseparability exponents are tracked explicitly.
 """
 
 from __future__ import annotations
 
 import itertools
 import os
-import random
 from functools import lru_cache
 from importlib import resources
 
@@ -31,7 +31,7 @@ from .errors import (
     WrongOrder,
 )
 from .finite_field import Field, FieldElement, R_MAX
-from .polyring import Poly, poly_gcd, roots, subfield_embedding, embed_element
+from .polyring import Poly, poly_gcd, subfield_embedding, embed_element
 from .elliptic_curve import (
     M_MAX,
     Curve,
@@ -40,7 +40,6 @@ from .elliptic_curve import (
     base_change,
     base_change_degree,
     curve_class,
-    curve_seed,
     frobenius_endo,
     is_supersingular,
     isomorphism_scale,
@@ -267,7 +266,9 @@ class Isogeny:
         base = self.source_curve.field
         if self.separable_degree == 1:
             F = Poly.from_ints(base, [1])
-        elif len(self._steps) == 1 and isinstance(self._steps[0], _VeluStep):
+        elif isinstance(self._steps[0], _VeluStep) and all(
+            isinstance(st, _IsoStep) for st in self._steps[1:]
+        ):
             F = self._steps[0].F
         else:
             pts = self._kernel_points()
@@ -474,6 +475,16 @@ def frobenius_isogeny(E: Curve, e: int) -> Isogeny:
     return Isogeny((step,), E, step.dst, E.field.p**e, e, None)
 
 
+def multiplication_isogeny(E: Curve, m: int) -> Isogeny:
+    """[m] on E, a separable endomorphism of degree m^2; m must be a
+    positive integer coprime to the characteristic."""
+    if not isinstance(m, int) or m < 1:
+        raise ValueError("multiplier must be a positive integer")
+    if m % E.field.p == 0:
+        raise ValueError("multiplier must be coprime to the characteristic")
+    return Isogeny((_MulStep(E, m),), E, E, m * m, 0, None)
+
+
 def evaluate(phi: Isogeny, P: Point) -> Point:
     """phi(P).  P must lie on phi's source model or a base change of it."""
     if not isinstance(P, Point):
@@ -520,18 +531,6 @@ def compose(psi: Isogeny, phi: Isogeny) -> Isogeny:
 # duals
 
 
-def _automorphism_scales(E: Curve):
-    F = E.field
-    j = j_invariant(E)
-    if not j:
-        poly = Poly(F, [-F.one] + [F.zero] * 5 + [F.one])
-    elif j == F.from_int(1728):
-        poly = Poly(F, [-F.one] + [F.zero] * 3 + [F.one])
-    else:
-        return (F.one, -F.one)
-    return tuple(r for r, _ in roots(poly))
-
-
 def _generator_of_image(st: _VeluStep) -> Point:
     """A generator of phi(E[n]), the kernel of the dual of a Velu step."""
     n = st.order
@@ -551,34 +550,21 @@ def _generator_of_image(st: _VeluStep) -> Point:
 
 
 def _dual_velu_step(st: _VeluStep):
+    """[tau, scaling by 1/n]: the dual of one Velu step of order n.
+
+    tau is the Velu quotient by phi(E[n]), so tau o phi has kernel E[n].
+    Velu's maps pull the invariant differential back to itself, so
+    tau o phi = [n] followed by (x, y) -> (n^2 x, n^3 y), and tau lands on
+    the model (n^4 A, n^6 B); the step back to E scales by 1/n.
+    """
     n = st.order
     E = st.src
+    F = E.field
     tau = velu(st.dst, _generator_of_image(st), n)
     T = tau.target_curve
-    u0 = isomorphism_scale(T, E)
-    cands = list(dict.fromkeys(u0 * z for z in _automorphism_scales(E)))
-    rng = random.Random(curve_seed(E, *(v for c in st.F.coeffs for v in c.coeffs)))
-    for s in (1, 2, 3, 4):
-        EK = base_change(E, s)
-        for _ in range(24):
-            P = EK.random_point(rng)
-            RHS = scalar_mul(n, P)
-            LHS = _apply_step(tau._steps[0], _apply_step(st, P))
-            if not RHS or not LHS:
-                continue
-            K = EK.field
-            survivors = [
-                u
-                for u in cands
-                if (lambda uu: uu * uu * LHS.x == RHS.x and uu**3 * LHS.y == RHS.y)(
-                    embed_element(u, K)
-                )
-            ]
-            if survivors:
-                cands = survivors
-            if len(cands) == 1 and survivors:
-                return [tau._steps[0], _IsoStep(T, E, cands[0])]
-    raise AssertionError("connecting isomorphism for the dual was not pinned down")
+    if T != Curve(F, n**4 * E.A, n**6 * E.B):
+        raise AssertionError("Velu dual does not land on the n-scaled source model")
+    return [tau._steps[0], _IsoStep(T, E, F.from_int(n).inverse())]
 
 
 def _insep_of_steps(steps, supersingular: bool) -> int:
@@ -593,7 +579,13 @@ def _insep_of_steps(steps, supersingular: bool) -> int:
 
 
 def dual(phi: Isogeny) -> Isogeny:
-    """The dual isogeny: dual(phi) o phi = [deg phi] on the source model."""
+    """The dual isogeny: dual(phi) o phi = [deg phi] on the source model.
+
+    Built step by step in reverse and drawing no random points: a Velu
+    step of order n dualises to the Velu quotient by the image of E[n]
+    followed by scaling by 1/n, a scaling to its inverse, a Frobenius power
+    to its Verschiebung, and [m] to itself.
+    """
     E, E2 = phi.source_curve, phi.target_curve
     p = E.field.p
     out = []

@@ -5,7 +5,8 @@ Between distinct ordinary classes of the same trace it never exceeds
 eB(q, t) = floor((2/pi)sqrt(4q - t^2)): Minkowski's lattice bound puts an
 ideal of that small a norm in every ideal class, and vertical steps only
 trade conductor primes against the square root.  Within one class the
-answer is 2, 3 or 4 and is decided by pure congruence data: a degree-2 or
+answer is 2, 3 or 4 (4 always attained by [2], an endomorphism over the
+base field) and is decided by pure congruence data: a degree-2 or
 degree-3 endomorphism lifts to characteristic zero, where only six
 imaginary quadratic orders contain elements of norm 2 or 3, each pinned to
 a single rational j-invariant.  CM_TABLE carries those six rows; the
@@ -36,9 +37,9 @@ from .intmath import cyclic_lines, floor_two_over_pi_sqrt
 from .isogeny import (
     compose,
     cyclic_isogenies,
-    dual,
     frobenius_isogeny,
     modular_polynomial,
+    multiplication_isogeny,
     velu,
 )
 from .polyring import roots as poly_roots
@@ -243,32 +244,16 @@ def _degree_candidates(E: Curve, m: int, over_k: bool):
         yield compose(phi, lifted)
 
 
-def _doubling_witness(E: Curve, over_k: bool):
-    """[2] as dual(phi) o phi for some 2-isogeny phi.
-
-    When no 2-torsion line is Frobenius-stable (odd trace), the maps are
-    assembled on the base change that makes E[2] rational; the degree is
-    still 4 and source and target are still E.
-    """
-    if over_k:
-        rational = _cyclic_rational(E, 2)
-        if rational:
-            phi = rational[0]
-            return compose(dual(phi), phi)
-    phi = _cyclic_closure(E, 2)[0]
-    return compose(dual(phi), phi)
-
-
 def md_between(E2: Curve, E1: Curve, over_k: bool = True) -> MdResult:
     """The least degree > 1 of an isogeny E2 -> E1, with witness.
 
     over_k=True restricts to isogenies rational over the base field; False
     searches the closure, where classes merge by j-invariant.  The degree
     loop is capped by eB (ordinary, distinct classes), by 4 (same class:
-    the doubling map always competes), or by p (supersingular beyond the
-    prime field).  Kernel enumerations that overflow the extension caps
-    propagate BoundExceeded rather than silently skipping a degree, so a
-    returned minimum is always exact.
+    the witness is then [2] on E2, defined over the base field), or by p
+    (supersingular beyond the prime field).  Kernel enumerations that
+    overflow the extension caps propagate BoundExceeded rather than
+    silently skipping a degree, so a returned minimum is always exact.
     """
     if not isinstance(E2, Curve) or not isinstance(E1, Curve):
         raise TypeError("md_between expects two curves")
@@ -299,15 +284,15 @@ def md_between(E2: Curve, E1: Curve, over_k: bool = True) -> MdResult:
     else:
         raise BoundExceeded("supersingular search beyond GF(p^2) is not supported")
 
-    # Same class: only 2 and 3 need searching; the doubling map dual(phi)*phi
-    # settles 4 without enumerating any 4-torsion.
+    # Same class: only 2 and 3 need searching; [2] settles 4 without
+    # enumerating any 4-torsion.
     top = 3 if same else bound
     for m in range(2, top + 1):
         for phi in _degree_candidates(E2, m, over_k):
             if _lands_on(phi, c1, over_k):
                 return MdResult((c2, c1), m, phi, bound_val)
     if same:
-        return MdResult((c2, c1), 4, _doubling_witness(E2, over_k), bound_val)
+        return MdResult((c2, c1), 4, multiplication_isogeny(E2, 2), bound_val)
     raise SearchExhausted(f"no isogeny of degree <= {bound} connects the classes")
 
 

@@ -281,7 +281,6 @@ def _equal_degree_split(f: Poly, d: int, rng: random.Random) -> list[Poly]:
     if f.degree() == d:
         return [f]
     q = field.order
-    assert field.p != 2, "equal-degree splitting implemented for odd p"
     exponent = (q**d - 1) // 2
     while True:
         a = Poly(
@@ -303,8 +302,11 @@ def factor(f: Poly) -> list[tuple[Poly, int]]:
     """Full factorization into monic irreducibles: [(g, multiplicity), ...].
 
     Deterministic: the internal RNG is seeded from f's coefficients.  The
-    factor list is sorted by (degree, coefficient order).
+    factor list is sorted by (degree, coefficient order).  Odd
+    characteristic only: equal-degree splitting uses (q^d - 1)/2 powers.
     """
+    if f.field.p == 2:
+        raise ValueError("factorization needs odd characteristic")
     if f.is_zero():
         raise ValueError("cannot factor the zero polynomial")
     rng = random.Random(_poly_seed(f))

@@ -12,6 +12,7 @@ from math import gcd
 
 import pytest
 
+from isogenion import elliptic_curve
 from isogenion.errors import (
     BoundExceeded,
     CurveMismatch,
@@ -157,6 +158,14 @@ def test_point_order_matches_brute():
             T = point_add(T, P)
             k += 1
         assert o == k
+
+
+def test_point_order_refuses_a_multiple_that_does_not_kill():
+    E = curve_from_j(field_create(41), 29, 6)
+    P, _, _ = torsion_basis(E, 3)
+    assert point_order(P, 3) == point_order(P, 6) == 3
+    with pytest.raises(ValueError):
+        point_order(P, 5)
 
 
 def test_cross_curve_addition_rejected():
@@ -505,6 +514,50 @@ def test_torsion_basis_properties(m):
         assert curve_order_over_extension(E, s) % (m * m) != 0 or not _full_torsion(
             base_change(E, s), m
         )
+
+
+def _spans_m_squared_points(P, Q, m):
+    """Oracle: the m^2 combinations i*P + j*Q are pairwise distinct."""
+    combos = set()
+    iP = P.curve.infinity()
+    for _ in range(m):
+        T = iP
+        for _ in range(m):
+            combos.add(T)
+            T = point_add(T, Q)
+        iP = point_add(iP, P)
+    return len(combos) == m * m
+
+
+def _certified(P, Q, m):
+    try:
+        elliptic_curve._certify_basis(P, Q, m)
+    except AssertionError:
+        return False
+    return True
+
+
+# the GF(41), t = 6 2-volcano (vertex j -> level) and the deep bases of the
+# torsion benchmark
+VOLCANO_BASES = [
+    (j, m) for j in (5, 29, 22, 13, 33, 25, 35) for m in (2, 3, 4, 6)
+] + [(5, 17), (29, 16), (13, 8)]
+
+
+@pytest.mark.parametrize("j, m", VOLCANO_BASES)
+def test_basis_certificate_agrees_with_the_span_oracle(j, m):
+    """The per-prime certificate accepts exactly the pairs whose m^2
+    combinations are distinct: every volcano basis, and (for m <= 8) none
+    of the degenerate pairs made from it."""
+    P, Q, _ = torsion_basis(curve_from_j(field_create(41), j, 6), m)
+    assert _spans_m_squared_points(P, Q, m) and _certified(P, Q, m)
+    if m > 8:
+        return
+    pairs = [(P, P), (P, point_add(P, Q)), (point_add(P, Q), Q)]
+    pairs += [(P, scalar_mul(ell, Q)) for ell, _ in factorize(m)]
+    pairs += [(scalar_mul(ell, P), Q) for ell, _ in factorize(m)]
+    for A, B in pairs:
+        assert _certified(A, B, m) == _spans_m_squared_points(A, B, m)
 
 
 def _full_torsion(EK, m):

@@ -57,6 +57,7 @@ from isogenion.isogeny import (
     frobenius_isogeny,
     modular_adjacent,
     modular_polynomial,
+    multiplication_isogeny,
     stable_cyclic_subgroups,
     velu,
 )
@@ -491,9 +492,51 @@ class TestDual:
             assert evaluate(pi, evaluate(V, P)) == scalar_mul(41, P)
         assert dual(V) == pi
 
+    @pytest.mark.parametrize("p, r", [(37, 1), (7, 2)])
+    @pytest.mark.parametrize("j", [0, 1728])
+    def test_dual_closes_to_multiplication_with_extra_automorphisms(self, p, r, j):
+        """Where E has more automorphisms than +-1 the closing isomorphism
+        of the dual is still the scaling by 1/n that Velu's normalisation
+        fixes: dual(phi) o phi = [n] on every twist of j = 0 and 1728."""
+        F = field_create(p, r)
+        rng = random.Random(p * r + j)
+        checked = 0
+        for cls in twist_classes(F, F.from_int(j)):
+            E = cls.representative
+            for n in (2, 3, 4):
+                for phi in cyclic_isogenies(E, n):
+                    phihat = dual(phi)
+                    assert phihat.source_curve == phi.target_curve
+                    assert phihat.target_curve == E
+                    for s in (1, 2):
+                        EK = base_change(E, s)
+                        for _ in range(3):
+                            P = EK.random_point(rng)
+                            assert evaluate(phihat, evaluate(phi, P)) == scalar_mul(n, P)
+                    checked += 1
+        assert checked
+
+    def test_kernel_polynomial_is_that_of_the_image_of_the_torsion(self, e29):
+        """dual(phi) has kernel phi(E[ell]): its kernel polynomial matches
+        the one built from a torsion basis of the source."""
+        for ell in (2, 3):
+            P, Q, K = torsion_basis(e29, ell)
+            for g in stable_cyclic_subgroups(e29, ell):
+                phi = velu(e29, g, ell)
+                image = {
+                    evaluate(phi, point_add(scalar_mul(i, P), scalar_mul(j, Q)))
+                    for i in range(ell)
+                    for j in range(ell)
+                }
+                xs = [T.x for T in image if T]
+                assert len(xs) == ell - 1
+                FK = Poly.from_roots(K, xs)
+                want = FK if K is F41 else subfield_embedding(F41, K).unmap_poly(FK)
+                assert dual(phi).kernel_polynomial() == want
+
     def test_sampling_does_not_depend_on_the_hash_seed(self):
-        """The points dual draws are seeded from curve coefficients, so two
-        interpreters with different string-hash salts draw equally many."""
+        """dual draws no random points at all, so two interpreters with
+        different string-hash salts build the same duals."""
         script = textwrap.dedent("""
             from isogenion.elliptic_curve import Curve, curve_from_j
             from isogenion.finite_field import field_create
@@ -518,6 +561,7 @@ class TestDual:
                                   capture_output=True, text=True, check=True)
             outputs.add(proc.stdout)
         assert len(outputs) == 1
+        assert outputs.pop().split()[-1] == "0"
 
 
 # ---------------------------------------------------------------------------
@@ -568,6 +612,36 @@ class TestFrobeniusIsogeny:
     def test_rejects_negative_exponents(self, e29):
         with pytest.raises(ValueError):
             frobenius_isogeny(e29, -1)
+
+
+# ---------------------------------------------------------------------------
+# multiplication maps
+
+
+class TestMultiplicationIsogeny:
+    def test_bookkeeping_and_points(self, e29):
+        for m in (2, 3, 5):
+            mul = multiplication_isogeny(e29, m)
+            assert mul.degree == m * m and mul.insep_exp == 0
+            assert mul.source_curve == mul.target_curve == e29
+            rng = random.Random(m)
+            for s in (1, 2):
+                EK = base_change(e29, s)
+                for _ in range(5):
+                    P = EK.random_point(rng)
+                    assert evaluate(mul, P) == scalar_mul(m, P)
+        assert multiplication_isogeny(e29, 1) == velu(e29, None, 1)
+
+    def test_kernel_is_the_two_torsion_and_dual_is_itself(self, e29):
+        two = multiplication_isogeny(e29, 2)
+        F = e29.field
+        assert two.kernel_polynomial() == Poly(F, [e29.B, e29.A, F.zero, F.one])
+        assert dual(two) == two
+
+    @pytest.mark.parametrize("m", [0, -2, 2.0, 41, 82])
+    def test_rejects_bad_multipliers(self, e29, m):
+        with pytest.raises(ValueError):
+            multiplication_isogeny(e29, m)
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,13 @@ search in md_between enumerates kernels degree by degree, so the two are
 independent and must agree on every class of a small prime field.
 """
 
+import random
+
 import pytest
 
-from isogenion.elliptic_curve import classes_with_trace, twist_classes
+from isogenion.elliptic_curve import classes_with_trace, scalar_mul, twist_classes
 from isogenion.finite_field import field_create
+from isogenion.isogeny import compose, cyclic_isogenies, dual
 from isogenion.minimal_degree import md_between, md_classifier, md_supersingular_bounds, rB
 
 
@@ -46,10 +49,37 @@ def test_md_supersingular_bounds_at_11():
 
 
 def test_doubling_witness_over_cubic_extension():
-    # for odd t the witness [2] = dual(phi) o phi lives over GF(103^3), past
-    # the sweep cap: its Velu targets must inherit their counts
+    # for odd t no 2-isogeny is rational over GF(103); the degree-4 witness
+    # is [2] on the curve itself, so nothing is built over GF(103^3)
     c = classes_with_trace(field_create(103), 1)[0]
     assert md_between(c.representative, c.representative).md == 4
+
+
+def test_doubling_witness_is_an_endomorphism_over_the_base_field():
+    F = field_create(31)
+    E = classes_with_trace(F, 1)[0].representative
+    res = md_between(E, E)
+    assert res.md == 4
+    w = res.witness
+    assert w.source_curve == E and w.target_curve == E
+    assert w.degree == 4 and w.insep_exp == 0
+    rng = random.Random(31)
+    for _ in range(10):
+        P = E.random_point(rng)
+        assert w(P) == scalar_mul(2, P)
+
+
+def test_doubling_witness_equals_dual_after_a_two_isogeny():
+    # with even t a 2-isogeny phi is rational, and [2] = dual(phi) o phi
+    checked = 0
+    for cls in classes_with_trace(field_create(37), 2):
+        E = cls.representative
+        res = md_between(E, E)
+        if res.md == 4:
+            phi = cyclic_isogenies(E, 2)[0]
+            assert res.witness == compose(dual(phi), phi)
+            checked += 1
+    assert checked
 
 
 def test_rB_at_101():

@@ -219,6 +219,19 @@ def test_roots_of_rootless():
     assert roots(Poly.from_ints(F, [3])) == []
 
 
+def test_characteristic_two_is_refused():
+    # equal-degree splitting raises (q^d - 1)/2 powers, so p = 2 is refused
+    # up front instead of failing (or, without assertions, looping) inside
+    F = field_create(2)
+    f = Poly.from_ints(F, [0, 1, 1])  # x^2 + x = x (x + 1)
+    with pytest.raises(ValueError, match="odd characteristic"):
+        factor(f)
+    with pytest.raises(ValueError, match="odd characteristic"):
+        roots(f)
+    with pytest.raises(ValueError, match="odd characteristic"):
+        subfield_embedding(field_create(2, 2), field_create(2, 4))
+
+
 # ---------------------------------------------------------------------------
 # subfield embeddings
 

@@ -2,8 +2,9 @@
 
 Every top-level import must be used by its module (the `from __future__`
 feature `annotations` and names re-exported through `__all__` excepted),
-and no module reaches into another's private names with
-`from .module import _name`.
+no module reaches into another's private names with
+`from .module import _name`, and every private top-level function or class
+is referenced somewhere in its module outside its own body.
 """
 
 import ast
@@ -66,3 +67,27 @@ def test_no_private_cross_module_imports(path):
         if alias.name.startswith("_")
     ]
     assert not private, f"{path.name} imports private names: {', '.join(private)}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.stem)
+def test_no_dead_private_helpers(path):
+    tree = parse(path)
+    private = [
+        node
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+    ]
+    dead = []
+    for helper in private:
+        used = {
+            n.id
+            for other in tree.body
+            if other is not helper
+            for n in ast.walk(other)
+            if isinstance(n, ast.Name)
+        }
+        if helper.name not in used:
+            dead.append(f"{helper.name} (line {helper.lineno})")
+    assert not dead, f"{path.name} defines but never uses: {', '.join(dead)}"
