@@ -594,7 +594,9 @@ def sylow_basis(E: Curve, ell: int) -> tuple[Point, Point, int, int]:
     ell^a >= ell^b.  Certified: the pair is independent and a + b equals the
     full ell-valuation of |E(k)|, which forces <S1, S2> = Sylow exactly.
     Cached per (curve, ell); the draws are seeded by curve_seed, so a cold
-    recompute returns the same pair.
+    recompute returns the same pair.  Should no two draws certify (a draw
+    hits a complement with probability about ell^(b-a)), one is reduced
+    into a complement of <S1> by a discrete log in <S1>.
     """
     N = E.order
     v = valuation(N, ell)
@@ -616,6 +618,17 @@ def sylow_basis(E: Curve, ell: int) -> tuple[Point, Point, int, int]:
             if bk + sk == v and _bottom_independent(big, bk, small, sk, ell):
                 return (big, small, bk, sk)
         pool.append((T, k))
+    # With ord(S1) = ell^a maximal, <S1> is a direct summand: ell^b*T = y*S1
+    # for every T (b = v - a), and T - (y / ell^b)*S1 lies in a complement.
+    S1, a = max(pool, key=lambda entry: entry[1], default=(inf, 0))
+    b = v - a
+    for T, _ in pool:
+        dl = two_dim_dlog(scalar_mul(ell**b, T), S1, inf, ell**a, 1)
+        if dl is None or dl[0] % ell**b:
+            continue
+        S2 = point_add(T, scalar_mul(-(dl[0] // ell**b), S1))  # ell^b*S2 = O
+        if _bottom_independent(S1, a, S2, b, ell):
+            return (S1, S2, a, b)
     raise AssertionError("sylow sampling failed to span; group smaller than N?")
 
 

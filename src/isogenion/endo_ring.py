@@ -48,7 +48,7 @@ from .elliptic_curve import (
     torsion_basis,
     two_dim_dlog,
 )
-from .isogeny import dual, stable_cyclic_subgroups, velu
+from .isogeny import cyclic_isogenies, dual, stable_cyclic_subgroups
 from .quadratic_order import QuadOrder, quad_order
 
 
@@ -124,20 +124,17 @@ class FrobeniusMatrix:
 # ---------------------------------------------------------------------------
 # conductor probing
 
-def _branches(E: Curve, kernels, ell: int) -> list:
-    """Velu quotients for every stable order-ell subgroup of E, sorted by
-    target j-invariant (then kernel polynomial) so that walks which have a
-    choice of descending branch always make the same one."""
-    out = []
-    for gen in kernels:
-        phi = velu(E, gen, ell)
-        key = (
+def _branches(E: Curve, ell: int) -> list:
+    """The rational ell-isogenies from E, sorted by target j-invariant (then
+    kernel polynomial) so that walks which have a choice of descending
+    branch always make the same one."""
+    return sorted(
+        cyclic_isogenies(E, ell),
+        key=lambda phi: (
             j_invariant(phi.target_curve).lift(),
             tuple(c.lift() for c in phi.kernel_polynomial().coeffs),
-        )
-        out.append((key, phi))
-    out.sort(key=lambda kv: kv[0])
-    return [phi for _, phi in out]
+        ),
+    )
 
 
 def _walk_to_floor(phi, ell: int, cap: int):
@@ -146,13 +143,12 @@ def _walk_to_floor(phi, ell: int, cap: int):
     or None if the floor is farther than `cap` steps away."""
     for steps in range(1, cap + 1):
         cur = phi.target_curve
-        kernels = stable_cyclic_subgroups(cur, ell)
-        if len(kernels) == 1:
+        if len(stable_cyclic_subgroups(cur, ell)) == 1:
             return steps
         if steps == cap:
             break
         back = dual(phi).kernel_polynomial()
-        for cand in _branches(cur, kernels, ell):
+        for cand in _branches(cur, ell):
             if cand.kernel_polynomial() != back:
                 phi = cand
                 break
@@ -171,11 +167,10 @@ def conductor_level(E: Curve, ell: int, depth: int) -> int:
     """
     if depth == 0:
         return 0
-    kernels = stable_cyclic_subgroups(E, ell)
-    if len(kernels) == 1:
+    if len(stable_cyclic_subgroups(E, ell)) == 1:
         return depth
     best = None
-    for phi in _branches(E, kernels, ell):
+    for phi in _branches(E, ell):
         steps = _walk_to_floor(phi, ell, depth)
         if steps is not None and (best is None or steps < best):
             best = steps

@@ -18,7 +18,6 @@ a subgroup, and the split prime-square p-part) lives here too.
 
 from __future__ import annotations
 
-import itertools
 import json
 from math import lcm, prod
 
@@ -26,9 +25,7 @@ from .elliptic_curve import (
     M_MAX,
     Curve,
     Point,
-    base_change,
     curve_class,
-    embed_point,
     is_supersingular,
     point_add,
     point_order,
@@ -50,8 +47,8 @@ from .errors import (
     TraceMismatch,
 )
 from .finite_field import element_to_json
-from .intmath import factorize, hnf2, prime_factors, valuation
-from .isogeny import Isogeny, stable_cyclic_subgroups, velu
+from .intmath import hnf2, prime_factors, valuation
+from .isogeny import Isogeny, cyclic_isogenies
 from .quadratic_order import (
     DISC_MAX,
     QuadIdeal,
@@ -447,29 +444,14 @@ def p_part_ideal(E: Curve, e1: int, e: int) -> QuadIdeal:
 def stable_cyclic_kernels(E: Curve, n: int) -> list[Point]:
     """One generator per Frobenius-stable cyclic order-n subgroup of E.
 
-    These are exactly the kernels of the non-backtracking degree-n
-    isogenies leaving E.  n may be composite; n = 1 is rejected.  Each
-    generator lives on the smallest extension of E's field where its
-    subgroup is pointwise rational, and the kernels come in the same order
-    as the isogenies of cyclic_isogenies(E, n).  Past the M_MAX cap on n,
-    it refuses only when some kernel needs an extension beyond R_MAX.
+    These are the kernel_gen of cyclic_isogenies(E, n), in its order, each
+    on the smallest extension where its subgroup is pointwise rational.
+    n = 1 is rejected.  BoundExceeded means n > M_MAX or a subgroup needs an
+    extension past R_MAX; E[n] itself may lie past that cap.
     """
     if not isinstance(n, int) or n < 2:
         raise ValueError("subgroup order must be an integer >= 2")
-    if n % E.field.p == 0:
-        raise ValueError("subgroup order must be coprime to p")
-    if n > M_MAX:
-        raise BoundExceeded(f"torsion cap is {M_MAX}")
-    per_prime = [stable_cyclic_subgroups(E, ell, e) for ell, e in factorize(n)]
-    out = []
-    for combo in itertools.product(*per_prime):
-        # the sum's subgroup is rational where every prime-power part is
-        EK = base_change(E, lcm(*(T.curve.field.r for T in combo)) // E.field.r)
-        K = EK.infinity()
-        for T in combo:
-            K = point_add(K, embed_point(T, EK))
-        out.append(K)
-    return out
+    return [phi.kernel_gen for phi in cyclic_isogenies(E, n)]
 
 
 def pair_report(E2: Curve, E1: Curve, degrees=(2, 3, 4, 6, 8, 9, 12)) -> str:
@@ -484,16 +466,15 @@ def pair_report(E2: Curve, E1: Curve, degrees=(2, 3, 4, 6, 8, 9, 12)) -> str:
     sample, formula, oracle = [], [], []
     for nd in sorted(degrees):
         try:
-            kernels = stable_cyclic_kernels(E2, nd)
+            isogenies = cyclic_isogenies(E2, nd)
         except BoundExceeded:
             continue
-        for K in kernels:
-            phi = velu(E2, K, nd)
+        for phi in isogenies:
             if curve_class(phi.target_curve) != cls1:
                 continue
             try:
                 desc = hom_index(E2, E1, phi)
-                check = annihilator_index(E2, K, nd)
+                check = annihilator_index(E2, phi.kernel_gen, nd)
             except BoundExceeded:
                 continue
             sample.append(nd)

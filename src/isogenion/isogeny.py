@@ -4,9 +4,9 @@ The workhorse is Velu's construction: given a Frobenius-stable cyclic
 subgroup presented by a generator (possibly over an extension), it produces
 the quotient curve together with explicit rational maps defined over the
 base field.  On top of that sit composition, dual isogenies, pure Frobenius
-powers, [m], enumeration of all stable cyclic kernels of a given order,
-and the classical modular polynomials for levels 2, 3, 5 and 7.  Duals
-sample no points: Velu's normalisation fixes their closing isomorphism.
+powers, [m], cyclic_isogenies (the one enumerator of rational cyclic
+isogenies, each storing its kernel generator) and the modular polynomials
+of levels 2, 3, 5 and 7.  Duals sample no points (Velu's normalisation).
 
 An :class:`Isogeny` is stored as a chain of elementary steps (one Velu
 quotient per prime power, scaling isomorphisms, Frobenius powers, [m]),
@@ -21,6 +21,7 @@ import itertools
 import os
 from functools import lru_cache
 from importlib import resources
+from math import lcm
 
 from .errors import (
     BoundExceeded,
@@ -40,6 +41,7 @@ from .elliptic_curve import (
     base_change,
     base_change_degree,
     curve_class,
+    embed_point,
     frobenius_endo,
     is_supersingular,
     isomorphism_scale,
@@ -225,7 +227,8 @@ class Isogeny:
     def kernel_gen(self):
         """A generator of the kernel if cyclic, else the full subgroup list.
 
-        None for a trivial (separable part of the) kernel.
+        None for a trivial (separable part of the) kernel.  `velu` and
+        `cyclic_isogenies` store it; other isogenies scan E[n] for it.
         """
         if self._kernel_gen is None and self.separable_degree > 1:
             pts = self._kernel_points()
@@ -245,22 +248,22 @@ class Isogeny:
         if n == 1:
             return []
         P1, Q1, _ = torsion_basis(self.source_curve, n)
-        pts = []
-        row = P1.curve.infinity()
-        for _ in range(n):
-            T = row
-            for _ in range(n):
-                if T and not evaluate(self, T):
-                    pts.append(T)
-                T = point_add(T, Q1)
-            row = point_add(row, P1)
+        cols = _progression(P1.curve.infinity(), Q1, n)
+        pts = [
+            T
+            for R in _progression(P1.curve.infinity(), P1, n)
+            for C in cols
+            if (T := point_add(R, C)) and not evaluate(self, T)
+        ]
         assert len(pts) == n - 1, "kernel size must equal the separable degree"
         return pts
 
     def kernel_polynomial(self) -> Poly:
         """Monic polynomial over the base field vanishing exactly on the
         x-coordinates of the nonzero kernel points (with multiset
-        convention: each point contributes one linear factor)."""
+        convention: each point contributes one linear factor).  A Velu
+        step stores it; otherwise it comes from the kernel generator.
+        """
         if self._kernel_poly is not None:
             return self._kernel_poly
         base = self.source_curve.field
@@ -271,10 +274,10 @@ class Isogeny:
         ):
             F = self._steps[0].F
         else:
-            pts = self._kernel_points()
-            K = pts[0].curve.field
-            FK = Poly.from_roots(K, [T.x for T in pts])
-            F = FK if K is base else subfield_embedding(base, K).unmap_poly(FK)
+            gen = self.kernel_gen
+            if isinstance(gen, Point):
+                gen = _progression(gen, gen, self.separable_degree - 1)
+            F = _kernel_poly(gen, base)
         object.__setattr__(self, "_kernel_poly", F)
         return F
 
@@ -380,6 +383,32 @@ def _subst_hom(p: Poly, Xn: Poly, Xd: Poly, deg: int) -> Poly:
     return out
 
 
+def _progression(start: Point, step: Point, count: int) -> list[Point]:
+    """start, start + step, ..., start + (count - 1)*step."""
+    steps = itertools.repeat(step, count - 1)
+    return list(itertools.accumulate(steps, point_add, initial=start))
+
+
+def _embed_over(T: Point, EK: Curve, base: Field) -> Point:
+    """T, on a base change of a curve E over `base`, as a point of the base
+    change EK of E.  The field embedding is twisted by a Frobenius power so
+    that it maps `base` as base_change does; else T may land on a conjugate."""
+    K = EK.field
+    if T.curve.field is K or base.r == 1:
+        return embed_point(T, EK)
+    emb, g = subfield_embedding(T.curve.field, K), base.generator_x()
+    gT = emb.map(embed_element(g, T.curve.field))
+    j = next(j for j in range(K.r) if K.frobenius(gT, j) == embed_element(g, K))
+    return Point(EK, K.frobenius(emb.map(T.x), j), K.frobenius(emb.map(T.y), j))
+
+
+def _kernel_poly(pts: list[Point], base: Field) -> Poly:
+    """prod (x - x(T)) over T in pts, descended to `base` (else ValueError)."""
+    K = pts[0].curve.field
+    FK = Poly.from_roots(K, [T.x for T in pts])
+    return FK if K is base else subfield_embedding(base, K).unmap_poly(FK)
+
+
 # ---------------------------------------------------------------------------
 # construction
 
@@ -419,20 +448,10 @@ def velu(E: Curve, kernel_gen, order: int) -> Isogeny:
     if _frobenius_eigenvalue(P, order, E.field.r) is None:
         raise NotRational("kernel is not stable under the base-field Frobenius")
 
-    xs = []
-    W = P
-    for _ in range(order - 1):
-        xs.append(W.x)
-        W = point_add(W, P)
-    K = P.curve.field
-    FK = Poly.from_roots(K, xs)
-    if K is E.field:
-        F = FK
-    else:
-        try:
-            F = subfield_embedding(E.field, K).unmap_poly(FK)
-        except ValueError:
-            raise NotRational("kernel polynomial does not descend to the base field")
+    try:
+        F = _kernel_poly(_progression(P, P, order - 1), E.field)
+    except ValueError:
+        raise NotRational("kernel polynomial does not descend to the base field")
     return _velu_from_kernel_poly(E, F, order, P)
 
 
@@ -632,6 +651,8 @@ def stable_cyclic_subgroups(E: Curve, ell: int, e: int = 1) -> list[Point]:
     cyclic subgroup is a root c of x^2 - t x + q modulo ell^e, and the
     subgroup is pointwise rational exactly over GF(q^ord(c)); scanning those
     extension degrees in increasing order finds each subgroup once.
+    Only roots c = 1 mod ell^b can be eigenvalues, since the Frobenius fixes
+    E[ell^b], b the second ell-Sylow exponent of E(k) capped at e.
     """
     m = ell**e
     if m % E.field.p == 0:
@@ -640,9 +661,8 @@ def stable_cyclic_subgroups(E: Curve, ell: int, e: int = 1) -> list[Point]:
         raise BoundExceeded(f"kernel order cap is {M_MAX}")
     q = E.field.order
     t = E.trace
-    eigen = [c for c in range(m) if (c * c - t * c + q) % m == 0]
-    if not eigen:
-        return []
+    fixed = ell ** min(sylow_basis(E, ell)[3], e)
+    eigen = [c for c in range(m) if not (c * c - t * c + q) % m and not (c - 1) % fixed]
     out = []
     r0 = E.field.r
     for s in sorted({multiplicative_order(c, m) for c in eigen}):
@@ -657,17 +677,9 @@ def stable_cyclic_subgroups(E: Curve, ell: int, e: int = 1) -> list[Point]:
         e2 = min(b, e)
         U1 = scalar_mul(ell ** (a - e), S1)
         U2 = scalar_mul(ell ** (b - e2), S2) if b else EK.infinity()
-        cands = []
-        T = U1
-        for _ in range(ell**e2):
-            cands.append(T)
-            T = point_add(T, U2)
+        cands = _progression(U1, U2, ell**e2)
         if e2 == e:
-            base_pt = U2
-            stride = scalar_mul(ell, U1)
-            for _ in range(ell ** (e - 1)):
-                cands.append(base_pt)
-                base_pt = point_add(base_pt, stride)
+            cands += _progression(U2, scalar_mul(ell, U1), ell ** (e - 1))
         for T in cands:
             c = _frobenius_eigenvalue(T, m, r0)
             if c is not None and multiplicative_order(c, m) == s:
@@ -688,7 +700,9 @@ def _frobenius_eigenvalue(T: Point, m: int, r0: int):
 
 def cyclic_isogenies(E: Curve, n: int) -> list[Isogeny]:
     """All isogenies from E with a Frobenius-stable cyclic kernel of order n,
-    built as chains of prime-power Velu quotients (one per prime dividing n).
+    the package's one enumerator of them.  Each is a chain of Velu quotients,
+    one per ell^e exactly dividing n, in itertools.product order over
+    stable_cyclic_subgroups; its kernel_gen is the sum of their generators.
     """
     if not isinstance(n, int) or n < 1:
         raise ValueError("n must be a positive integer")
@@ -702,11 +716,15 @@ def cyclic_isogenies(E: Curve, n: int) -> list[Isogeny]:
     per_prime = [stable_cyclic_subgroups(E, ell, e) for ell, e in fac]
     out = []
     for combo in itertools.product(*per_prime):
-        phi = _identity(E)
+        EK = base_change(E, lcm(*(T.curve.field.r for T in combo)) // E.field.r)
+        K, steps, cur = EK.infinity(), [], E
         for gen, (ell, e) in zip(combo, fac):
-            g = evaluate(phi, gen)
-            phi = compose(velu(phi.target_curve, g, ell**e), phi)
-        out.append(phi)
+            K = point_add(K, _embed_over(gen, EK, E.field))
+            for st in steps:
+                gen = _apply_step(st, gen)
+            steps.append(velu(cur, gen, ell**e)._steps[0])
+            cur = steps[-1].dst
+        out.append(Isogeny(steps, E, cur, n, 0, K))
     return out
 
 

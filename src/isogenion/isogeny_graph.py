@@ -39,7 +39,7 @@ from .endo_ring import conductor_level
 from .errors import NoCurveWithTrace, NotImaginaryQuadratic, NotOnSurface
 from .finite_field import Field, element_to_json
 from .intmath import divisors, kronecker, split_discriminant, valuation
-from .isogeny import modular_polynomial, stable_cyclic_subgroups, velu
+from .isogeny import cyclic_isogenies, modular_polynomial
 from .polyring import roots
 from .quadratic_order import class_group, class_order, primes_above, quad_order
 
@@ -168,8 +168,8 @@ def build_graph(field: Field, trace: int, ell: int) -> IsogenyGraph:
     for u, cls in enumerate(classes):
         E = cls.representative
         targets = []
-        for kernel in stable_cyclic_subgroups(E, ell):
-            target = velu(E, kernel, ell).target_curve
+        for edge in cyclic_isogenies(E, ell):
+            target = edge.target_curve
             v = index[curve_class(target)]
             counts[(u, v)] = counts.get((u, v), 0) + 1
             targets.append(j_invariant(target))

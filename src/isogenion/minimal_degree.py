@@ -26,21 +26,18 @@ from .elliptic_curve import (
     curve_class,
     is_supersingular,
     j_invariant,
-    point_add,
-    scalar_mul,
     torsion_basis,
     twist_classes,
 )
 from .errors import BoundExceeded, NoCurveWithTrace, NotIsogenous, SearchExhausted
 from .finite_field import Field, field_create
-from .intmath import cyclic_lines, floor_two_over_pi_sqrt
+from .intmath import floor_two_over_pi_sqrt
 from .isogeny import (
     compose,
     cyclic_isogenies,
     frobenius_isogeny,
     modular_polynomial,
     multiplication_isogeny,
-    velu,
 )
 from .polyring import roots as poly_roots
 
@@ -187,16 +184,11 @@ def _cyclic_rational(E: Curve, m: int):
 def _cyclic_closure(E: Curve, m: int):
     """Every cyclic degree-m isogeny from E over the closure.
 
-    E[m] is made pointwise rational by a base change, after which all of
-    its subgroups are Frobenius-stable and Velu applies; one generator is
-    kept per line of E[m].
+    Over the field GF(q^s) of E[m] every cyclic subgroup of E[m] is
+    Frobenius-stable, so cyclic_isogenies of the base change lists them all.
     """
-    P, Q, _ = torsion_basis(E, m)
-    EK = P.curve
-    return tuple(
-        velu(EK, point_add(scalar_mul(x, P), scalar_mul(y, Q)), m)
-        for x, y in cyclic_lines(m)
-    )
+    K = torsion_basis(E, m)[2]
+    return tuple(cyclic_isogenies(base_change(E, K.r // E.field.r), m))
 
 
 def _lands_on(phi, target, over_k: bool) -> bool:

@@ -682,12 +682,30 @@ class TestStableCyclicKernels:
 
     @pytest.mark.parametrize("j, n", [(5, 6), (29, 12), (13, 12)])
     def test_same_order_as_cyclic_isogenies(self, volcano, j, n):
-        # K of exact order n in the kernel of a degree-n isogeny generates it
+        # K of exact order n in the kernel of a degree-n isogeny generates it.
+        # The kernels are read off these isogenies, so this only pins that
+        # reading; line_scan_kernels is the independent check.
         kernels = stable_cyclic_kernels(volcano[j], n)
         isogenies = cyclic_isogenies(volcano[j], n)
         assert len(kernels) == len(isogenies)
         for K, phi in zip(kernels, isogenies):
             assert not evaluate(phi, K)
+
+    def test_composite_chain_has_the_index_of_one_velu_step(self, volcano):
+        # a chain of a 4- and a 3-step, read through its stored generator,
+        # against a single Velu quotient by the same kernel
+        E = volcano[13]
+        for phi in cyclic_isogenies(E, 12):
+            assert len(phi._steps) == 2
+            one = velu(E, phi.kernel_gen, 12)
+            assert one.target_curve == phi.target_curve
+            chain = hom_index(E, phi.target_curve, phi)
+            step = hom_index(E, one.target_curve, one)
+            assert (chain.index, chain.basis, chain.conductor_ratio) == (
+                step.index,
+                step.basis,
+                step.conductor_ratio,
+            )
 
     @pytest.mark.parametrize(
         "j, n", [(j, n) for j in (5, 29, 13) for n in (8, 9, 12)] + [(29, 16)]

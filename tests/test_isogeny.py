@@ -43,6 +43,7 @@ from isogenion.elliptic_curve import (
     point_add,
     point_order,
     scalar_mul,
+    sylow_basis,
     torsion_basis,
     twist_classes,
 )
@@ -708,6 +709,16 @@ class TestStableSubgroups:
                     if s % s2 == 0:
                         assert frobenius_endo(g, s2) != g
 
+    def test_roots_that_are_not_eigenvalues_are_dropped(self):
+        # E[16] of the floor curve j = 13 is rational over GF(41^16), so the
+        # Frobenius fixes E[4] there and every stable order-4 subgroup has
+        # eigenvalue 1; the other root 3 of (x - 1)^2 mod 4 has order 2 and
+        # would ask for an extension past the cap
+        EK = base_change(curve_from_j(F41, F41.from_int(13), 6), 16)
+        gens = stable_cyclic_subgroups(EK, 2, 2)
+        assert len(gens) == 6
+        assert all(g.curve.field is EK.field and point_order(g, 4) == 4 for g in gens)
+
     def test_eigenvalue_satisfies_the_characteristic_polynomial(self, e29):
         q, t = 41, 6
         for ell, e in [(2, 1), (3, 2)]:
@@ -736,6 +747,67 @@ class TestCyclicIsogenies:
             assert f.target_curve.trace == e29.trace
             polys.add(f.kernel_polynomial().coeffs)
         assert len(polys) == len(all6)
+
+    def test_chains_carry_their_kernel_generator(self, e29):
+        # reading the kernel needs no basis of E[12]
+        torsion_basis.cache_clear()
+        phi = cyclic_isogenies(e29, 12)[0]
+        gen = phi.kernel_gen
+        assert point_order(gen, 12) == 12
+        assert not evaluate(phi, gen)
+        assert phi.kernel_polynomial() == kernel_poly_of_point(e29, gen, 12)
+        assert torsion_basis.cache_info().currsize == 0
+
+    def test_generator_parts_are_embedded_over_the_base_field(self):
+        # over GF(7^2) the 3- and 5-parts of these kernels live over GF(7^4)
+        # and GF(7^8); an embedding chosen without regard to GF(7^2) lands
+        # the 3-part on a conjugate curve
+        F = field_create(7, 2)
+        E = curve_from_j(F, F.zero, -11)
+        chains = cyclic_isogenies(E, 15)
+        assert {st.order for phi in chains for st in phi._steps} == {3, 5}
+        for phi in chains:
+            K = phi.kernel_gen
+            assert K.curve.field.r == 8 and K.curve.is_on(K.x, K.y)
+            assert point_order(K, 15) == 15 and not evaluate(phi, K)
+
+    def test_kernel_polynomial_from_the_generator_equals_the_scan(self):
+        # the oracle scans E[n] for the kernel of a composition of the same
+        # Velu steps, which stores no generator
+        seen = 0
+        for j in (5, 29, 13):
+            E = curve_from_j(F41, F41.from_int(j), 6)
+            for n in (6, 10, 12, 24):
+                for phi in cyclic_isogenies(E, n):
+                    parts = [
+                        Isogeny((st,), st.src, st.dst, st.order, 0, None)
+                        for st in phi._steps
+                    ]
+                    whole = parts[0]
+                    for part in parts[1:]:
+                        whole = compose(part, whole)
+                    pts = whole._kernel_points()
+                    K = pts[0].curve.field
+                    FK = Poly.from_roots(K, [T.x for T in pts])
+                    scan = subfield_embedding(F41, K).unmap_poly(FK)
+                    assert phi.kernel_polynomial() == scan
+                    seen += 1
+        assert seen == 54
+
+    def test_rare_sylow_complement_is_completed(self):
+        # t = -6 over GF(11^2); over GF(11^4) the 2-Sylow subgroup is
+        # Z/2 x Z/256, and no two of the seeded draws certify a basis
+        F = field_create(11, 2)
+        E = Curve(F, F.from_coeffs([6, 10]), F.from_coeffs([6, 8]))
+        assert sylow_basis(base_change(E, 2), 2)[2:] == (8, 1)
+        four = cyclic_isogenies(E, 4)
+        assert four and all(point_order(phi.kernel_gen, 4) == 4 for phi in four)
+        phi = cyclic_isogenies(E, 2)[0]
+        psi = dual(phi)
+        rng = random.Random(8)
+        for _ in range(20):
+            P = E.random_point(rng)
+            assert evaluate(psi, evaluate(phi, P)) == scalar_mul(2, P)
 
     def test_trivial_and_validation(self, e29):
         only = cyclic_isogenies(e29, 1)

@@ -9,10 +9,23 @@ import random
 
 import pytest
 
-from isogenion.elliptic_curve import classes_with_trace, scalar_mul, twist_classes
+from isogenion.elliptic_curve import (
+    classes_with_trace,
+    point_add,
+    scalar_mul,
+    torsion_basis,
+    twist_classes,
+)
 from isogenion.finite_field import field_create
-from isogenion.isogeny import compose, cyclic_isogenies, dual
-from isogenion.minimal_degree import md_between, md_classifier, md_supersingular_bounds, rB
+from isogenion.intmath import cyclic_lines
+from isogenion.isogeny import compose, cyclic_isogenies, dual, velu
+from isogenion.minimal_degree import (
+    _cyclic_closure,
+    md_between,
+    md_classifier,
+    md_supersingular_bounds,
+    rB,
+)
 
 
 def _all_classes(p):
@@ -25,6 +38,27 @@ def test_md_classifier_matches_closure_search(p):
     for cls in _all_classes(p):
         E = cls.representative
         assert md_classifier(E) == md_between(E, E, over_k=False).md, cls
+
+
+def _line_scan_closure(E, m):
+    """Every cyclic degree-m isogeny over the closure, the long way: one Velu
+    quotient per cyclic line of a basis of E[m]."""
+    P, Q, _ = torsion_basis(E, m)
+    return [
+        velu(P.curve, point_add(scalar_mul(x, P), scalar_mul(y, Q)), m)
+        for x, y in cyclic_lines(m)
+    ]
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_cyclic_closure_matches_the_line_scan(p):
+    for cls in _all_classes(p):
+        E = cls.representative
+        for m in (2, 3, 4):
+            got = [phi.kernel_polynomial() for phi in _cyclic_closure(E, m)]
+            want = {phi.kernel_polynomial() for phi in _line_scan_closure(E, m)}
+            assert len(set(got)) == len(got) == len(want), (cls, m)
+            assert set(got) == want, (cls, m)
 
 
 def test_md_classifier_sweep_covers_every_value():

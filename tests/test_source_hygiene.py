@@ -3,8 +3,9 @@
 Every top-level import must be used by its module (the `from __future__`
 feature `annotations` and names re-exported through `__all__` excepted),
 no module reaches into another's private names with
-`from .module import _name`, and every private top-level function or class
-is referenced somewhere in its module outside its own body.
+`from .module import _name`, every private top-level function or class
+is referenced somewhere in its module outside its own body, and only
+`isogeny.py` calls `velu`.
 """
 
 import ast
@@ -91,3 +92,20 @@ def test_no_dead_private_helpers(path):
         if helper.name not in used:
             dead.append(f"{helper.name} (line {helper.lineno})")
     assert not dead, f"{path.name} defines but never uses: {', '.join(dead)}"
+
+
+def test_only_isogeny_calls_velu():
+    """Other modules take their isogenies from cyclic_isogenies, the one
+    enumerator, instead of building Velu quotients themselves."""
+    callers = [
+        f"{path.name} (line {node.lineno})"
+        for path in SOURCES
+        if path.name != "isogeny.py"
+        for node in ast.walk(parse(path))
+        if isinstance(node, ast.Call)
+        and (
+            (isinstance(node.func, ast.Name) and node.func.id == "velu")
+            or (isinstance(node.func, ast.Attribute) and node.func.attr == "velu")
+        )
+    ]
+    assert not callers, f"velu is called outside isogeny.py: {', '.join(callers)}"
