@@ -346,6 +346,8 @@ def base_change_degree(E: Curve, C: Curve) -> int:
 
 
 def embed_point(P: Point, EK: Curve) -> Point:
+    """P as a point of EK, a base change of P's curve (else CurveMismatch)."""
+    base_change_degree(P.curve, EK)
     if P.curve.field is EK.field:
         return P
     if P.x is None:

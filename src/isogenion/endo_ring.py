@@ -307,7 +307,7 @@ def evaluate_order_element(E: Curve, elem: tuple, P: Point) -> Point:
     r0 = E.field.r
     R = point_add(scalar_mul(u, lift), scalar_mul(v, frobenius_endo(lift, r0)))
     # lift-independence: w*R must equal (u + v*pi) applied to P itself
-    up = P if lift.curve == P.curve else embed_point(P, lift.curve)
+    up = embed_point(P, lift.curve)
     direct = point_add(scalar_mul(u, up), scalar_mul(v, frobenius_endo(up, r0)))
     if scalar_mul(w, R) != direct:
         raise AssertionError("image depends on the choice of lift")
@@ -325,12 +325,8 @@ def coords_in_basis(T: Point, P: Point, Q: Point, m: int) -> tuple[int, int]:
         raise BoundExceeded(
             f"no common field for the point and the basis within degree {R_MAX}"
         )
-    base = P.curve
-    s = r_common // base.field.r
-    EK = base_change(base, s) if s > 1 else base
-    Pm = P if s == 1 else embed_point(P, EK)
-    Qm = Q if s == 1 else embed_point(Q, EK)
-    Tm = T if T.curve == EK else embed_point(T, EK)
+    EK = base_change(P.curve, r_common // P.curve.field.r)
+    Pm, Qm, Tm = (embed_point(R, EK) for R in (P, Q, T))
     dl = two_dim_dlog(Tm, Pm, Qm, m, m)
     if dl is None:
         raise AssertionError("point must lie in the torsion plane of the basis")

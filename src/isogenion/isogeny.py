@@ -389,19 +389,6 @@ def _progression(start: Point, step: Point, count: int) -> list[Point]:
     return list(itertools.accumulate(steps, point_add, initial=start))
 
 
-def _embed_over(T: Point, EK: Curve, base: Field) -> Point:
-    """T, on a base change of a curve E over `base`, as a point of the base
-    change EK of E.  The field embedding is twisted by a Frobenius power so
-    that it maps `base` as base_change does; else T may land on a conjugate."""
-    K = EK.field
-    if T.curve.field is K or base.r == 1:
-        return embed_point(T, EK)
-    emb, g = subfield_embedding(T.curve.field, K), base.generator_x()
-    gT = emb.map(embed_element(g, T.curve.field))
-    j = next(j for j in range(K.r) if K.frobenius(gT, j) == embed_element(g, K))
-    return Point(EK, K.frobenius(emb.map(T.x), j), K.frobenius(emb.map(T.y), j))
-
-
 def _kernel_poly(pts: list[Point], base: Field) -> Poly:
     """prod (x - x(T)) over T in pts, descended to `base` (else ValueError)."""
     K = pts[0].curve.field
@@ -719,7 +706,7 @@ def cyclic_isogenies(E: Curve, n: int) -> list[Isogeny]:
         EK = base_change(E, lcm(*(T.curve.field.r for T in combo)) // E.field.r)
         K, steps, cur = EK.infinity(), [], E
         for gen, (ell, e) in zip(combo, fac):
-            K = point_add(K, _embed_over(gen, EK, E.field))
+            K = point_add(K, embed_point(gen, EK))
             for st in steps:
                 gen = _apply_step(st, gen)
             steps.append(velu(cur, gen, ell**e)._steps[0])

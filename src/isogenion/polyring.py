@@ -17,7 +17,8 @@ import random
 from functools import lru_cache
 
 from .errors import DivisionByZero, FieldMismatch
-from .finite_field import Field, FieldElement
+from .finite_field import Field, FieldElement, field_create
+from .intmath import prime_factors
 
 
 class Poly:
@@ -364,8 +365,8 @@ def roots(f: Poly) -> list[tuple[FieldElement, int]]:
 
 
 class SubfieldEmbedding:
-    """GF(p^a) -> GF(p^b) for a | b, determined by the lex-least root of the
-    small modulus in the big field."""
+    """GF(p^a) -> GF(p^b) for a | b, determined by the image `root` of the
+    generator of GF(p^a); subfield_embedding says which root that is."""
 
     __slots__ = ("src", "dst", "root", "_powers", "_solve_rows", "_pivots")
 
@@ -462,17 +463,30 @@ class SubfieldEmbedding:
 
 @lru_cache(maxsize=None)
 def subfield_embedding(src: Field, dst: Field) -> SubfieldEmbedding:
+    """GF(p^a) -> GF(p^b) for a | b, sending the generator of src to the
+    first root, in `roots` order, of src's modulus in dst that agrees with
+    every maximal proper subfield S of src: it maps subfield_embedding(S,
+    src).root to subfield_embedding(S, dst).root.  So embeddings compose,
+    (b -> c) o (a -> b) = (a -> c), as in a lattice of compatibly embedded
+    fields (Bosma, Cannon & Steel 1997); for prime a the root is lex-least.
+    """
     if src is dst:
         raise ValueError("trivial embedding; use the element directly")
     if src.p != dst.p or dst.r % src.r:
         raise FieldMismatch(f"no embedding {src} -> {dst}")
     if src.r == 1:
         return SubfieldEmbedding(src, dst, dst.one)
-    modulus_in_dst = Poly.from_ints(dst, src.modulus)
-    rts = roots(modulus_in_dst)
-    if not rts:
-        raise AssertionError("modulus must split in any extension of its field")
-    return SubfieldEmbedding(src, dst, rts[0][0])
+    subs = [
+        field_create(src.p, src.r // ell) for ell in prime_factors(src.r) if ell < src.r
+    ]
+    for rt, _ in roots(Poly.from_ints(dst, src.modulus)):
+        if all(
+            Poly.from_ints(dst, subfield_embedding(S, src).root.coeffs).eval(rt)
+            == subfield_embedding(S, dst).root
+            for S in subs
+        ):
+            return SubfieldEmbedding(src, dst, rt)
+    raise AssertionError("some root of the modulus agrees with every subfield")
 
 
 def embed_element(el: FieldElement, dst: Field) -> FieldElement:

@@ -258,6 +258,28 @@ def test_base_change_caches_and_embeds():
     assert embed_point(scalar_mul(3, P), EK) == scalar_mul(3, PK)
 
 
+@pytest.mark.parametrize("s1, s2", [(2, 2), (3, 2), (2, 3)])
+def test_base_change_is_transitive(s1, s2):
+    # the field embeddings compose, so a base change of a base change is
+    # the base change by the product of the degrees
+    F = field_create(7, 2)
+    E = Curve(F, F.from_coeffs([1, 2]), F.from_coeffs([3, 1]))
+    assert base_change(base_change(E, s1), s2) == base_change(E, s1 * s2)
+
+
+def test_embed_point_refuses_a_curve_that_is_no_base_change():
+    F = field_create(7, 2)
+    E = Curve(F, F.from_coeffs([1, 2]), F.from_coeffs([3, 1]))
+    P = E.random_point(random.Random(1))
+    K = field_create(7, 4)
+    with pytest.raises(CurveMismatch):
+        embed_point(P, Curve(K, K.one, K.one))
+    with pytest.raises(CurveMismatch):
+        embed_point(P, Curve(field_create(7, 3), 1, 1))
+    Q = embed_point(P, base_change(E, 2))
+    assert Q.curve.is_on(Q.x, Q.y)
+
+
 def test_frobenius_characteristic_equation():
     E = Curve(field_create(41), 15, 10)
     t = E.trace

@@ -691,13 +691,19 @@ class TestStableCyclicKernels:
         for K, phi in zip(kernels, isogenies):
             assert not evaluate(phi, K)
 
-    def test_composite_chain_has_the_index_of_one_velu_step(self, volcano):
-        # a chain of a 4- and a 3-step, read through its stored generator,
-        # against a single Velu quotient by the same kernel
-        E = volcano[13]
-        for phi in cyclic_isogenies(E, 12):
+    @pytest.mark.parametrize(
+        "p, r, j, t, n",
+        [(41, 1, 13, 6, 12), (7, 2, 0, -2, 6)],
+        ids=["gf41-j13-n12", "gf49-j0-n6"],
+    )
+    def test_composite_chain_has_the_index_of_one_velu_step(self, p, r, j, t, n):
+        # a chain of two prime-power steps, read through its stored generator,
+        # against a single Velu quotient by the same kernel; over GF(7^2) the
+        # generator lives on the base change of E to GF(7^4)
+        E = curve_from_j(field_create(p, r), j, t)
+        for phi in cyclic_isogenies(E, n):
             assert len(phi._steps) == 2
-            one = velu(E, phi.kernel_gen, 12)
+            one = velu(E, phi.kernel_gen, n)
             assert one.target_curve == phi.target_curve
             chain = hom_index(E, phi.target_curve, phi)
             step = hom_index(E, one.target_curve, one)

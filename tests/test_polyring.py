@@ -273,6 +273,22 @@ def test_embedding_root_is_lex_least():
     assert emb.root == brute_roots[0]
 
 
+@pytest.mark.parametrize("p", [5, 7])
+def test_embeddings_compose(p):
+    # (b -> c) o (a -> b) = (a -> c): the generator of GF(p^a) lands on the
+    # same element of GF(p^c) by either route
+    towers = [
+        (a, b, c)
+        for a, b, c in itertools.product(range(1, 13), repeat=3)
+        if a < b < c and b % a == 0 and c % b == 0
+    ]
+    assert len(towers) == 16
+    for a, b, c in towers:
+        A, B, C = (field_create(p, d) for d in (a, b, c))
+        via_b = subfield_embedding(B, C).map(subfield_embedding(A, B).root)
+        assert via_b == subfield_embedding(A, C).root, (a, b, c)
+
+
 def test_embedding_rejects_bad_pairs():
     with pytest.raises(FieldMismatch):
         subfield_embedding(field_create(7, 2), field_create(7, 3))

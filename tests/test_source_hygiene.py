@@ -4,8 +4,8 @@ Every top-level import must be used by its module (the `from __future__`
 feature `annotations` and names re-exported through `__all__` excepted),
 no module reaches into another's private names with
 `from .module import _name`, every private top-level function or class
-is referenced somewhere in its module outside its own body, and only
-`isogeny.py` calls `velu`.
+is referenced somewhere in its module outside its own body, only
+`isogeny.py` calls `velu`, and only `elliptic_curve.py` builds raw points.
 """
 
 import ast
@@ -109,3 +109,18 @@ def test_only_isogeny_calls_velu():
         )
     ]
     assert not callers, f"velu is called outside isogeny.py: {', '.join(callers)}"
+
+
+def test_only_elliptic_curve_builds_raw_points():
+    """Other modules get their points through Curve.point, which checks the
+    equation, or embed_point, which checks the base change."""
+    callers = [
+        f"{path.name} (line {node.lineno})"
+        for path in SOURCES
+        if path.name != "elliptic_curve.py"
+        for node in ast.walk(parse(path))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "Point"
+    ]
+    assert not callers, f"Point is built outside its module: {', '.join(callers)}"
