@@ -3,7 +3,9 @@
 Fields are canonical: `field_create(p, r)` always picks the lexicographically
 least monic irreducible modulus (coefficient tuples (c0, ..., c_{r-1})
 ascending, constant term first), so two runs — or two machines — agree on
-every element's coordinate vector.  Elements are immutable and hashable.
+every element's coordinate vector.  Each candidate modulus f is tested by
+Berlekamp's criterion inside GF(p)[x]/(f), with the same `Field` arithmetic
+that then serves the field.  Elements are immutable and hashable.
 
 Caps: p <= 2**16 and r <= 24.  These keep exhaustive point/torsion work in
 seconds; nothing here is meant for cryptographic sizes.
@@ -15,7 +17,7 @@ import itertools
 from functools import lru_cache
 
 from .errors import BoundExceeded, DivisionByZero, FieldMismatch, NotPrime
-from .intmath import is_prime, prime_factors
+from .intmath import is_prime, row_reduce
 
 __all__ = [
     "Field",
@@ -35,28 +37,13 @@ R_MAX = 24
 
 # ---------------------------------------------------------------------------
 # raw polynomial helpers over GF(p): coefficient lists, constant term first.
-# Used only for modulus discovery and reduction tables; public polynomial
+# They serve only the extended Euclid of `Field._inv`; public polynomial
 # arithmetic lives in polyring.py.
 
 
 def _ptrim(f):
     while f and f[-1] == 0:
         f.pop()
-    return f
-
-
-def _pmod(f, g, p):
-    f = _ptrim(list(f))
-    dg = len(g) - 1
-    inv_lead = pow(g[-1], -1, p)
-    while len(f) - 1 >= dg and f:
-        c = f[-1] * inv_lead % p
-        shift = len(f) - 1 - dg
-        for i, gc in enumerate(g):
-            f[shift + i] = (f[shift + i] - c * gc) % p
-        _ptrim(f)
-        if not f:
-            break
     return f
 
 
@@ -71,44 +58,25 @@ def _pmul(f, g, p):
     return _ptrim(out)
 
 
-def _pgcd(f, g, p):
-    f, g = _ptrim(list(f)), _ptrim(list(g))
-    while g:
-        f, g = g, _pmod(f, g, p)
-    if f:
-        inv = pow(f[-1], -1, p)
-        f = [c * inv % p for c in f]
-    return f
-
-
-def _ppow_x(e, modpoly, p):
-    """x**e mod modpoly, square-and-multiply."""
-    result = [1]
-    base = _pmod([0, 1], modpoly, p)
-    while e:
-        if e & 1:
-            result = _pmod(_pmul(result, base, p), modpoly, p)
-        base = _pmod(_pmul(base, base, p), modpoly, p)
-        e >>= 1
-    return result
-
-
 def _is_irreducible(f, p):
-    """Rabin's test for a monic f over GF(p)."""
+    """Berlekamp's test for a monic f over GF(p), in R = GF(p)[x]/(f).
+
+    x^(p^r) = x in R makes f squarefree with every factor of degree dividing
+    r, and then the fixed space of Frobenius on R has one dimension per
+    factor, so f is irreducible exactly when Frob - I has rank r - 1.
+    """
     r = len(f) - 1
-    if r <= 0:
-        return False
-    if f[0] == 0:  # divisible by x
+    if r <= 1:
         return r == 1
-    xq = _ppow_x(p**r, f, p)
-    if _ptrim([(c - x) % p for c, x in itertools.zip_longest(xq, [0, 1], fillvalue=0)]):
+    ring = Field(p, r, tuple(f))
+    x = y = ring.generator_x()
+    for _ in range(r):
+        y = ring.frobenius(y)
+    if y != x:
         return False
-    for d in prime_factors(r):
-        xe = _ppow_x(p ** (r // d), f, p)
-        diff = [(c - x) % p for c, x in itertools.zip_longest(xe, [0, 1], fillvalue=0)]
-        if len(_pgcd(diff, f, p)) > 1:
-            return False
-    return True
+    rows = [[(c - (i == j)) % p for j, c in enumerate(row)]
+            for i, row in enumerate(ring._frob_table(1))]
+    return len(row_reduce(rows, p)[1]) == r - 1
 
 
 def _least_irreducible(p, r):
@@ -263,7 +231,11 @@ class FieldElement:
 
 
 class Field:
-    """GF(p^r) with a fixed monic irreducible modulus (degree r)."""
+    """GF(p^r) with a fixed monic irreducible modulus (degree r).
+
+    Its arithmetic, all but `_inv`, is valid in GF(p)[x]/(f) for any monic f
+    of degree r; such a candidate ring never leaves `_is_irreducible`.
+    """
 
     __slots__ = (
         "p",
@@ -393,13 +365,16 @@ class Field:
         k %= self.r
         tbl = self._frob_tables.get(k)
         if tbl is None:
-            p, r = self.p, self.r
-            tbl = []
-            for i in range(r):
-                img = _ppow_x(i * p**k, list(self.modulus), p) if i else [1]
-                img += [0] * (r - len(img))
-                tbl.append(tuple(img))
-            self._frob_tables[k] = tbl
+            # row i is y^i for y = x^(p^k), which is x^p moved by table 1
+            # k - 1 times (y = x when k = 0)
+            x = self.generator_x()
+            y = x**self.p if k else x
+            for _ in range(k - 1):
+                y = self.frobenius(y)
+            pw = [self.one]
+            for _ in range(self.r - 1):
+                pw.append(pw[-1] * y)
+            tbl = self._frob_tables[k] = [a.coeffs for a in pw]
         return tbl
 
     def frobenius(self, a: FieldElement, k: int = 1) -> FieldElement:
@@ -472,7 +447,7 @@ def sqrt(a: FieldElement):
     if field.p == 2:
         s = a ** (q // 2)
         return (s, s)
-    if a ** ((q - 1) // 2) != field.one:
+    if not a.is_square():
         return None
     s = _tonelli_shanks(a)
     t = -s

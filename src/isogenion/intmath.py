@@ -1,6 +1,7 @@
 """Exact integer helpers: primality, factoring, Kronecker symbols,
 fundamental-discriminant splitting, one certified irrational floor, the
-Hermite form of a planar lattice, and the cyclic lines of (Z/n)^2.
+Hermite form of a planar lattice, the cyclic lines of (Z/n)^2, and
+Gauss-Jordan elimination mod a prime.
 
 Everything here is arbitrary-precision and deterministic.  The only place the
 number pi appears in the whole package is `floor_two_over_pi_sqrt`, which
@@ -258,3 +259,33 @@ def multiplicative_order(a: int, m: int) -> int:
         x = x * a % m
         order += 1
     return order
+
+
+def row_reduce(rows, p: int) -> tuple[list[list[int]], list[int]]:
+    """Gauss-Jordan elimination mod a prime p of the matrix with these rows.
+
+    Returns (transform, pivots): the invertible T with T * rows in reduced
+    row echelon form, and the columns of that form's leading ones, so the
+    rank is len(pivots).
+    """
+    mat = [[v % p for v in row] for row in rows]
+    n = len(mat)
+    transform = [[int(i == j) for j in range(n)] for i in range(n)]
+    pivots = []
+    for col in range(len(mat[0]) if mat else 0):
+        rank = len(pivots)
+        sel = next((i for i in range(rank, n) if mat[i][col]), None)
+        if sel is None:
+            continue
+        for m in (mat, transform):
+            m[rank], m[sel] = m[sel], m[rank]
+        inv = pow(mat[rank][col], -1, p)
+        for m in (mat, transform):
+            m[rank] = [v * inv % p for v in m[rank]]
+        for i in range(n):
+            c = mat[i][col]
+            if i != rank and c:
+                for m in (mat, transform):
+                    m[i] = [(a - c * b) % p for a, b in zip(m[i], m[rank])]
+        pivots.append(col)
+    return transform, pivots

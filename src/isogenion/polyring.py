@@ -7,7 +7,7 @@ everything downstream: kernel enumeration, graph layouts, reports) are
 bit-for-bit reproducible.
 
 Subfield embeddings GF(p^a) -> GF(p^b) for a | b also live here, because they
-are defined by the lex-least root of the small field's modulus in the big one.
+are defined by a root of the small field's modulus in the big one.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from functools import lru_cache
 
 from .errors import DivisionByZero, FieldMismatch
 from .finite_field import Field, FieldElement, field_create
-from .intmath import prime_factors
+from .intmath import prime_factors, row_reduce
 
 
 class Poly:
@@ -368,7 +368,7 @@ class SubfieldEmbedding:
     """GF(p^a) -> GF(p^b) for a | b, determined by the image `root` of the
     generator of GF(p^a); subfield_embedding says which root that is."""
 
-    __slots__ = ("src", "dst", "root", "_powers", "_solve_rows", "_pivots")
+    __slots__ = ("src", "dst", "root", "_powers", "_transform", "_pivots")
 
     def __init__(self, src: Field, dst: Field, root: FieldElement):
         self.src = src
@@ -379,43 +379,9 @@ class SubfieldEmbedding:
             pw.append(pw[-1] * root)
         self._powers = pw
         # row-reduce the (dst.r x src.r) matrix of basis images for unmapping
-        self._solve_rows, self._pivots = self._row_reduce()
-
-    def _row_reduce(self):
-        p = self.src.p
-        rows = []  # each row: [matrix row | rhs placeholder handled at solve]
-        # build augmented system lazily: we store RREF transform of the matrix
-        mat = [[self._powers[j].coeffs[i] for j in range(self.src.r)]
-               for i in range(self.dst.r)]
-        ident = [[1 if i == j else 0 for j in range(self.dst.r)]
-                 for i in range(self.dst.r)]
-        pivots = []
-        rank = 0
-        for col in range(self.src.r):
-            sel = None
-            for row in range(rank, self.dst.r):
-                if mat[row][col] % p:
-                    sel = row
-                    break
-            if sel is None:
-                continue
-            mat[rank], mat[sel] = mat[sel], mat[rank]
-            ident[rank], ident[sel] = ident[sel], ident[rank]
-            inv = pow(mat[rank][col], -1, p)
-            mat[rank] = [v * inv % p for v in mat[rank]]
-            ident[rank] = [v * inv % p for v in ident[rank]]
-            for row in range(self.dst.r):
-                if row != rank and mat[row][col] % p:
-                    c = mat[row][col]
-                    mat[row] = [(a - c * b) % p for a, b in zip(mat[row], mat[rank])]
-                    ident[row] = [
-                        (a - c * b) % p for a, b in zip(ident[row], ident[rank])
-                    ]
-            pivots.append(col)
-            rank += 1
-        if rank != self.src.r:
-            raise AssertionError("embedding matrix must have full rank")
-        return (mat, ident), pivots
+        self._transform, self._pivots = row_reduce(
+            [[w.coeffs[i] for w in pw] for i in range(dst.r)], dst.p
+        )
 
     def map(self, el: FieldElement) -> FieldElement:
         if el.field is self.dst:
@@ -435,20 +401,16 @@ class SubfieldEmbedding:
         if el.field is not self.dst:
             raise FieldMismatch("element not in the destination field")
         p = self.src.p
-        mat, ident = self._solve_rows
         # solution coordinates: apply the recorded row transform to el's vector
-        vec = list(el.coeffs)
         transformed = [
-            sum(ident[row][k] * vec[k] for k in range(self.dst.r)) % p
-            for row in range(self.dst.r)
+            sum(t * v for t, v in zip(row, el.coeffs)) % p for row in self._transform
         ]
         sol = [0] * self.src.r
         for rank, col in enumerate(self._pivots):
             sol[col] = transformed[rank]
         # consistency: rows beyond the rank must vanish
-        for row in range(len(self._pivots), self.dst.r):
-            if transformed[row] % p:
-                raise ValueError("element does not lie in the subfield")
+        if any(transformed[len(self._pivots):]):
+            raise ValueError("element does not lie in the subfield")
         out = self.src.from_coeffs(sol)
         if self.map(out) != el:
             raise ValueError("element does not lie in the subfield")

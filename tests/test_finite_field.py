@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from isogenion.errors import BoundExceeded, DivisionByZero, FieldMismatch, NotPrime
 from isogenion.finite_field import (
+    _is_irreducible,
     arith,
     field_create,
     frobenius,
@@ -90,6 +91,17 @@ def test_prime_field_modulus_is_x():
 @pytest.mark.parametrize("p,r", [(53, 2), (7, 3), (3, 3), (2, 4), (5, 2)])
 def test_modulus_is_lex_least_irreducible(p, r):
     assert field_create(p, r).modulus == _brute_least_modulus(p, r)
+
+
+@pytest.mark.parametrize(
+    "p,degrees", [(2, range(2, 7)), (3, range(2, 5)), (5, (2, 3)), (7, (2, 3))]
+)
+def test_irreducibility_test_matches_trial_division(p, degrees):
+    # every monic f, squares such as (x + 1)^4 and multiples of x included
+    for d in degrees:
+        for tail in itertools.product(range(p), repeat=d):
+            f = [*tail, 1]
+            assert _is_irreducible(f, p) == _brute_irreducible(f, p), f
 
 
 def test_field_create_is_cached_singleton():
@@ -327,14 +339,19 @@ def test_frobenius_gf53sq():
         assert frobenius(a) == a**53
 
 
-def test_frobenius_power_table():
-    F = field_create(5, 4)
+@pytest.mark.parametrize(
+    "p,r,ks,samples",
+    [(5, 4, range(5), 30), (41, 24, (2, 13, 23), 3)],
+    ids=["p5-r4", "p41-r24"],
+)
+def test_frobenius_power_table(p, r, ks, samples):
+    F = field_create(p, r)
     rng = random.Random(23)
-    for _ in range(30):
-        a = F.from_coeffs([rng.randrange(5) for _ in range(4)])
-        for k in range(5):
-            assert F.frobenius(a, k) == a ** (5**k)
-    assert F.frobenius(F.generator_x(), 4) == F.generator_x()
+    for _ in range(samples):
+        a = F.from_coeffs([rng.randrange(p) for _ in range(r)])
+        for k in ks:
+            assert F.frobenius(a, k) == a ** (p**k)
+    assert F.frobenius(F.generator_x(), r) == F.generator_x()
 
 
 # ---------------------------------------------------------------------------

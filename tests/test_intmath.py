@@ -14,6 +14,7 @@ import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy.polys.matrices import DomainMatrix
 
 from isogenion.intmath import (
     cyclic_lines,
@@ -24,6 +25,7 @@ from isogenion.intmath import (
     is_prime,
     is_square,
     kronecker,
+    row_reduce,
     split_discriminant,
     squarefree_part,
     valuation,
@@ -285,3 +287,22 @@ def test_cyclic_lines_one_generator_per_line(n):
         assert (s, u) == min(generators)
         spans.add(frozenset(generators))
     assert len(spans) == psi
+
+
+@pytest.mark.parametrize("p", [2, 5, 41])
+def test_row_reduce_matches_sympy_rref(p):
+    rng = random.Random(p)
+    F = sympy.GF(p)
+    for _ in range(40):
+        m, n = rng.randrange(1, 7), rng.randrange(1, 7)
+        # small entries make rank deficits common
+        rows = [[rng.randrange(-1, 2) * rng.randrange(p) for _ in range(n)] for _ in range(m)]
+        transform, pivots = row_reduce(rows, p)
+        rref, sym_pivots = DomainMatrix.from_list(rows, F).rref()
+        product = [
+            [sum(t * rows[k][j] for k, t in enumerate(trow)) % p for j in range(n)]
+            for trow in transform
+        ]
+        assert product == [[int(v) % p for v in row] for row in rref.to_list()]
+        assert tuple(pivots) == tuple(sym_pivots)
+        assert DomainMatrix.from_list(transform, F).det() != 0
