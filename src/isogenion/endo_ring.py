@@ -6,12 +6,12 @@ imaginary quadratic order squeezed between Z[pi] (discriminant
 t^2 - 4q = f0^2 * D0) and the maximal order of Q(sqrt(D0)).  Its conductor
 f divides f0, and the exponent of each prime ell in f is the depth of E
 below the surface of its ell-volcano.  `conductor_level` finds that
-exponent by walking non-backtracking chains of ell-isogenies until they hit
-a degree-one vertex; `compute_endo_conductor` runs it for every prime of
-f0.  The module also represents the Frobenius as an explicit 2x2 matrix on
-torsion bases, evaluates arbitrary order elements (u + v*pi)/w on points by
-lifting through division, and measures the index of the annihilator of a
-finite subgroup inside End(E).
+exponent by a breadth-first search from E for the nearest degree-one
+vertex; `compute_endo_conductor` runs it for every prime of f0.  The module
+also represents the Frobenius as an explicit 2x2 matrix on torsion bases,
+evaluates arbitrary order elements (u + v*pi)/w on points by lifting through
+division, and measures the index of the annihilator of a finite subgroup
+inside End(E).
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .errors import (
     WrongOrder,
 )
 from .finite_field import R_MAX
-from .intmath import factorize
+from .intmath import factorize, valuation
 from .polyring import subfield_embedding
 from .elliptic_curve import (
     M_MAX,
@@ -40,7 +40,6 @@ from .elliptic_curve import (
     embed_point,
     frobenius_endo,
     is_supersingular,
-    j_invariant,
     point_add,
     point_order,
     scalar_mul,
@@ -48,7 +47,7 @@ from .elliptic_curve import (
     torsion_basis,
     two_dim_dlog,
 )
-from .isogeny import cyclic_isogenies, dual, stable_cyclic_subgroups
+from .isogeny import cyclic_isogenies, stable_cyclic_subgroups
 from .quadratic_order import QuadOrder, quad_order
 
 
@@ -124,61 +123,36 @@ class FrobeniusMatrix:
 # ---------------------------------------------------------------------------
 # conductor probing
 
-def _branches(E: Curve, ell: int) -> list:
-    """The rational ell-isogenies from E, sorted by target j-invariant (then
-    kernel polynomial) so that walks which have a choice of descending
-    branch always make the same one."""
-    return sorted(
-        cyclic_isogenies(E, ell),
-        key=lambda phi: (
-            j_invariant(phi.target_curve).lift(),
-            tuple(c.lift() for c in phi.kernel_polynomial().coeffs),
-        ),
-    )
-
-
-def _walk_to_floor(phi, ell: int, cap: int):
-    """Steps until the walk starting with `phi` reaches a degree-one vertex,
-    continuing non-backtracking (never through the dual of the last step),
-    or None if the floor is farther than `cap` steps away."""
-    for steps in range(1, cap + 1):
-        cur = phi.target_curve
-        if len(stable_cyclic_subgroups(cur, ell)) == 1:
-            return steps
-        if steps == cap:
-            break
-        back = dual(phi).kernel_polynomial()
-        for cand in _branches(cur, ell):
-            if cand.kernel_polynomial() != back:
-                phi = cand
-                break
-        else:
-            raise AssertionError("no non-backtracking continuation found")
-    return None
-
-
-def conductor_level(E: Curve, ell: int, depth: int) -> int:
-    """v_ell of the conductor of End_k(E), given v_ell(f0) = depth.
+def conductor_level(E: Curve, ell: int) -> int:
+    """v_ell of the conductor of End_k(E), read against depth = v_ell(f0).
 
     A vertex strictly above the floor has ell + 1 rational ell-isogenies
     (the Frobenius is scalar on E[ell] there), a floor vertex exactly one.
-    A walk that starts downward descends forever, so the shortest distance
-    to the floor over all starting branches is depth minus the level.
+    Every edge changes the level by at most one and a straight descent
+    reaches the floor in depth - level steps, so a breadth-first search
+    (over k-isomorphism classes) meets its first floor vertex at exactly
+    that distance.
     """
+    depth = valuation(discriminant_frobenius_order(E.field.order, E.trace)[1], ell)
     if depth == 0:
         return 0
     if len(stable_cyclic_subgroups(E, ell)) == 1:
         return depth
-    best = None
-    for phi in _branches(E, ell):
-        steps = _walk_to_floor(phi, ell, depth)
-        if steps is not None and (best is None or steps < best):
-            best = steps
-        if best == 1:
-            break
-    if best is None:
-        raise AssertionError("no branch reached the floor within the depth")
-    return depth - best
+    seen, frontier = {curve_class(E)}, [E]
+    for dist in range(1, depth + 1):
+        nxt = []
+        for C in frontier:
+            for phi in cyclic_isogenies(C, ell):
+                T = phi.target_curve
+                cls = curve_class(T)
+                if cls in seen:
+                    continue
+                if len(stable_cyclic_subgroups(T, ell)) == 1:
+                    return depth - dist
+                seen.add(cls)
+                nxt.append(T)
+        frontier = nxt
+    raise AssertionError("no floor vertex within the depth")
 
 
 @lru_cache(maxsize=None)
@@ -199,8 +173,8 @@ def compute_endo_conductor(E: Curve) -> EndoDescriptor:
     D0, f0 = discriminant_frobenius_order(q, E.trace)
     levels = {}
     f = 1
-    for ell, depth in factorize(f0):
-        lvl = conductor_level(E, ell, depth)
+    for ell, _ in factorize(f0):
+        lvl = conductor_level(E, ell)
         levels[ell] = lvl
         f *= ell**lvl
     return EndoDescriptor(curve_class(E), D0, f, f0, levels)

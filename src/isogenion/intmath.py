@@ -1,7 +1,6 @@
 """Exact integer helpers: primality, factoring, Kronecker symbols,
 fundamental-discriminant splitting, one certified irrational floor, the
-Hermite form of a planar lattice, the cyclic lines of (Z/n)^2, and
-Gauss-Jordan elimination mod a prime.
+Hermite form of a planar lattice, and Gauss-Jordan elimination mod a prime.
 
 Everything here is arbitrary-precision and deterministic.  The only place the
 number pi appears in the whole package is `floor_two_over_pi_sqrt`, which
@@ -226,25 +225,6 @@ def hnf2(rows) -> tuple[int, int, int]:
     if not d1 or not y1:
         raise ValueError("rows do not generate a rank-2 lattice")
     return d1, x1 % d1, y1
-
-
-@lru_cache(maxsize=None)
-def cyclic_lines(n: int) -> tuple[tuple[int, int], ...]:
-    """One generator per cyclic subgroup of order n in (Z/n)^2.
-
-    Each generator is the lex-least point of order n on its line, and the
-    lines come in lex order of those generators; there are
-    psi(n) = n * prod(1 + 1/ell) of them.
-    """
-    seen = set()
-    out = []
-    for s in range(n):
-        for u in range(n):
-            if (s, u) in seen or gcd(gcd(s, u), n) != 1:
-                continue
-            out.append((s, u))
-            seen.update(((k * s) % n, (k * u) % n) for k in range(n))
-    return tuple(out)
 
 
 def multiplicative_order(a: int, m: int) -> int:

@@ -160,9 +160,7 @@ def build_graph(field: Field, trace: int, ell: int) -> IsogenyGraph:
     else:
         disc0, cond0 = split_discriminant(disc)
         depth = valuation(cond0, ell)
-        levels = tuple(
-            conductor_level(c.representative, ell, depth) for c in classes
-        )
+        levels = tuple(conductor_level(c.representative, ell) for c in classes)
 
     counts: dict[tuple[int, int], int] = {}
     for u, cls in enumerate(classes):

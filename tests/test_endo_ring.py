@@ -1,30 +1,37 @@
 """Endomorphism-ring probing, checked against independent witnesses.
 
-Two cross-examinations drive this file.  The conductor walk (chains of
-isogenies descending to degree-one vertices) is compared with a scalar
-criterion built here from raw discrete logs: (pi - c)/ell^a is an
+Two cross-examinations drive this file.  The conductor search (breadth
+first, for the nearest degree-one vertex of the volcano) is compared with a
+scalar criterion built here from raw discrete logs: (pi - c)/ell^a is an
 endomorphism exactly when the Frobenius acts as a scalar on E[ell^a], so
-the largest scalar modulus fixes a curve's level without any walking.  The
-annihilator index is recounted by brute evaluation of order elements
-through point division, a path that never touches a torsion matrix.
+the largest scalar modulus fixes a curve's level without any isogeny; and
+with the second ell-Sylow exponent of E(k), which fixes or bounds it from
+the group structure alone.  The annihilator index is recounted by brute
+evaluation of order elements through point division, a path that never
+touches a torsion matrix.
 """
 
 import random
 
 import pytest
 
+import isogenion.elliptic_curve
+import isogenion.isogeny
 from isogenion.elliptic_curve import (
     Curve,
     base_change,
     curve_from_j,
+    discriminant_frobenius_order,
     divide_point,
     embed_point,
     frobenius_endo,
+    is_supersingular,
     j_invariant,
     point_add,
     point_order,
     quadratic_twist,
     scalar_mul,
+    sylow_basis,
     torsion_basis,
     twist_classes,
     two_dim_dlog,
@@ -41,12 +48,14 @@ from isogenion.endo_ring import (
 from isogenion.errors import (
     BoundExceeded,
     CurveMismatch,
+    NotImaginaryQuadratic,
     NotInEndomorphismRing,
     OrdinaryOnly,
     SingularCurve,
     WrongOrder,
 )
 from isogenion.finite_field import field_create
+from isogenion.intmath import factorize, valuation
 from isogenion.isogeny import stable_cyclic_subgroups, velu
 from isogenion.quadratic_order import class_group, quad_order
 
@@ -87,7 +96,7 @@ def dlog_matrix(E, m):
 
 
 def scalar_level_oracle(E, ell, depth):
-    """v_ell(conductor of End(E)) via the scalar criterion, no walking."""
+    """v_ell(conductor of End(E)) via the scalar criterion, no isogenies."""
     amax = 0
     for a in range(1, depth + 1):
         m = ell**a
@@ -181,6 +190,45 @@ class TestConductor:
         }
         assert hist == {1: 1, 2: 1, 3: 1, 6: 3}
 
+    @pytest.mark.parametrize("p, r", [(11, 2), (41, 1)])
+    def test_level_matches_sylow_exponent(self, p, r):
+        """E(k) = O/(pi - 1) (Lenstra 1996).  With pi - 1 = A + f0*omega0 and
+        h = v_ell(f0), the second ell-Sylow exponent b of E(k) is
+        min(v_ell(A), h - level) (Miret et al. 2008): it fixes the level
+        when b < v_ell(A) and bounds it otherwise, from the group alone."""
+        F = field_create(p, r)
+        decided = 0
+        for j in F.elements():
+            for cls in twist_classes(F, j):
+                E = cls.representative
+                if is_supersingular(E):
+                    continue
+                D0, f0 = discriminant_frobenius_order(F.order, cls.trace)
+                A = (cls.trace - f0 * D0) // 2 - 1
+                for ell, h in factorize(f0):
+                    if ell > 7:
+                        continue
+                    b = sylow_basis(E, ell)[3]
+                    level = conductor_level(E, ell)
+                    if A == 0 or b < valuation(A, ell):
+                        assert level == h - b
+                        decided += 1
+                    else:
+                        assert level <= h - b
+        assert decided > 0
+
+    def test_level_needs_no_torsion_basis(self, monkeypatch):
+        """The search takes its isogenies from rational kernels alone, so no
+        basis of E[ell] is ever built."""
+
+        def refuse(*args):
+            raise AssertionError("torsion_basis called")
+
+        monkeypatch.setattr(isogenion.isogeny, "torsion_basis", refuse)
+        monkeypatch.setattr(isogenion.elliptic_curve, "torsion_basis", refuse)
+        for j, level in VOLCANO_LEVELS.items():
+            assert conductor_level(curve41(j), 2) == level
+
     def test_floor_has_single_rational_isogeny(self):
         assert len(stable_cyclic_subgroups(curve41(35), 2)) == 1
 
@@ -190,7 +238,7 @@ class TestConductor:
 
     @pytest.mark.parametrize("p", [7, 11, 19, 23])
     def test_supersingular_prime_field(self, p):
-        """Trace 0 over GF(p), p = 3 mod 4: -4p = 2^2 * (-p), and the walk
+        """Trace 0 over GF(p), p = 3 mod 4: -4p = 2^2 * (-p), and the search
         splits the classes between Z[(1 + sqrt(-p))/2] and Z[sqrt(-p)]."""
         F = field_create(p)
         seen = set()
@@ -209,16 +257,19 @@ class TestConductor:
     @pytest.mark.parametrize("a, level", [(-1, 0), (1, 1)])
     def test_supersingular_level_beyond_prime_field(self, a, level):
         """y^2 = x^3 + a*x over GF(7^3) has trace 0 and t^2 - 4q =
-        14^2 * (-7); its 2-level is read by the walk alone."""
+        14^2 * (-7); its 2-level is read by the search alone, and 3 does not
+        divide f0 = 14."""
         E = base_change(Curve(field_create(7), a, 0), 3)
         assert E.trace == 0
-        assert conductor_level(E, 2, 1) == level
-        assert conductor_level(E, 2, 1) == scalar_level_oracle(E, 2, 1)
-        assert conductor_level(E, 2, 0) == 0
+        assert conductor_level(E, 2) == level
+        assert conductor_level(E, 2) == scalar_level_oracle(E, 2, 1)
+        assert conductor_level(E, 3) == 0
 
     def test_supersingular_rejected(self, e49):
         with pytest.raises(OrdinaryOnly):
             compute_endo_conductor(e49)
+        with pytest.raises(NotImaginaryQuadratic):
+            conductor_level(e49, 2)
 
     def test_descriptor_plumbing(self, e29):
         d = compute_endo_conductor(e29)

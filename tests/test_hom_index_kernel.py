@@ -56,7 +56,6 @@ from isogenion.hom_index_kernel import (
     rho,
     stable_cyclic_kernels,
 )
-from isogenion.intmath import cyclic_lines
 from isogenion.isogeny import compose, cyclic_isogenies, dual, evaluate, velu
 from isogenion.quadratic_order import (
     ideal_conjugate,
@@ -66,6 +65,7 @@ from isogenion.quadratic_order import (
     quad_order,
     unit_ideal,
 )
+from oracles import cyclic_lines
 
 F41 = field_create(41)
 F53 = field_create(53)

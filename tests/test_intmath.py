@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from sympy.polys.matrices import DomainMatrix
 
 from isogenion.intmath import (
-    cyclic_lines,
     divisors,
     factorize,
     floor_two_over_pi_sqrt,
@@ -31,6 +30,7 @@ from isogenion.intmath import (
     valuation,
     xgcd,
 )
+from oracles import cyclic_lines
 
 # ---------------------------------------------------------------------------
 # oracles

@@ -17,7 +17,6 @@ from isogenion.elliptic_curve import (
     twist_classes,
 )
 from isogenion.finite_field import field_create
-from isogenion.intmath import cyclic_lines
 from isogenion.isogeny import compose, cyclic_isogenies, dual, velu
 from isogenion.minimal_degree import (
     _cyclic_closure,
@@ -26,6 +25,7 @@ from isogenion.minimal_degree import (
     md_supersingular_bounds,
     rB,
 )
+from oracles import cyclic_lines
 
 
 def _all_classes(p):
