@@ -6,8 +6,9 @@ imaginary quadratic order squeezed between Z[pi] (discriminant
 t^2 - 4q = f0^2 * D0) and the maximal order of Q(sqrt(D0)).  Its conductor
 f divides f0, and the exponent of each prime ell in f is the depth of E
 below the surface of its ell-volcano.  `conductor_level` finds that
-exponent by a breadth-first search from E for the nearest degree-one
-vertex; `compute_endo_conductor` runs it for every prime of f0.  The module
+exponent by a breadth-first search from E, over class representatives, for
+the nearest vertex with a single rational ell-isogeny (the floor test);
+`compute_endo_conductor` runs it for every prime of f0.  The module
 also represents the Frobenius as an explicit 2x2 matrix on torsion bases,
 evaluates arbitrary order elements (u + v*pi)/w on points by lifting through
 division, and measures the index of the annihilator of a finite subgroup
@@ -26,7 +27,7 @@ from .errors import (
     WrongOrder,
 )
 from .finite_field import R_MAX
-from .intmath import factorize, valuation
+from .intmath import factorize, is_prime, valuation
 from .polyring import subfield_embedding
 from .elliptic_curve import (
     M_MAX,
@@ -47,7 +48,7 @@ from .elliptic_curve import (
     torsion_basis,
     two_dim_dlog,
 )
-from .isogeny import cyclic_isogenies, stable_cyclic_subgroups
+from .isogeny import cyclic_isogenies
 from .quadratic_order import QuadOrder, quad_order
 
 
@@ -126,31 +127,34 @@ class FrobeniusMatrix:
 def conductor_level(E: Curve, ell: int) -> int:
     """v_ell of the conductor of End_k(E), read against depth = v_ell(f0).
 
-    A vertex strictly above the floor has ell + 1 rational ell-isogenies
-    (the Frobenius is scalar on E[ell] there), a floor vertex exactly one.
-    Every edge changes the level by at most one and a straight descent
-    reaches the floor in depth - level steps, so a breadth-first search
-    (over k-isomorphism classes) meets its first floor vertex at exactly
-    that distance.
+    ell must be a prime int other than the characteristic (ValueError
+    otherwise).  A vertex strictly above the floor has ell + 1 rational
+    ell-isogenies (the Frobenius is scalar on E[ell] there), a floor vertex
+    exactly one.  Every edge changes the level by at most one and a straight
+    descent reaches the floor in depth - level steps, so a breadth-first
+    search over k-isomorphism classes, testing each vertex as it leaves the
+    frontier, meets its first floor vertex at exactly that distance.  Past E
+    the search visits class representatives, so the cached enumerations of
+    cyclic_isogenies serve build_graph and the next search too.
     """
+    if type(ell) is not int or not is_prime(ell) or ell == E.field.p:
+        raise ValueError(
+            f"ell must be a prime other than the characteristic, got {ell!r}"
+        )
     depth = valuation(discriminant_frobenius_order(E.field.order, E.trace)[1], ell)
     if depth == 0:
         return 0
-    if len(stable_cyclic_subgroups(E, ell)) == 1:
-        return depth
     seen, frontier = {curve_class(E)}, [E]
-    for dist in range(1, depth + 1):
+    for dist in range(depth + 1):
         nxt = []
         for C in frontier:
-            for phi in cyclic_isogenies(C, ell):
-                T = phi.target_curve
-                cls = curve_class(T)
-                if cls in seen:
-                    continue
-                if len(stable_cyclic_subgroups(T, ell)) == 1:
-                    return depth - dist
-                seen.add(cls)
-                nxt.append(T)
+            isogenies = cyclic_isogenies(C, ell)
+            if len(isogenies) == 1:
+                return depth - dist
+            for phi in isogenies:
+                if phi.target not in seen:
+                    seen.add(phi.target)
+                    nxt.append(phi.target.representative)
         frontier = nxt
     raise AssertionError("no floor vertex within the depth")
 

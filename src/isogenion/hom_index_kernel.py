@@ -223,9 +223,9 @@ def hom_index(E2: Curve, E1: Curve, beta: Isogeny) -> HomIdealDescription:
         )
     if beta.source_curve != E2:
         raise CurveMismatch("beta does not start at the first curve")
-    if curve_class(beta.target_curve) != curve_class(E1):
-        raise CurveMismatch("beta does not land on the class of the second curve")
     cls2, cls1 = curve_class(E2), curve_class(E1)
+    if beta.target != cls1:
+        raise CurveMismatch("beta does not land on the class of the second curve")
     pts, n, back = _kernel_data(beta)
 
     if E2.trace * E2.trace == 4 * E2.field.order:
@@ -470,7 +470,7 @@ def pair_report(E2: Curve, E1: Curve, degrees=(2, 3, 4, 6, 8, 9, 12)) -> str:
         except BoundExceeded:
             continue
         for phi in isogenies:
-            if curve_class(phi.target_curve) != cls1:
+            if phi.target != cls1:
                 continue
             try:
                 desc = hom_index(E2, E1, phi)

@@ -83,7 +83,9 @@ def divisors(n: int) -> list[int]:
 
 
 def valuation(n: int, p: int) -> int:
-    """Largest v with p**v | n (n != 0)."""
+    """Largest v with p**v | n (n != 0, p >= 2)."""
+    if p < 2:
+        raise ValueError(f"valuation needs a base p >= 2, got {p!r}")
     if n == 0:
         raise ValueError("valuation of 0 is infinite")
     v = 0

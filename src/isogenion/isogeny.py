@@ -685,16 +685,19 @@ def _frobenius_eigenvalue(T: Point, m: int, r0: int):
     return None
 
 
-def cyclic_isogenies(E: Curve, n: int) -> list[Isogeny]:
+@lru_cache(maxsize=None, typed=True)
+def cyclic_isogenies(E: Curve, n: int) -> tuple[Isogeny, ...]:
     """All isogenies from E with a Frobenius-stable cyclic kernel of order n,
     the package's one enumerator of them.  Each is a chain of Velu quotients,
     one per ell^e exactly dividing n, in itertools.product order over
     stable_cyclic_subgroups; its kernel_gen is the sum of their generators.
+    Cached per (curve, n): callers share the returned tuple and its
+    write-once isogenies, with their memoised target classes.
     """
     if not isinstance(n, int) or n < 1:
         raise ValueError("n must be a positive integer")
     if n == 1:
-        return [_identity(E)]
+        return (_identity(E),)
     if n % E.field.p == 0:
         raise ValueError("n must be coprime to the characteristic")
     if n > M_MAX:
@@ -712,7 +715,7 @@ def cyclic_isogenies(E: Curve, n: int) -> list[Isogeny]:
             steps.append(velu(cur, gen, ell**e)._steps[0])
             cur = steps[-1].dst
         out.append(Isogeny(steps, E, cur, n, 0, K))
-    return out
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -29,12 +29,7 @@ from __future__ import annotations
 
 import json
 
-from .elliptic_curve import (
-    CurveClass,
-    classes_with_trace,
-    curve_class,
-    j_invariant,
-)
+from .elliptic_curve import CurveClass, classes_with_trace
 from .endo_ring import conductor_level
 from .errors import NoCurveWithTrace, NotImaginaryQuadratic, NotOnSurface
 from .finite_field import Field, element_to_json
@@ -164,18 +159,13 @@ def build_graph(field: Field, trace: int, ell: int) -> IsogenyGraph:
 
     counts: dict[tuple[int, int], int] = {}
     for u, cls in enumerate(classes):
-        E = cls.representative
-        targets = []
-        for edge in cyclic_isogenies(E, ell):
-            target = edge.target_curve
-            v = index[curve_class(target)]
-            counts[(u, v)] = counts.get((u, v), 0) + 1
-            targets.append(j_invariant(target))
         budget = dict(roots(phi.univariate(cls.j)))
-        for jt in targets:
-            left = budget.get(jt, 0)
+        for edge in cyclic_isogenies(cls.representative, ell):
+            v = index[edge.target]
+            counts[(u, v)] = counts.get((u, v), 0) + 1
+            left = budget.get(edge.target.j, 0)
             assert left > 0, "Velu target is not a modular-polynomial root"
-            budget[jt] = left - 1
+            budget[edge.target.j] = left - 1
 
     edges = tuple(sorted((u, v, m) for (u, v), m in counts.items()))
 

@@ -17,8 +17,6 @@ of p are handled by splicing in Frobenius steps), so every returned
 minimum is exact, with the found isogeny as witness.
 """
 
-from functools import lru_cache
-
 from .elliptic_curve import (
     Curve,
     base_change,
@@ -174,13 +172,6 @@ class MdResult:
         return f"MdResult({a.j!r}/{a.trace} -> {b.j!r}/{b.trace}, md={self.md})"
 
 
-# enumerations reused across the pair sweeps in rB and the bounds reports
-@lru_cache(maxsize=None)
-def _cyclic_rational(E: Curve, m: int):
-    return tuple(cyclic_isogenies(E, m))
-
-
-@lru_cache(maxsize=None)
 def _cyclic_closure(E: Curve, m: int):
     """Every cyclic degree-m isogeny from E over the closure.
 
@@ -188,12 +179,12 @@ def _cyclic_closure(E: Curve, m: int):
     Frobenius-stable, so cyclic_isogenies of the base change lists them all.
     """
     K = torsion_basis(E, m)[2]
-    return tuple(cyclic_isogenies(base_change(E, K.r // E.field.r), m))
+    return cyclic_isogenies(base_change(E, K.r // E.field.r), m)
 
 
 def _lands_on(phi, target, over_k: bool) -> bool:
     if over_k:
-        return curve_class(phi.target_curve).key() == target.key()
+        return phi.target.key() == target.key()
     model = phi.target_curve
     rep = target.representative
     steps = model.field.r // rep.field.r
@@ -216,7 +207,7 @@ def _degree_candidates(E: Curve, m: int, over_k: bool):
         sep //= p
         e += 1
     if e == 0:
-        yield from _cyclic_rational(E, m) if over_k else _cyclic_closure(E, m)
+        yield from cyclic_isogenies(E, m) if over_k else _cyclic_closure(E, m)
         return
     if E.field.r > 2 and not is_supersingular(E):
         raise BoundExceeded(
@@ -227,7 +218,7 @@ def _degree_candidates(E: Curve, m: int, over_k: bool):
         yield frob
         return
     if over_k:
-        for phi in _cyclic_rational(frob.target_curve, sep):
+        for phi in cyclic_isogenies(frob.target_curve, sep):
             yield compose(phi, frob)
         return
     for phi in _cyclic_closure(frob.target_curve, sep):

@@ -1,8 +1,27 @@
-"""Oracles shared by several test modules; the package itself needs none of
-them."""
+"""Oracles and guards shared by several test modules; the package itself
+needs none of them."""
 
+import signal
+from contextlib import contextmanager
 from functools import lru_cache
 from math import gcd
+
+
+@contextmanager
+def deadline(seconds: int):
+    """Fail with AssertionError, instead of hanging, if the block runs longer
+    than `seconds` (SIGALRM, so the main thread of a POSIX process only)."""
+
+    def expire(signum, frame):
+        raise AssertionError(f"did not return within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @lru_cache(maxsize=None)

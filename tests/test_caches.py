@@ -1,16 +1,19 @@
 """The package's cross-call caches: one policy (functools.lru_cache, which
-reports hits, misses and size), and cached answers equal to a cold
-recompute."""
+reports hits, misses and size), cached answers equal to a cold recompute,
+one enumeration of isogenies per curve, and a README that names every
+per-curve table."""
 
 import importlib
+import inspect
 import pkgutil
+import re
+from pathlib import Path
 
 import pytest
 
 import isogenion
-from isogenion import minimal_degree
 from isogenion.elliptic_curve import (
-    base_change,
+    Curve,
     curve_from_j,
     sylow_basis,
     torsion_basis,
@@ -18,14 +21,33 @@ from isogenion.elliptic_curve import (
 from isogenion.endo_ring import compute_endo_conductor, frobenius_matrix
 from isogenion.finite_field import field_create
 from isogenion.hom_index_kernel import pair_report
+from isogenion.isogeny import cyclic_isogenies
+from isogenion.isogeny_graph import build_graph
 
-CURVE_CACHES = (
-    sylow_basis,
-    torsion_basis,
-    frobenius_matrix,
-    compute_endo_conductor,
-    base_change,
-)
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def library_modules():
+    return [
+        importlib.import_module(f"isogenion.{info.name}")
+        for info in pkgutil.iter_modules(isogenion.__path__)
+    ]
+
+
+def curve_caches():
+    """Every module-level lru_cache whose first parameter is a Curve."""
+    found = []
+    for module in library_modules():
+        for value in vars(module).values():
+            if not hasattr(value, "cache_info") or value.__module__ != module.__name__:
+                continue
+            first = next(iter(inspect.signature(value).parameters.values()), None)
+            if first is not None and first.annotation in ("Curve", Curve):
+                found.append(value)
+    return found
+
+
+CURVE_CACHES = curve_caches()
 
 
 @pytest.fixture(scope="module")
@@ -37,11 +59,19 @@ def volcano():
 def test_no_module_level_containers():
     """No module keeps a dict, list or set of its own, so every cache is an
     lru_cache table."""
-    for info in pkgutil.iter_modules(isogenion.__path__):
-        module = importlib.import_module(f"isogenion.{info.name}")
+    for module in library_modules():
         for name, value in vars(module).items():
             if not name.startswith("__"):
-                assert not isinstance(value, (dict, list, set)), f"{info.name}.{name}"
+                assert not isinstance(value, (dict, list, set)), (module.__name__, name)
+
+
+def test_readme_names_every_curve_cache():
+    """The README's list of per-curve tables is the discovered one, both ways."""
+    section = README.read_text(encoding="utf-8").split("## Caches", 1)[1]
+    listed = re.search(r"The\s+per-curve\s+ones\s+are\s(.*?)\.\s", section, re.DOTALL)
+    names = set(re.findall(r"`(?:\w+\.)?(\w+)`", listed.group(1)))
+    assert names == {fn.__name__ for fn in CURVE_CACHES}
+    assert "cyclic_isogenies" in names
 
 
 def test_curve_caches_answer_cache_info(volcano):
@@ -49,21 +79,28 @@ def test_curve_caches_answer_cache_info(volcano):
     torsion_basis(E29, 4)
     frobenius_matrix(E29, 4)
     compute_endo_conductor(E29)
+    cyclic_isogenies(E29, 2)
     for fn in CURVE_CACHES:
         info = fn.cache_info()
         assert info.maxsize is None and info.currsize >= 1
-    for fn in (minimal_degree._cyclic_rational, minimal_degree._cyclic_closure):
-        assert fn.cache_info().maxsize is None
 
 
 def test_float_modulus_is_refused_after_the_int_is_cached(volcano):
     E29, _ = volcano
-    torsion_basis(E29, 2)
-    frobenius_matrix(E29, 2)
-    with pytest.raises(ValueError):
-        torsion_basis(E29, 2.0)
-    with pytest.raises(ValueError):
-        frobenius_matrix(E29, 2.0)
+    for fn in (torsion_basis, frobenius_matrix, cyclic_isogenies):
+        fn(E29, 2)
+        with pytest.raises(ValueError):
+            fn(E29, 2.0)
+
+
+@pytest.mark.parametrize("p, r, t", [(41, 1, 6), (11, 2, -6)])
+def test_graph_enumerates_each_vertex_once(p, r, t):
+    """build_graph and its conductor searches share one enumeration per
+    class representative: every lookup after the first is a hit."""
+    cyclic_isogenies.cache_clear()
+    g = build_graph(field_create(p, r), t, 2)
+    assert g.depth >= 1
+    assert cyclic_isogenies.cache_info().misses == len(g.vertices)
 
 
 def test_cold_recompute_equals_cached(volcano):
@@ -84,3 +121,4 @@ def test_cold_recompute_equals_cached(volcano):
     assert sylow_basis.cache_info().misses >= 1
     assert torsion_basis.cache_info().misses >= 1
     assert compute_endo_conductor.cache_info().misses >= 1
+    assert cyclic_isogenies.cache_info().misses >= 1

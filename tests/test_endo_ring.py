@@ -58,6 +58,7 @@ from isogenion.finite_field import field_create
 from isogenion.intmath import factorize, valuation
 from isogenion.isogeny import stable_cyclic_subgroups, velu
 from isogenion.quadratic_order import class_group, quad_order
+from oracles import deadline
 
 F41 = field_create(41)
 F31 = field_create(31)
@@ -228,6 +229,24 @@ class TestConductor:
         monkeypatch.setattr(isogenion.elliptic_curve, "torsion_basis", refuse)
         for j, level in VOLCANO_LEVELS.items():
             assert conductor_level(curve41(j), 2) == level
+
+    @pytest.mark.parametrize("ell", [1, 0, 2.0, 4, 8, 41])
+    def test_level_refuses_what_is_no_prime_but_p(self, ell):
+        """1 used to hang in the depth's valuation, 0 divided by zero, 2.0
+        failed deep inside, and 4, 8 and p = 41 returned levels."""
+        with deadline(10), pytest.raises(ValueError):
+            conductor_level(curve41(13), ell)
+
+    @pytest.mark.parametrize("j", [13, 5])
+    def test_level_on_a_rescaled_model(self, j):
+        """A model (u^4 A, u^6 B) other than the class representative gets
+        the representative's level, on the floor (j = 13) and the surface
+        (j = 5)."""
+        E = curve41(j)
+        u = F41.from_int(3)
+        model = Curve(F41, u**4 * E.A, u**6 * E.B)
+        assert model != E
+        assert conductor_level(model, 2) == conductor_level(E, 2) == VOLCANO_LEVELS[j]
 
     def test_floor_has_single_rational_isogeny(self):
         assert len(stable_cyclic_subgroups(curve41(35), 2)) == 1

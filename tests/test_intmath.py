@@ -30,7 +30,7 @@ from isogenion.intmath import (
     valuation,
     xgcd,
 )
-from oracles import cyclic_lines
+from oracles import cyclic_lines, deadline
 
 # ---------------------------------------------------------------------------
 # oracles
@@ -139,6 +139,13 @@ def test_divisors_and_valuation():
     assert valuation(48, 2) == 4
     assert valuation(48, 3) == 1
     assert valuation(48, 5) == 0
+
+
+@pytest.mark.parametrize("p", [1, 0, -2])
+def test_valuation_refuses_a_base_below_two(p):
+    # base 1 used to loop forever and base 0 to divide by zero
+    with deadline(10), pytest.raises(ValueError):
+        valuation(48, p)
 
 
 def test_is_square():
