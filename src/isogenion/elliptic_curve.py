@@ -319,15 +319,17 @@ def curve_order_over_extension(E: Curve, s: int) -> int:
     return q**s + 1 - trace_over_extension(E.trace, q, s)
 
 
-@lru_cache(maxsize=None)
 def base_change(E: Curve, s: int) -> Curve:
     """E over GF(q^s), with its order filled in via the trace recurrence.
 
-    Cached by curve value: base_change(E, 1) is the first curve equal to E
-    that was passed, not necessarily E itself.
+    s = 1 gives E itself, count and all; a proper extension is cached by
+    curve value in _base_change.
     """
-    if s == 1:
-        return E
+    return E if s == 1 else _base_change(E, s)
+
+
+@lru_cache(maxsize=None)
+def _base_change(E: Curve, s: int) -> Curve:
     K = field_create(E.field.p, E.field.r * s)
     emb = subfield_embedding(E.field, K)
     EK = Curve(K, emb.map(E.A), emb.map(E.B))

@@ -28,6 +28,7 @@ check works with raw kernel counts.
 from __future__ import annotations
 
 import json
+from collections import Counter
 
 from .elliptic_curve import CurveClass, classes_with_trace
 from .endo_ring import conductor_level
@@ -35,7 +36,7 @@ from .errors import NoCurveWithTrace, NotImaginaryQuadratic, NotOnSurface
 from .finite_field import Field, element_to_json
 from .intmath import divisors, kronecker, split_discriminant, valuation
 from .isogeny import cyclic_isogenies, modular_polynomial
-from .polyring import roots
+from .polyring import multiplicity
 from .quadratic_order import class_group, class_order, primes_above, quad_order
 
 HORIZONTAL = "horizontal"
@@ -126,8 +127,9 @@ def build_graph(field: Field, trace: int, ell: int) -> IsogenyGraph:
     Vertices come from a full j-line sweep keeping every twist with the
     requested trace.  Each vertex's k-rational order-ell subgroups are
     pushed through Velu's formulas and the target class located among
-    the vertices; as a safety net the multiset of target j-invariants is
-    checked against the rational roots of Phi_ell(j, Y).  Raises
+    the vertices; as a safety net each target's multiplicity as a root of
+    Φ_ℓ(j, Y) is checked: the targets sharing a j-invariant jt must not
+    outnumber the factors (Y - jt) of Φ_ℓ(j, Y).  Raises
     NoCurveWithTrace when the sweep finds nothing, UnsupportedLevel when
     no modular polynomial is available for ell, and ValueError when ell
     is the field characteristic.
@@ -159,13 +161,16 @@ def build_graph(field: Field, trace: int, ell: int) -> IsogenyGraph:
 
     counts: dict[tuple[int, int], int] = {}
     for u, cls in enumerate(classes):
-        budget = dict(roots(phi.univariate(cls.j)))
+        targets = Counter()
         for edge in cyclic_isogenies(cls.representative, ell):
             v = index[edge.target]
             counts[(u, v)] = counts.get((u, v), 0) + 1
-            left = budget.get(edge.target.j, 0)
-            assert left > 0, "Velu target is not a modular-polynomial root"
-            budget[edge.target.j] = left - 1
+            targets[edge.target.j] += 1
+        f = phi.univariate(cls.j)
+        for jt, n in targets.items():
+            assert multiplicity(f, jt) >= n, (
+                "Velu target is not a modular-polynomial root"
+            )
 
     edges = tuple(sorted((u, v, m) for (u, v), m in counts.items()))
 

@@ -343,21 +343,31 @@ def roots(f: Poly) -> list[tuple[FieldElement, int]]:
     lin = poly_gcd(pow_mod(x, f.field.order, f) - x, f)
     if lin.degree() <= 0:
         return []
-    out = []
-    for g, _ in factor(lin):
-        if g.degree() == 1:
-            root = -g[0]
-            mult = 0
-            h = f
-            while True:
-                q, r = divmod(h, Poly(f.field, [-root, f.field.one]))
-                if not r.is_zero():
-                    break
-                mult += 1
-                h = q
-            out.append((root, mult))
+    found = [-g[0] for g, _ in factor(lin) if g.degree() == 1]
+    out = [(root, multiplicity(f, root)) for root in found]
     out.sort(key=lambda t: t[0].coeffs)
     return out
+
+
+def multiplicity(f: Poly, root: FieldElement) -> int:
+    """How many times (x - root) divides f; 0 when root is not a root.
+
+    Each division is synthetic (Horner's scheme), deg f multiplications,
+    so no factoring is needed to test a known candidate root.
+    """
+    if f.is_zero():
+        raise ValueError("zero polynomial")
+    cs = f.coeffs
+    mult = 0
+    while len(cs) > 1:
+        quot = [cs[-1]]
+        for c in reversed(cs[:-1]):
+            quot.append(quot[-1] * root + c)
+        if quot[-1]:
+            break
+        mult += 1
+        cs = quot[-2::-1]
+    return mult
 
 
 # ---------------------------------------------------------------------------

@@ -258,6 +258,21 @@ def test_base_change_caches_and_embeds():
     assert embed_point(scalar_mul(3, P), EK) == scalar_mul(3, PK)
 
 
+def test_base_change_by_one_keeps_the_count():
+    """s = 1 is the curve itself, so a count set after an equal uncounted
+    curve went through base_change is not lost."""
+    F = field_create(41)
+    first = Curve(F, 3, 5)
+    assert base_change(first, 1) is first
+    E2 = Curve(F, 3, 5)
+    count_points(E2)
+    assert E2._order == 44 and first._order is None
+    assert base_change(E2, 1) is E2
+    assert base_change(E2, 1)._order == 44
+    # proper extensions stay cached by curve value
+    assert base_change(E2, 2) is base_change(first, 2)
+
+
 @pytest.mark.parametrize("s1, s2", [(2, 2), (3, 2), (2, 3)])
 def test_base_change_is_transitive(s1, s2):
     # the field embeddings compose, so a base change of a base change is

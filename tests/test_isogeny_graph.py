@@ -6,11 +6,14 @@ are cross-checked against independent witnesses: ring class numbers,
 Kronecker symbols, Frobenius scalarity on torsion, and cubic splitting.
 """
 
+import hashlib
 import json
 from collections import Counter
 
 import pytest
 
+import isogenion.isogeny_graph
+import isogenion.polyring
 from isogenion.elliptic_curve import curve_from_j
 from isogenion.endo_ring import frobenius_matrix
 from isogenion.errors import (
@@ -21,6 +24,7 @@ from isogenion.errors import (
 )
 from isogenion.finite_field import field_create
 from isogenion.intmath import kronecker
+from isogenion.isogeny import cyclic_isogenies, modular_polynomial
 from isogenion.isogeny_graph import (
     IsogenyGraph,
     build_graph,
@@ -522,6 +526,47 @@ class TestMutatedGraph:
         report = verify_volcano(mutant)
         assert not report["unique_ascent"]["ok"]
         assert (i13, i33) in report["unique_ascent"]["witnesses"]
+
+
+class TestModularPolynomialCheck:
+    """build_graph checks every Velu target against Phi_ell(j, Y) by
+    division, so the check needs no root finding and still catches a
+    wrong modular polynomial."""
+
+    # sha256 of graph_to_json, pinned when the check factored
+    # Phi_ell(j, Y); each graph has a vertex whose kernels share a target
+    # j-invariant (two or three of them), so multiplicities matter
+    PINNED = {
+        (2, -6): "18b487c8673e3e181414deca3424cd9a0945e3b435fcc44e69e4ee1808b646e7",
+        (2, 22): "20adf509fcb887be0a1b3c9c9b80b3ffe04a453ffb5281ef8e64f477a0b8989a",
+        (3, 14): "11789d2b1e302b058efb184dc5f1b9a3803ad6e3198b7bfd700e542e1ba250c0",
+        (3, -22): "3a04031a64b0095823700c6a88e6ff326493164a0fb7a7e1fcab4eb7fe569709",
+    }
+
+    @pytest.mark.parametrize("ell, t", sorted(PINNED))
+    def test_check_needs_no_roots(self, monkeypatch, ell, t):
+        F121 = field_create(11, 2)
+        before = graph_to_json(build_graph(F121, t, ell))
+        # enumerate afresh, so the check runs again with roots refused
+        cyclic_isogenies.cache_clear()
+
+        def refuse(*args):
+            raise AssertionError("roots called")
+
+        monkeypatch.setattr(isogenion.polyring, "roots", refuse)
+        after = graph_to_json(build_graph(F121, t, ell))
+        assert after == before
+        assert hashlib.sha256(after.encode()).hexdigest() == self.PINNED[ell, t]
+
+    def test_wrong_modular_polynomial_is_caught(self, monkeypatch):
+        monkeypatch.setattr(
+            isogenion.isogeny_graph, "modular_polynomial",
+            lambda ell: modular_polynomial(3),
+        )
+        with pytest.raises(
+            AssertionError, match="Velu target is not a modular-polynomial root"
+        ):
+            build_graph(F41, 6, 2)
 
 
 class TestExports:

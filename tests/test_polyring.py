@@ -17,6 +17,7 @@ from isogenion.polyring import (
     Poly,
     embed_element,
     factor,
+    multiplicity,
     poly_gcd,
     pow_mod,
     roots,
@@ -217,6 +218,44 @@ def test_roots_of_rootless():
     F = field_create(7)
     assert roots(Poly.from_ints(F, [1, 0, 1])) == []
     assert roots(Poly.from_ints(F, [3])) == []
+
+
+@pytest.mark.parametrize("p, r", [(11, 2), (41, 1)])
+def test_multiplicity_matches_roots(p, r):
+    """multiplicity divides by (x - a) alone; roots factors. They agree on
+    every element (0 off the roots), with repeated roots and a cofactor
+    that may add roots of its own."""
+    F = field_create(p, r)
+    elements = list(F.elements())
+    rng = random.Random(p * r)
+    for _ in range(12):
+        chosen = rng.sample(elements, 3)
+        mults = [rng.randint(1, 4) for _ in chosen]
+        f = Poly.from_roots(F, [a for a, k in zip(chosen, mults) for _ in range(k)])
+        f = f * _random_poly(F, rng.randrange(0, 4), rng)
+        found = dict(roots(f))
+        assert all(found[a] >= k for a, k in zip(chosen, mults))
+        for a in elements:
+            assert multiplicity(f, a) == found.get(a, 0)
+
+
+@pytest.mark.parametrize("p, r", [(11, 2), (41, 1)])
+def test_multiplicity_of_a_pure_power(p, r):
+    # k = p puts (x - a)^k in GF(q)[x^p], where roots takes p-th roots
+    F = field_create(p, r)
+    a = F.from_coeffs([3] + [1] * (r - 1))
+    for k in (1, 2, 5, p, p + 2):
+        f = Poly.from_roots(F, [a] * k)
+        assert roots(f) == [(a, k)]
+        assert multiplicity(f, a) == k
+        assert multiplicity(f, a + F.one) == 0
+
+
+def test_multiplicity_edge_cases():
+    F = field_create(41)
+    assert multiplicity(Poly.from_ints(F, [3]), F.zero) == 0
+    with pytest.raises(ValueError):
+        multiplicity(Poly(F, []), F.one)
 
 
 def test_characteristic_two_is_refused():

@@ -5,7 +5,8 @@ feature `annotations` and names re-exported through `__all__` excepted),
 no module reaches into another's private names with
 `from .module import _name`, every private top-level function or class
 is referenced somewhere in its module outside its own body, only
-`isogeny.py` calls `velu`, and only `elliptic_curve.py` builds raw points.
+`isogeny.py` calls `velu`, only `elliptic_curve.py` builds raw points, and
+`isogeny_graph.py` never factors (no `roots`).
 """
 
 import ast
@@ -94,19 +95,27 @@ def test_no_dead_private_helpers(path):
     assert not dead, f"{path.name} defines but never uses: {', '.join(dead)}"
 
 
+def calls_to(tree, name):
+    """Lines that call `name`, bare or as an attribute (`module.name`)."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and (
+            (isinstance(node.func, ast.Name) and node.func.id == name)
+            or (isinstance(node.func, ast.Attribute) and node.func.attr == name)
+        )
+    ]
+
+
 def test_only_isogeny_calls_velu():
     """Other modules take their isogenies from cyclic_isogenies, the one
     enumerator, instead of building Velu quotients themselves."""
     callers = [
-        f"{path.name} (line {node.lineno})"
+        f"{path.name} (line {line})"
         for path in SOURCES
         if path.name != "isogeny.py"
-        for node in ast.walk(parse(path))
-        if isinstance(node, ast.Call)
-        and (
-            (isinstance(node.func, ast.Name) and node.func.id == "velu")
-            or (isinstance(node.func, ast.Attribute) and node.func.attr == "velu")
-        )
+        for line in calls_to(parse(path), "velu")
     ]
     assert not callers, f"velu is called outside isogeny.py: {', '.join(callers)}"
 
@@ -124,3 +133,19 @@ def test_only_elliptic_curve_builds_raw_points():
         and node.func.id == "Point"
     ]
     assert not callers, f"Point is built outside its module: {', '.join(callers)}"
+
+
+
+def test_isogeny_graph_does_not_find_roots():
+    """build_graph tests each Velu target by division (polyring.multiplicity),
+    so factoring Phi_ell(j, Y) cannot creep back into its per-vertex loop."""
+    tree = parse(next(p for p in SOURCES if p.name == "isogeny_graph.py"))
+    imports = [
+        f"line {node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and any(alias.name.split(".")[-1] == "roots" for alias in node.names)
+    ]
+    calls = [f"line {line}" for line in calls_to(tree, "roots")]
+    assert not imports, f"isogeny_graph.py imports roots: {', '.join(imports)}"
+    assert not calls, f"isogeny_graph.py calls roots: {', '.join(calls)}"
