@@ -243,8 +243,9 @@ def scalar_mul(m: int, P: Point) -> Point:
     while m:
         if m & 1:
             acc = point_add(acc, add)
-        add = point_add(add, add)
         m >>= 1
+        if m:
+            add = point_add(add, add)
     return acc
 
 

@@ -7,6 +7,12 @@ every element's coordinate vector.  Each candidate modulus f is tested by
 Berlekamp's criterion inside GF(p)[x]/(f), with the same `Field` arithmetic
 that then serves the field.  Elements are immutable and hashable.
 
+Elements store their r residues as a tuple; the kernel works on them packed
+into one int of fixed-width slots (Kronecker substitution), so a product or
+a Frobenius map costs one big-int operation and O(r) Python steps.  The slot
+width is derived from p and r, never set.  Inverses and square tests go
+through the norm to GF(p), computed by the Itoh–Tsujii chain.
+
 Caps: p <= 2**16 and r <= 24.  These keep exhaustive point/torsion work in
 seconds; nothing here is meant for cryptographic sizes.
 """
@@ -14,7 +20,9 @@ seconds; nothing here is meant for cryptographic sizes.
 from __future__ import annotations
 
 import itertools
+import struct
 from functools import lru_cache
+from operator import mul
 
 from .errors import BoundExceeded, DivisionByZero, FieldMismatch, NotPrime
 from .intmath import is_prime, row_reduce
@@ -36,26 +44,6 @@ R_MAX = 24
 
 
 # ---------------------------------------------------------------------------
-# raw polynomial helpers over GF(p): coefficient lists, constant term first.
-# They serve only the extended Euclid of `Field._inv`; public polynomial
-# arithmetic lives in polyring.py.
-
-
-def _ptrim(f):
-    while f and f[-1] == 0:
-        f.pop()
-    return f
-
-
-def _pmul(f, g, p):
-    if not f or not g:
-        return []
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                out[i + j] = (out[i + j] + a * b) % p
-    return _ptrim(out)
 
 
 def _is_irreducible(f, p):
@@ -74,7 +62,7 @@ def _is_irreducible(f, p):
         y = ring.frobenius(y)
     if y != x:
         return False
-    rows = [[(c - (i == j)) % p for j, c in enumerate(row)]
+    rows = [[(c - (i == j)) % p for j, c in enumerate(ring._reduce(row).coeffs)]
             for i, row in enumerate(ring._frob_table(1))]
     return len(row_reduce(rows, p)[1]) == r - 1
 
@@ -141,11 +129,11 @@ class FieldElement:
             raise FieldMismatch(f"{self.field} vs {other.field}")
 
     def _coerce(self, other):
-        if isinstance(other, int):
-            return self.field.from_int(other)
         if isinstance(other, FieldElement):
             self._check(other)
             return other
+        if isinstance(other, int):
+            return self.field.from_int(other)
         return None
 
     # -- arithmetic ----------------------------------------------------------
@@ -156,14 +144,14 @@ class FieldElement:
             return NotImplemented
         p = self.field.p
         return FieldElement(
-            self.field, tuple((a + b) % p for a, b in zip(self.coeffs, o.coeffs))
+            self.field, tuple([(a + b) % p for a, b in zip(self.coeffs, o.coeffs)])
         )
 
     __radd__ = __add__
 
     def __neg__(self):
         p = self.field.p
-        return FieldElement(self.field, tuple(-a % p for a in self.coeffs))
+        return FieldElement(self.field, tuple([-a % p for a in self.coeffs]))
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -171,17 +159,20 @@ class FieldElement:
             return NotImplemented
         p = self.field.p
         return FieldElement(
-            self.field, tuple((a - b) % p for a, b in zip(self.coeffs, o.coeffs))
+            self.field, tuple([(a - b) % p for a, b in zip(self.coeffs, o.coeffs)])
         )
 
     def __rsub__(self, other):
         return -(self - other)
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.field._mul(self, o)
+        if isinstance(other, FieldElement):
+            self._check(other)
+            return self.field._mul(self, other)
+        if isinstance(other, int):
+            p = self.field.p
+            return FieldElement(self.field, tuple([c * other % p for c in self.coeffs]))
+        return NotImplemented
 
     __rmul__ = __mul__
 
@@ -222,19 +213,25 @@ class FieldElement:
         return self.coeffs[0]
 
     def is_square(self) -> bool:
-        q = self.field.order
-        if not self:
+        """Euler's criterion on the norm: (q - 1)/2 = (p - 1)/2 * (q - 1)/(p - 1),
+        so a^((q-1)/2) = N(a)^((p-1)/2)."""
+        p = self.field.p
+        if not self or p == 2:
             return True
-        if self.field.p == 2:
-            return True
-        return self ** ((q - 1) // 2) == self.field.one
+        return pow(self.field._norm(self)[1], (p - 1) // 2, p) == 1
 
 
 class Field:
     """GF(p^r) with a fixed monic irreducible modulus (degree r).
 
-    Its arithmetic, all but `_inv`, is valid in GF(p)[x]/(f) for any monic f
-    of degree r; such a candidate ring never leaves `_is_irreducible`.
+    For r > 1 an element's residues are packed little-endian into one int,
+    one w-bit slot each, w the least of 16, 32 and 64 above
+    (2r - 1)(p - 1)^2.  That bounds every slot of a product folded by
+    `_red_table` and of a Frobenius image, so no slot carries into the next.
+
+    `_mul` and `frobenius` are valid in GF(p)[x]/(f) for any monic f of
+    degree r; such a candidate ring never leaves `_is_irreducible`.  `_inv`
+    and `is_square` go through `_norm` and need f irreducible.
     """
 
     __slots__ = (
@@ -244,6 +241,9 @@ class Field:
         "order",
         "zero",
         "one",
+        "_packer",
+        "_high",
+        "_low_mask",
         "_red_table",
         "_frob_tables",
         "_nonresidue",
@@ -258,11 +258,17 @@ class Field:
         one = [0] * r
         one[0] = 1
         self.one = FieldElement(self, tuple(one))
-        # x^(r+i) mod modulus for i = 0..r-2, to reduce schoolbook products
+        w = next(w for w in (16, 32, 64) if (2 * r - 1) * (p - 1) ** 2 < 1 << w)
+        fmt = {16: "H", 32: "I", 64: "Q"}[w]
+        self._low_mask = (1 << r * w) - 1  # the r low slots of a product
+        self._packer = struct.Struct(f"<{r}{fmt}")
+        self._high = struct.Struct(f"<{r - 1}{fmt}")  # its r - 1 high slots
+        # x^(r+i) mod modulus for i = 0..r-2, packed, to fold the high slots
+        # of a product
         self._red_table = []
         cur = [(-c) % p for c in modulus[:-1]]  # x^r mod m
         for _ in range(max(0, r - 1)):
-            self._red_table.append(tuple(cur))
+            self._red_table.append(self._pack(cur))
             cur = [0] + cur
             lead = cur.pop()  # coefficient of x^r
             if lead:
@@ -304,23 +310,50 @@ class Field:
 
     # -- core arithmetic ---------------------------------------------------
 
+    def _pack(self, coeffs) -> int:
+        return int.from_bytes(self._packer.pack(*coeffs), "little")
+
+    def _reduce(self, n: int) -> FieldElement:
+        """The element whose r slots, each reduced mod p, are packed in n."""
+        p = self.p
+        slots = self._packer.unpack(n.to_bytes(self._packer.size, "little"))
+        return FieldElement(self, tuple([c % p for c in slots]))
+
     def _mul(self, a: FieldElement, b: FieldElement) -> FieldElement:
         p, r = self.p, self.r
         if r == 1:
             return FieldElement(self, (a.coeffs[0] * b.coeffs[0] % p,))
-        ac, bc = a.coeffs, b.coeffs
-        prod = [0] * (2 * r - 1)
-        for i, x in enumerate(ac):
-            if x:
-                for j, y in enumerate(bc):
-                    prod[i + j] += x * y
-        out = [c % p for c in prod[:r]]
-        for i, red in enumerate(self._red_table):
-            c = prod[r + i] % p
-            if c:
-                for k in range(r):
-                    out[k] = (out[k] + c * red[k]) % p
-        return FieldElement(self, tuple(out))
+        # `_pack` and `_reduce` inlined: in GF(p^2) their method calls would
+        # be a sizeable share of the product
+        packer, high, low_mask = self._packer, self._high, self._low_mask
+        n = int.from_bytes(packer.pack(*a.coeffs), "little") * int.from_bytes(
+            packer.pack(*b.coeffs), "little")
+        out = n & low_mask
+        n >>= low_mask.bit_length()
+        for c, row in zip(high.unpack(n.to_bytes(high.size, "little")), self._red_table):
+            out += c % p * row
+        slots = packer.unpack(out.to_bytes(packer.size, "little"))
+        return FieldElement(self, tuple([c % p for c in slots]))
+
+    def _norm(self, a: FieldElement):
+        """(a^(p + ... + p^(r-1)), N(a)), the norm N(a) = a^(1 + p + ... +
+        p^(r-1)) as an int in [0, p).
+
+        Itoh–Tsujii: t_k = a^(1 + p + ... + p^(k-1)) satisfies
+        t_2k = t_k * t_k^(p^k) and t_(k+1) = a * t_k^p, so t_(r-1) follows
+        the bits of r - 1 in O(log r) products and Frobenius maps.
+        """
+        if self.r == 1:
+            return self.one, a.coeffs[0]
+        t, k = a, 1
+        for bit in bin(self.r - 1)[3:]:
+            t = self._mul(t, self.frobenius(t, k))
+            k *= 2
+            if bit == "1":
+                t = self._mul(a, self.frobenius(t))
+                k += 1
+        b = self.frobenius(t)
+        return b, self._mul(a, b).coeffs[0]
 
     def _inv(self, a: FieldElement) -> FieldElement:
         if not a:
@@ -328,36 +361,8 @@ class Field:
         p = self.p
         if self.r == 1:
             return FieldElement(self, (pow(a.coeffs[0], -1, p),))
-        # extended Euclid in GF(p)[x] against the modulus
-        r0, r1 = list(self.modulus), _ptrim(list(a.coeffs))
-        s0, s1 = [], [1]
-        while r1:
-            # divide r0 by r1
-            q = []
-            rem = list(r0)
-            inv_lead = pow(r1[-1], -1, p)
-            while len(rem) >= len(r1) and rem:
-                c = rem[-1] * inv_lead % p
-                shift = len(rem) - len(r1)
-                q_ext = [0] * shift + [c]
-                q = [
-                    (x + y) % p
-                    for x, y in itertools.zip_longest(q, q_ext, fillvalue=0)
-                ]
-                for i, gc in enumerate(r1):
-                    rem[shift + i] = (rem[shift + i] - c * gc) % p
-                _ptrim(rem)
-            r0, r1 = r1, rem
-            qs1 = _pmul(q, s1, p)
-            new_s = [
-                (x - y) % p for x, y in itertools.zip_longest(s0, qs1, fillvalue=0)
-            ]
-            s0, s1 = s1, _ptrim(new_s)
-        # r0 = gcd (a unit since modulus is irreducible); normalize
-        c = pow(r0[0], -1, p)
-        inv = [x * c % p for x in s0]
-        inv += [0] * (self.r - len(inv))
-        return FieldElement(self, tuple(inv[: self.r]))
+        b, norm = self._norm(a)
+        return b * pow(norm, -1, p)
 
     # -- Frobenius ---------------------------------------------------------
 
@@ -374,7 +379,7 @@ class Field:
             pw = [self.one]
             for _ in range(self.r - 1):
                 pw.append(pw[-1] * y)
-            tbl = self._frob_tables[k] = [a.coeffs for a in pw]
+            tbl = self._frob_tables[k] = [self._pack(a.coeffs) for a in pw]
         return tbl
 
     def frobenius(self, a: FieldElement, k: int = 1) -> FieldElement:
@@ -384,15 +389,7 @@ class Field:
         k %= self.r
         if k == 0:
             return a
-        tbl = self._frob_table(k)
-        p, r = self.p, self.r
-        out = [0] * r
-        for i, c in enumerate(a.coeffs):
-            if c:
-                row = tbl[i]
-                for j in range(r):
-                    out[j] = (out[j] + c * row[j]) % p
-        return FieldElement(self, tuple(out))
+        return self._reduce(sum(map(mul, a.coeffs, self._frob_table(k))))
 
     def least_nonresidue(self) -> FieldElement:
         """Lexicographically least quadratic non-residue (p odd)."""

@@ -41,3 +41,128 @@ def cyclic_lines(n: int) -> tuple[tuple[int, int], ...]:
             out.append((s, u))
             seen.update(((k * s) % n, (k * u) % n) for k in range(n))
     return tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# GF(p^r) kernel oracles: the residue-by-residue arithmetic that the packed
+# kernel of `finite_field.Field` replaced.  Elements are coefficient tuples
+# (constant term first) modulo F.modulus; only F.p, F.r and F.modulus are
+# read, never the field's own arithmetic.
+
+
+def _reduction_rows(F):
+    """x^(r+i) mod the modulus for i = 0..r-2."""
+    p, low = F.p, F.modulus[:-1]
+    rows, cur = [], [(-c) % p for c in low]
+    for _ in range(F.r - 1):
+        rows.append(cur)
+        cur = [0] + cur
+        lead = cur.pop()
+        cur = [(c - lead * m) % p for c, m in zip(cur, low)]
+    return rows
+
+
+def schoolbook_mul(F, a, b):
+    """a * b: the full convolution, then each coefficient of x^(r+i) folded
+    back along x^(r+i) mod the modulus."""
+    p, r = F.p, F.r
+    prod = [0] * (2 * r - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    out = [c % p for c in prod[:r]]
+    for i, row in enumerate(_reduction_rows(F)):
+        c = prod[r + i] % p
+        for k in range(r):
+            out[k] = (out[k] + c * row[k]) % p
+    return tuple(out)
+
+
+def schoolbook_pow(F, a, e):
+    """a^e (e >= 0) by square-and-multiply over `schoolbook_mul`."""
+    result = (1,) + (0,) * (F.r - 1)
+    while e:
+        if e & 1:
+            result = schoolbook_mul(F, result, a)
+        a = schoolbook_mul(F, a, a)
+        e >>= 1
+    return result
+
+
+def _ptrim(f):
+    while f and f[-1] == 0:
+        f.pop()
+    return f
+
+
+def _pmul(f, g, p):
+    if not f or not g:
+        return []
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] = (out[i + j] + a * b) % p
+    return _ptrim(out)
+
+
+def euclid_inverse(F, a):
+    """a^-1 for a nonzero: the extended Euclid in GF(p)[x] against the
+    modulus, which must be irreducible."""
+    p = F.p
+    r0, r1 = list(F.modulus), _ptrim(list(a))
+    s0, s1 = [], [1]
+    while r1:
+        q, rem = [0] * len(r0), list(r0)
+        inv_lead = pow(r1[-1], -1, p)
+        while len(rem) >= len(r1):
+            c = rem[-1] * inv_lead % p
+            shift = len(rem) - len(r1)
+            q[shift] = c
+            for i, g in enumerate(r1):
+                rem[shift + i] = (rem[shift + i] - c * g) % p
+            _ptrim(rem)
+        r0, r1 = r1, rem
+        qs1 = _pmul(_ptrim(q), s1, p)
+        width = max(len(s0), len(qs1))
+        s0, s1 = s1, _ptrim([
+            ((s0[i] if i < len(s0) else 0) - (qs1[i] if i < len(qs1) else 0)) % p
+            for i in range(width)
+        ])
+    # r0 is the gcd, a nonzero constant
+    c = pow(r0[0], -1, p)
+    inv = [x * c % p for x in s0]
+    return tuple(inv + [0] * (F.r - len(inv)))
+
+
+@lru_cache(maxsize=None)
+def _frobenius_rows(F):
+    """Row i is (x^p)^i, by `schoolbook_pow`."""
+    r = F.r
+    x = (0, 1) + (0,) * (r - 2)
+    y = schoolbook_pow(F, x, F.p)
+    rows = [(1,) + (0,) * (r - 1)]
+    for _ in range(r - 1):
+        rows.append(schoolbook_mul(F, rows[-1], y))
+    return rows
+
+
+def table_frobenius(F, a, k):
+    """a^(p^k), as k applications of a -> sum_i a_i (x^p)^i."""
+    if F.r == 1:
+        return tuple(a)
+    p, r = F.p, F.r
+    for _ in range(k % r):
+        out = [0] * r
+        for c, row in zip(a, _frobenius_rows(F)):
+            for j in range(r):
+                out[j] = (out[j] + c * row[j]) % p
+        a = tuple(out)
+    return tuple(a)
+
+
+def euler_is_square(F, a):
+    """Euler's criterion in GF(q): a = 0, or a^((q - 1)/2) = 1 (every element
+    is a square when p = 2)."""
+    if not any(a) or F.p == 2:
+        return True
+    return schoolbook_pow(F, a, (F.order - 1) // 2) == (1,) + (0,) * (F.r - 1)

@@ -6,7 +6,10 @@ with the implementation:
 * modulus choice -- brute enumeration of monic polynomials in lex order,
   testing irreducibility by trying every factorization into smaller monics;
 * multiplication -- schoolbook convolution followed by long division;
-* sqrt -- exhaustive squaring tables.
+* sqrt -- exhaustive squaring tables;
+* the packed kernel -- the residue-by-residue product, extended-Euclid
+  inverse, Frobenius table and Euler criterion it replaced, kept in
+  `oracles`.
 """
 
 import itertools
@@ -23,6 +26,12 @@ from isogenion.finite_field import (
     field_create,
     frobenius,
     sqrt,
+)
+from oracles import (
+    euclid_inverse,
+    euler_is_square,
+    schoolbook_mul,
+    table_frobenius,
 )
 
 # ---------------------------------------------------------------------------
@@ -375,3 +384,86 @@ def test_lex_ordering():
     b = F.from_coeffs([2, 1])
     assert (a < b) == ((1, 2) < (2, 1))
     assert sorted([b, a]) == [a, b]
+
+
+# ---------------------------------------------------------------------------
+# the packed kernel against the schoolbook oracles
+
+# (p, r, slot bits): every slot width, and both sides of each switch, which
+# falls where (2r - 1)(p - 1)^2 reaches 2^16 or 2^32
+KERNEL_FIELDS = [
+    (2, 8, 16),
+    (3, 5, 16),
+    (11, 2, 16),
+    (41, 20, 16),
+    (41, 21, 32),
+    (37831, 2, 32),
+    (37847, 2, 64),
+    (65521, 24, 64),
+]
+
+
+def _kernel_operands(F, count, seed):
+    """Seeded random operands, then the all-(p - 1) vector, which sets every
+    carry bound, and its neighbours with one residue dropped to 0."""
+    p, r = F.p, F.r
+    rng = random.Random(seed)
+    out = [F.from_coeffs([rng.randrange(p) for _ in range(r)]) for _ in range(count)]
+    worst = [p - 1] * r
+    out.append(F.from_coeffs(worst))
+    out += [F.from_coeffs(worst[:i] + [0] + worst[i + 1:]) for i in (0, r - 1)]
+    return out
+
+
+@pytest.mark.parametrize("p,r,bits", KERNEL_FIELDS, ids=lambda v: str(v))
+def test_slot_width_is_least_above_fold_bound(p, r, bits):
+    F = field_create(p, r)
+    assert F._packer.size == r * bits // 8
+    assert (2 * r - 1) * (p - 1) ** 2 < 2**bits
+    assert bits == 16 or (2 * r - 1) * (p - 1) ** 2 >= 2 ** (bits // 2)
+
+
+@pytest.mark.parametrize("p,r,bits", KERNEL_FIELDS, ids=lambda v: str(v))
+def test_packed_product_matches_schoolbook(p, r, bits):
+    F = field_create(p, r)
+    ops = _kernel_operands(F, 12, seed=p * 100 + r)
+    for a in ops:
+        for b in ops:
+            assert (a * b).coeffs == schoolbook_mul(F, a.coeffs, b.coeffs)
+    rng = random.Random(r)
+    for a in ops:
+        for c in (0, 1, 2, 3, p - 1, -1, -p - 2, rng.getrandbits(80)):
+            scaled = schoolbook_mul(F, F.from_int(c).coeffs, a.coeffs)
+            assert (c * a).coeffs == (a * c).coeffs == scaled
+
+
+@pytest.mark.parametrize("p,r,bits", KERNEL_FIELDS, ids=lambda v: str(v))
+def test_norm_inverse_matches_extended_euclid(p, r, bits):
+    F = field_create(p, r)
+    for a in _kernel_operands(F, 12, seed=p + r):
+        if not a:
+            continue
+        inv = a.inverse()
+        assert inv.coeffs == euclid_inverse(F, a.coeffs)
+        assert a * inv == F.one
+
+
+@pytest.mark.parametrize("p,r,bits", KERNEL_FIELDS, ids=lambda v: str(v))
+def test_packed_frobenius_matches_table_for_every_k(p, r, bits):
+    F = field_create(p, r)
+    for a in _kernel_operands(F, 3, seed=7 * p + r):
+        for k in range(-1, r + 1):
+            assert F.frobenius(a, k).coeffs == table_frobenius(F, a.coeffs, k % r)
+
+
+@pytest.mark.parametrize("p,r,bits", KERNEL_FIELDS, ids=lambda v: str(v))
+def test_norm_square_test_matches_euler(p, r, bits):
+    F = field_create(p, r)
+    ops = _kernel_operands(F, 10, seed=3 * p + r)
+    ops += [a * a for a in ops[:4]] + [F.zero, F.one]
+    seen = set()
+    for a in ops:
+        got = a.is_square()
+        assert got == euler_is_square(F, a.coeffs)
+        seen.add(got)
+    assert seen == {True} if p == 2 else seen == {True, False}
