@@ -247,6 +247,7 @@ class Field:
         "_red_table",
         "_frob_tables",
         "_nonresidue",
+        "_sylow2_gen",
     )
 
     def __init__(self, p, r, modulus):
@@ -275,6 +276,7 @@ class Field:
                 cur = [(c - lead * m) % p for c, m in zip(cur, modulus[:-1])]
         self._frob_tables = {}
         self._nonresidue = None
+        self._sylow2_gen = None  # z^m, q - 1 = 2^s m, z the least non-residue
 
     def __repr__(self):
         return f"GF({self.p}^{self.r})" if self.r > 1 else f"GF({self.p})"
@@ -458,10 +460,12 @@ def _tonelli_shanks(a: FieldElement) -> FieldElement:
     while m % 2 == 0:
         m //= 2
         s += 1
-    z = field.least_nonresidue()
-    c = z**m
-    x = a ** ((m + 1) // 2)
-    t = a**m
+    if field._sylow2_gen is None:
+        field._sylow2_gen = field.least_nonresidue() ** m
+    c = field._sylow2_gen
+    h = a ** ((m - 1) // 2)
+    x = h * a  # a^((m + 1)/2)
+    t = x * h  # a^m
     while t != field.one:
         # find least i with t^(2^i) = 1
         i, t2 = 0, t

@@ -1,10 +1,9 @@
-"""Dense univariate polynomials over a finite field, with factorization.
+"""Dense univariate polynomials over a finite field, and their roots.
 
-The factoring stack is squarefree decomposition -> distinct-degree ->
-Cantor-Zassenhaus equal-degree splitting.  The randomized splitting step is
-seeded from the polynomial's own coefficients, so factorizations (and hence
-everything downstream: kernel enumeration, graph layouts, reports) are
-bit-for-bit reproducible.
+`roots` takes gcd(x^q - x, f), the product of f's distinct linear factors,
+and splits it by equal-degree splitting (Cantor & Zassenhaus 1981) for
+degree 1, seeded from the polynomial's own coefficients; the roots come
+back sorted, so they do not depend on the splitting.
 
 Subfield embeddings GF(p^a) -> GF(p^b) for a | b also live here, because they
 are defined by a root of the small field's modulus in the big one.
@@ -169,6 +168,8 @@ class Poly:
         return divmod(self, other)[1]
 
     def __pow__(self, e):
+        if e < 0:
+            raise ValueError("negative exponent")
         result = Poly.from_ints(self.field, [1])
         base = self
         while e:
@@ -207,6 +208,8 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
 
 
 def pow_mod(base: Poly, e: int, mod: Poly) -> Poly:
+    if e < 0:
+        raise ValueError("negative exponent")
     result = Poly.from_ints(base.field, [1]) % mod
     base = base % mod
     while e:
@@ -218,54 +221,7 @@ def pow_mod(base: Poly, e: int, mod: Poly) -> Poly:
 
 
 # ---------------------------------------------------------------------------
-# factorization
-
-
-def _pth_root(f: Poly) -> Poly:
-    """Inverse of g -> g^p applied coefficient-wise; f must be in GF(q)[x^p]."""
-    field = f.field
-    p = field.p
-    root_exp = field.order // p  # c^(q/p) is the p-th root of c
-    coeffs = []
-    for i in range(0, f.degree() + 1, p):
-        coeffs.append(f[i] ** root_exp)
-    return Poly(field, coeffs)
-
-
-def squarefree_decomposition(f: Poly) -> list[tuple[Poly, int]]:
-    """f (monic, nonzero) as a product of pairwise-coprime squarefree parts.
-
-    Returns [(g, m), ...] with f = prod g^m, each g squarefree and monic.
-    """
-    out: dict[Poly, int] = {}
-
-    def add(g: Poly, m: int):
-        if g.degree() > 0:
-            out[g] = out.get(g, 0) + m
-
-    def rec(f: Poly, mult: int):
-        d = f.derivative()
-        if d.is_zero():
-            rec(_pth_root(f), mult * f.field.p)
-            return
-        w = poly_gcd(f, d)
-        v = f // w
-        i = 1
-        while v.degree() > 0:
-            y = poly_gcd(v, w)
-            add(v // y, mult * i)
-            v, w = y, w // y
-            i += 1
-        if w.degree() > 0:
-            rec(_pth_root(w), mult * f.field.p)
-
-    rec(f.monic(), 1)
-    # merge parts that appeared twice (possible through the p-th root path)
-    return sorted(out.items(), key=lambda t: (t[1], t[0].degree(), _poly_key(t[0])))
-
-
-def _poly_key(f: Poly):
-    return tuple(c.coeffs for c in f.coeffs)
+# roots
 
 
 def _poly_seed(f: Poly) -> int:
@@ -276,74 +232,41 @@ def _poly_seed(f: Poly) -> int:
     return seed
 
 
-def _equal_degree_split(f: Poly, d: int, rng: random.Random) -> list[Poly]:
-    """Split a monic squarefree product of degree-d irreducibles."""
+def _split_linear(f: Poly, rng: random.Random) -> list[FieldElement]:
+    """The roots of f, a monic squarefree product of linear factors.
+
+    Equal-degree splitting for degree 1: gcd((x + c)^((q - 1)/2) - 1, f)
+    keeps the roots a with a + c a nonzero square, so a random c splits f
+    unless every root lands on one side.
+    """
+    if f.degree() <= 0:
+        return []
+    if f.degree() == 1:
+        return [-f[0]]
     field = f.field
-    if f.degree() == d:
-        return [f]
-    q = field.order
-    exponent = (q**d - 1) // 2
     while True:
-        a = Poly(
-            field,
-            [
-                field.from_coeffs([rng.randrange(field.p) for _ in range(field.r)])
-                for _ in range(f.degree())
-            ],
-        )
-        if a.degree() < 1:
-            continue
-        b = pow_mod(a, exponent, f) - Poly.from_ints(field, [1])
+        c = field.from_coeffs([rng.randrange(field.p) for _ in range(field.r)])
+        b = pow_mod(Poly(field, [c, field.one]), (field.order - 1) // 2, f) - 1
         g = poly_gcd(b, f)
         if 0 < g.degree() < f.degree():
-            return _equal_degree_split(g, d, rng) + _equal_degree_split(f // g, d, rng)
-
-
-def factor(f: Poly) -> list[tuple[Poly, int]]:
-    """Full factorization into monic irreducibles: [(g, multiplicity), ...].
-
-    Deterministic: the internal RNG is seeded from f's coefficients.  The
-    factor list is sorted by (degree, coefficient order).  Odd
-    characteristic only: equal-degree splitting uses (q^d - 1)/2 powers.
-    """
-    if f.field.p == 2:
-        raise ValueError("factorization needs odd characteristic")
-    if f.is_zero():
-        raise ValueError("cannot factor the zero polynomial")
-    rng = random.Random(_poly_seed(f))
-    result: list[tuple[Poly, int]] = []
-    for g, mult in squarefree_decomposition(f):
-        # distinct-degree on the squarefree g
-        x = Poly.x(f.field)
-        w = x
-        rest = g
-        d = 0
-        while rest.degree() > 0:
-            d += 1
-            if 2 * d > rest.degree():
-                result.append((rest.monic(), mult))
-                break
-            w = pow_mod(w, f.field.order, rest)
-            h = poly_gcd(w - x, rest)
-            if h.degree() > 0:
-                for irr in _equal_degree_split(h.monic(), d, rng):
-                    result.append((irr, mult))
-                rest = rest // h
-                w = w % rest
-    result.sort(key=lambda t: (t[0].degree(), _poly_key(t[0])))
-    return result
+            return _split_linear(g, rng) + _split_linear(f // g, rng)
 
 
 def roots(f: Poly) -> list[tuple[FieldElement, int]]:
-    """Roots of f in its own field, (root, multiplicity), sorted lex."""
+    """Roots of f in its own field, (root, multiplicity), sorted lex.
+
+    gcd(x^q - x, f) is the product of the distinct x - a over the roots a;
+    it is split into linear factors with a generator seeded from its own
+    coefficients, and each root is then counted by synthetic division.  Odd
+    characteristic only: the splitting raises (q - 1)/2 powers.
+    """
+    if f.field.p == 2:
+        raise ValueError("root finding needs odd characteristic")
     if f.is_zero():
         raise ValueError("zero polynomial")
-    # gcd with x^q - x isolates the part with roots in the field
     x = Poly.x(f.field)
     lin = poly_gcd(pow_mod(x, f.field.order, f) - x, f)
-    if lin.degree() <= 0:
-        return []
-    found = [-g[0] for g, _ in factor(lin) if g.degree() == 1]
+    found = _split_linear(lin, random.Random(_poly_seed(lin)))
     out = [(root, multiplicity(f, root)) for root in found]
     out.sort(key=lambda t: t[0].coeffs)
     return out

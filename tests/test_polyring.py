@@ -1,9 +1,8 @@
-"""Polynomial ring: division, factoring, roots, subfield embeddings.
+"""Polynomial ring: division, roots, subfield embeddings.
 
-Factoring is validated two ways: reconstruction (product of the returned
-powers equals the input) and, over GF(5) at tiny degrees, a full brute-force
-divisor search that independently certifies each returned factor really is
-irreducible.
+Roots are checked against an exhaustive scan of the field, their
+multiplicities against division by (x - a)^m, and the splitting at its
+deepest on x^q - x, whose roots are the whole field.
 """
 
 import itertools
@@ -16,12 +15,10 @@ from isogenion.finite_field import field_create
 from isogenion.polyring import (
     Poly,
     embed_element,
-    factor,
     multiplicity,
     poly_gcd,
     pow_mod,
     roots,
-    squarefree_decomposition,
     subfield_embedding,
 )
 
@@ -75,6 +72,15 @@ def test_pow_mod_matches_naive():
         assert pow_mod(f, e, m) == (f**e) % m
 
 
+def test_negative_exponents_are_refused():
+    F = field_create(7)
+    f = Poly.from_ints(F, [1, 1])
+    with pytest.raises(ValueError, match="negative exponent"):
+        f**-1
+    with pytest.raises(ValueError, match="negative exponent"):
+        pow_mod(f, -2, Poly.from_ints(F, [3, 0, 1]))
+
+
 def test_gcd_properties():
     F = field_create(41)
     rng = random.Random(4)
@@ -92,106 +98,6 @@ def test_mixed_field_rejected():
     g = Poly.from_ints(field_create(7), [1, 1])
     with pytest.raises(FieldMismatch):
         f * g
-
-
-# ---------------------------------------------------------------------------
-# factoring
-
-
-def _brute_monic_divisors(f):
-    """All monic divisors of f of degree 1..deg-1, found by exhaustive trial."""
-    F = f.field
-    out = []
-    for d in range(1, f.degree()):
-        for tail in itertools.product(range(F.p), repeat=d):
-            g = Poly(F, [F.from_int(c) for c in tail] + [F.one])
-            if (f % g).is_zero():
-                out.append(g)
-    return out
-
-
-def test_factor_certified_brute_gf5():
-    rng = random.Random(5)
-    F = field_create(5)
-    for _ in range(25):
-        f = _random_poly(F, rng.randrange(2, 5), rng)
-        fac = factor(f)
-        prod = Poly.from_ints(F, [1])
-        for g, m in fac:
-            assert not _brute_monic_divisors(g), "factor must be irreducible"
-            prod = prod * g**m
-        assert prod == f.monic()
-
-
-def test_factor_reconstruction_bigger_fields():
-    rng = random.Random(6)
-    for p, r in [(41, 1), (7, 2), (53, 2)]:
-        F = field_create(p, r)
-        for _ in range(12):
-            f = _random_poly(F, rng.randrange(2, 9), rng)
-            fac = factor(f)
-            prod = Poly.from_ints(F, [1])
-            for g, m in fac:
-                assert g.leading() == F.one
-                prod = prod * g**m
-            assert prod == f.monic()
-            assert sum(g.degree() * m for g, m in fac) == f.degree()
-
-
-def test_factor_known_splitting():
-    # x^2 + 1 over GF(5) = (x+2)(x+3); over GF(7) it is irreducible
-    F5 = field_create(5)
-    fac = factor(Poly.from_ints(F5, [1, 0, 1]))
-    assert [g.coeffs for g, _ in fac] == [
-        (F5.from_int(2), F5.one),
-        (F5.from_int(3), F5.one),
-    ]
-    F7 = field_create(7)
-    fac7 = factor(Poly.from_ints(F7, [1, 0, 1]))
-    assert len(fac7) == 1 and fac7[0][0].degree() == 2
-
-
-def test_factor_with_multiplicities():
-    F = field_create(41)
-    x = Poly.x(F)
-    f = (x - 3) ** 4 * (x - 5) * (x * x + 1) ** 2
-    fac = dict(factor(f))
-    assert fac[x - 3] == 4
-    assert fac[x - 5] == 1
-    assert sum(g.degree() * m for g, m in fac.items()) == f.degree()
-
-
-def test_factor_pth_power():
-    # f = (x + 1)^p has zero derivative; exercises the p-th root path
-    F = field_create(5)
-    f = (Poly.x(F) + 1) ** 5
-    assert factor(f) == [(Poly.x(F) + 1, 5)]
-    g = (Poly.x(F) + 2) ** 10 * (Poly.x(F) + 1)
-    assert dict(factor(g)) == {Poly.x(F) + 2: 10, Poly.x(F) + 1: 1}
-
-
-def test_factor_deterministic():
-    rng = random.Random(8)
-    F = field_create(53, 2)
-    f = _random_poly(F, 8, rng)
-    assert factor(f) == factor(f)
-
-
-def test_squarefree_decomposition_properties():
-    rng = random.Random(9)
-    F = field_create(7)
-    for _ in range(20):
-        f = _random_poly(F, rng.randrange(1, 4), rng)
-        g = _random_poly(F, rng.randrange(1, 3), rng)
-        h = (f**2 * g).monic()
-        parts = squarefree_decomposition(h)
-        prod = Poly.from_ints(F, [1])
-        for part, mult in parts:
-            prod = prod * part**mult
-            assert poly_gcd(part, part.derivative()).degree() <= 0
-        assert prod == h
-        for (a, _), (b, _) in itertools.combinations(parts, 2):
-            assert poly_gcd(a, b).degree() <= 0
 
 
 # ---------------------------------------------------------------------------
@@ -214,6 +120,14 @@ def test_roots_match_exhaustive_scan():
                 assert not (f % lin ** (m + 1)).is_zero()
 
 
+@pytest.mark.parametrize("p, r", [(41, 1), (7, 2), (3, 3)])
+def test_roots_of_the_whole_field(p, r):
+    # x^q - x splits into all q linear factors: the deepest splitting
+    F = field_create(p, r)
+    f = Poly.x(F) ** F.order - Poly.x(F)
+    assert roots(f) == [(a, 1) for a in F.elements()]
+
+
 def test_roots_of_rootless():
     F = field_create(7)
     assert roots(Poly.from_ints(F, [1, 0, 1])) == []
@@ -222,7 +136,8 @@ def test_roots_of_rootless():
 
 @pytest.mark.parametrize("p, r", [(11, 2), (41, 1)])
 def test_multiplicity_matches_roots(p, r):
-    """multiplicity divides by (x - a) alone; roots factors. They agree on
+    """multiplicity divides by (x - a) alone; roots splits gcd(x^q - x, f)
+    first and counts only its roots. They agree on
     every element (0 off the roots), with repeated roots and a cofactor
     that may add roots of its own."""
     F = field_create(p, r)
@@ -241,7 +156,8 @@ def test_multiplicity_matches_roots(p, r):
 
 @pytest.mark.parametrize("p, r", [(11, 2), (41, 1)])
 def test_multiplicity_of_a_pure_power(p, r):
-    # k = p puts (x - a)^k in GF(q)[x^p], where roots takes p-th roots
+    # k = p puts (x - a)^k in GF(q)[x^p], whose derivative is zero; roots
+    # sees the one root of gcd(x^q - x, f) and counts it by division
     F = field_create(p, r)
     a = F.from_coeffs([3] + [1] * (r - 1))
     for k in (1, 2, 5, p, p + 2):
@@ -259,14 +175,15 @@ def test_multiplicity_edge_cases():
 
 
 def test_characteristic_two_is_refused():
-    # equal-degree splitting raises (q^d - 1)/2 powers, so p = 2 is refused
-    # up front instead of failing (or, without assertions, looping) inside
+    # the splitting raises (q - 1)/2 powers, so p = 2 is refused up front
+    # instead of looping inside, with roots or without
     F = field_create(2)
-    f = Poly.from_ints(F, [0, 1, 1])  # x^2 + x = x (x + 1)
-    with pytest.raises(ValueError, match="odd characteristic"):
-        factor(f)
-    with pytest.raises(ValueError, match="odd characteristic"):
-        roots(f)
+    for f in (
+        Poly.from_ints(F, [0, 1, 1]),  # x^2 + x = x (x + 1)
+        Poly.from_ints(F, [1, 1, 1]),  # x^2 + x + 1, rootless
+    ):
+        with pytest.raises(ValueError, match="odd characteristic"):
+            roots(f)
     with pytest.raises(ValueError, match="odd characteristic"):
         subfield_embedding(field_create(2, 2), field_create(2, 4))
 
