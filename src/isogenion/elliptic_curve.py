@@ -6,6 +6,12 @@ trace recurrence, and torsion bases are found by seeded random sampling whose
 output is certified after the fact (so the randomness never affects
 correctness, only how long the search takes).
 
+The group law is one routine on raw residues (the field's `raw_ops`: ints
+mod p for r = 1, residue tuples for r > 1).  `point_add` and `scalar_mul`
+unwrap the coordinates once, add or run the double-and-add ladder on raw
+residues, and make field elements only for the result.  `point_order`
+halves the prime powers of a known multiple and recurses on each half.
+
 Curves compare by value (field, A, B).  The point-count cache is write-once
 per instance.  Curves built from a counted curve inherit its count instead
 of sweeping: base changes (trace recurrence), Velu targets and Frobenius
@@ -19,7 +25,7 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache
-from math import gcd
+from math import gcd, prod
 
 from .errors import (
     BoundExceeded,
@@ -216,49 +222,108 @@ class CurveClass:
 # group law
 
 
+def _add_raw(ops, a, P, Q):
+    """P + Q on y^2 = x^3 + ax + b, the group law on raw residues.
+
+    `ops` is the field's `raw_ops`, a the raw coefficient A, and a point is
+    an (x, y) pair of raw residues, None for O.  Points with equal x are
+    equal or opposite, so y1 + y2 is 2y1 for a doubling and 0 for P + (-P).
+    """
+    if P is None:
+        return Q
+    if Q is None:
+        return P
+    zero, add, sub, mul, inv = ops
+    x1, y1 = P
+    x2, y2 = Q
+    if x1 == x2:
+        den = add(y1, y2)
+        if den == zero:
+            return None
+        xx = mul(x1, x1)
+        slope = mul(add(add(xx, xx), add(xx, a)), inv(den))  # tangent
+    else:
+        slope = mul(sub(y2, y1), inv(sub(x2, x1)))
+    x3 = sub(sub(mul(slope, slope), x1), x2)
+    return x3, sub(mul(slope, sub(x1, x3)), y1)
+
+
+def _unwrap_point(P: Point):
+    if P.x is None:
+        return None
+    unwrap = P.curve.field.unwrap
+    return unwrap(P.x), unwrap(P.y)
+
+
+def _wrap_point(E: Curve, R) -> Point:
+    if R is None:
+        return E.infinity()
+    wrap = E.field.wrap
+    return Point(E, wrap(R[0]), wrap(R[1]))
+
+
 def point_add(P: Point, Q: Point) -> Point:
-    if P.curve != Q.curve:
+    E = P.curve
+    if E is not Q.curve and E != Q.curve:
         raise CurveMismatch("points on different curves")
     if P.x is None:
         return Q
     if Q.x is None:
         return P
-    if P.x == Q.x:
-        if P.y != Q.y or not P.y:
-            return P.curve.infinity()
-        # tangent
-        slope = (3 * P.x * P.x + P.curve.A) / (2 * P.y)
-    else:
-        slope = (Q.y - P.y) / (Q.x - P.x)
-    x3 = slope * slope - P.x - Q.x
-    y3 = slope * (P.x - x3) - P.y
-    return Point(P.curve, x3, y3)
+    F = E.field
+    return _wrap_point(
+        E, _add_raw(F.raw_ops, F.unwrap(E.A), _unwrap_point(P), _unwrap_point(Q))
+    )
 
 
 def scalar_mul(m: int, P: Point) -> Point:
+    """m*P by double-and-add on raw residues, from the low bit of m up."""
     if m < 0:
-        return scalar_mul(-m, -P)
-    acc = P.curve.infinity()
-    add = P
+        m, P = -m, -P
+    E = P.curve
+    F = E.field
+    ops, a = F.raw_ops, F.unwrap(E.A)
+    acc, add = None, _unwrap_point(P)
     while m:
         if m & 1:
-            acc = point_add(acc, add)
+            acc = _add_raw(ops, a, acc, add)
         m >>= 1
         if m:
-            add = point_add(add, add)
-    return acc
+            add = _add_raw(ops, a, add, add)
+    return _wrap_point(E, acc)
 
 
 def point_order(P: Point, multiple: int | None = None) -> int:
     """The exact order of P; `multiple` may supply a known annihilator
-    (ValueError if it does not kill P)."""
+    (ValueError if it is not a positive int or does not kill P)."""
+    if multiple is not None and (not isinstance(multiple, int) or multiple < 1):
+        raise ValueError(f"multiple must be a positive integer, got {multiple!r}")
     n = multiple if multiple is not None else P.curve.order
     if scalar_mul(n, P):
         raise ValueError(f"{n} does not annihilate the point")
-    for ell, _ in factorize(n):
-        while n % ell == 0 and not scalar_mul(n // ell, P):
-            n //= ell
-    return n
+    return _order_dividing(P, factorize(n))
+
+
+def _order_dividing(P: Point, fac) -> int:
+    """ord(P), given that P is killed by the product of ell^e over fac.
+
+    The prime powers are split into two halves of coprime products n1, n2:
+    n2*P has order dividing n1 and n1*P order dividing n2, and ord(P) is the
+    product of the two (Sutherland, "Order computations in generic groups",
+    2007).  O(log n log k) group operations for k prime powers, where the
+    one-prime-at-a-time search needs O(k log n).
+    """
+    if not P:
+        return 1
+    if len(fac) == 1:
+        ell, e = fac[0]
+        return ell ** _ell_power_order(P, ell, e)
+    left, right = fac[: len(fac) // 2], fac[len(fac) // 2 :]
+    n1 = prod(ell**e for ell, e in left)
+    n2 = prod(ell**e for ell, e in right)
+    return _order_dividing(scalar_mul(n2, P), left) * _order_dividing(
+        scalar_mul(n1, P), right
+    )
 
 
 # ---------------------------------------------------------------------------

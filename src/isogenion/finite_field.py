@@ -7,11 +7,15 @@ every element's coordinate vector.  Each candidate modulus f is tested by
 Berlekamp's criterion inside GF(p)[x]/(f), with the same `Field` arithmetic
 that then serves the field.  Elements are immutable and hashable.
 
-Elements store their r residues as a tuple; the kernel works on them packed
-into one int of fixed-width slots (Kronecker substitution), so a product or
-a Frobenius map costs one big-int operation and O(r) Python steps.  The slot
-width is derived from p and r, never set.  Inverses and square tests go
-through the norm to GF(p), computed by the Itoh–Tsujii chain.
+Elements store their r residues as a tuple.  Each field also supplies its
+arithmetic on raw residues (`Field.raw_ops`): a plain int for r = 1, the
+coefficient tuple for r > 1, so a loop such as the elliptic-curve group law
+makes no element until it returns.  The `FieldElement` operations wrap the
+same functions.  The r > 1 kernel works on residues packed into one int of
+fixed-width slots (Kronecker substitution), so a product or a Frobenius map
+costs one big-int operation and O(r) Python steps.  The slot width is
+derived from p and r, never set.  Inverses and square tests go through the
+norm to GF(p), computed by one Itoh–Tsujii routine.
 
 Caps: p <= 2**16 and r <= 24.  These keep exhaustive point/torsion work in
 seconds; nothing here is meant for cryptographic sizes.
@@ -62,7 +66,7 @@ def _is_irreducible(f, p):
         y = ring.frobenius(y)
     if y != x:
         return False
-    rows = [[(c - (i == j)) % p for j, c in enumerate(ring._reduce(row).coeffs)]
+    rows = [[(c - (i == j)) % p for j, c in enumerate(ring._reduce(row))]
             for i, row in enumerate(ring._frob_table(1))]
     return len(row_reduce(rows, p)[1]) == r - 1
 
@@ -215,23 +219,29 @@ class FieldElement:
     def is_square(self) -> bool:
         """Euler's criterion on the norm: (q - 1)/2 = (p - 1)/2 * (q - 1)/(p - 1),
         so a^((q-1)/2) = N(a)^((p-1)/2)."""
-        p = self.field.p
+        F = self.field
+        p = F.p
         if not self or p == 2:
             return True
-        return pow(self.field._norm(self)[1], (p - 1) // 2, p) == 1
+        norm = self.coeffs[0] if F.r == 1 else F._norm(self.coeffs)[1]
+        return pow(norm, (p - 1) // 2, p) == 1
 
 
 class Field:
     """GF(p^r) with a fixed monic irreducible modulus (degree r).
 
-    For r > 1 an element's residues are packed little-endian into one int,
-    one w-bit slot each, w the least of 16, 32 and 64 above
+    `raw_ops` is (zero, add, sub, mul, inv) on raw residues: ints mod p for
+    r = 1, residue tuples for r > 1 (`unwrap` and `wrap` convert).  `inv`
+    needs a nonzero argument.
+
+    For r > 1 the product packs each residue tuple little-endian into one
+    int, one w-bit slot per residue, w the least of 16, 32 and 64 above
     (2r - 1)(p - 1)^2.  That bounds every slot of a product folded by
     `_red_table` and of a Frobenius image, so no slot carries into the next.
 
-    `_mul` and `frobenius` are valid in GF(p)[x]/(f) for any monic f of
-    degree r; such a candidate ring never leaves `_is_irreducible`.  `_inv`
-    and `is_square` go through `_norm` and need f irreducible.
+    The product and `frobenius` are valid in GF(p)[x]/(f) for any monic f
+    of degree r; such a candidate ring never leaves `_is_irreducible`.
+    Inverses and `is_square` go through `_norm` and need f irreducible.
     """
 
     __slots__ = (
@@ -241,6 +251,7 @@ class Field:
         "order",
         "zero",
         "one",
+        "raw_ops",
         "_packer",
         "_high",
         "_low_mask",
@@ -277,6 +288,22 @@ class Field:
         self._frob_tables = {}
         self._nonresidue = None
         self._sylow2_gen = None  # z^m, q - 1 = 2^s m, z the least non-residue
+        if r == 1:
+            self.raw_ops = (
+                0,
+                lambda a, b: (a + b) % p,
+                lambda a, b: (a - b) % p,
+                lambda a, b: a * b % p,
+                lambda a: pow(a, -1, p),
+            )
+        else:
+            self.raw_ops = (
+                self.zero.coeffs,
+                lambda a, b: tuple([(u + v) % p for u, v in zip(a, b)]),
+                lambda a, b: tuple([(u - v) % p for u, v in zip(a, b)]),
+                self._mul_packed,
+                self._inv_packed,
+            )
 
     def __repr__(self):
         return f"GF({self.p}^{self.r})" if self.r > 1 else f"GF({self.p})"
@@ -310,61 +337,75 @@ class Field:
         """The residue of x (a root of the modulus), for r > 1."""
         return self.from_coeffs([0, 1])
 
+    def unwrap(self, a: FieldElement):
+        """The raw residue of an element of this field."""
+        return a.coeffs[0] if self.r == 1 else a.coeffs
+
+    def wrap(self, v) -> FieldElement:
+        """The element with raw residue v."""
+        return FieldElement(self, (v,) if self.r == 1 else v)
+
     # -- core arithmetic ---------------------------------------------------
 
     def _pack(self, coeffs) -> int:
         return int.from_bytes(self._packer.pack(*coeffs), "little")
 
-    def _reduce(self, n: int) -> FieldElement:
-        """The element whose r slots, each reduced mod p, are packed in n."""
+    def _reduce(self, n: int) -> tuple:
+        """The residues in the r slots packed in n, each reduced mod p."""
         p = self.p
         slots = self._packer.unpack(n.to_bytes(self._packer.size, "little"))
-        return FieldElement(self, tuple([c % p for c in slots]))
+        return tuple([c % p for c in slots])
 
-    def _mul(self, a: FieldElement, b: FieldElement) -> FieldElement:
-        p, r = self.p, self.r
-        if r == 1:
-            return FieldElement(self, (a.coeffs[0] * b.coeffs[0] % p,))
+    def _mul_packed(self, a: tuple, b: tuple) -> tuple:
+        """The product of two residue tuples (r > 1)."""
+        p = self.p
         # `_pack` and `_reduce` inlined: in GF(p^2) their method calls would
         # be a sizeable share of the product
         packer, high, low_mask = self._packer, self._high, self._low_mask
-        n = int.from_bytes(packer.pack(*a.coeffs), "little") * int.from_bytes(
-            packer.pack(*b.coeffs), "little")
+        n = int.from_bytes(packer.pack(*a), "little") * int.from_bytes(
+            packer.pack(*b), "little")
         out = n & low_mask
         n >>= low_mask.bit_length()
         for c, row in zip(high.unpack(n.to_bytes(high.size, "little")), self._red_table):
             out += c % p * row
         slots = packer.unpack(out.to_bytes(packer.size, "little"))
-        return FieldElement(self, tuple([c % p for c in slots]))
+        return tuple([c % p for c in slots])
 
-    def _norm(self, a: FieldElement):
-        """(a^(p + ... + p^(r-1)), N(a)), the norm N(a) = a^(1 + p + ... +
-        p^(r-1)) as an int in [0, p).
+    def _norm(self, a: tuple):
+        """(a^(p + ... + p^(r-1)), N(a)) for a residue tuple a (r > 1): the
+        norm N(a) = a^(1 + p + ... + p^(r-1)) is an int in [0, p).
 
         Itoh–Tsujii: t_k = a^(1 + p + ... + p^(k-1)) satisfies
         t_2k = t_k * t_k^(p^k) and t_(k+1) = a * t_k^p, so t_(r-1) follows
         the bits of r - 1 in O(log r) products and Frobenius maps.
         """
-        if self.r == 1:
-            return self.one, a.coeffs[0]
+        mul, frob = self._mul_packed, self._frobenius_packed
         t, k = a, 1
         for bit in bin(self.r - 1)[3:]:
-            t = self._mul(t, self.frobenius(t, k))
+            t = mul(t, frob(t, k))
             k *= 2
             if bit == "1":
-                t = self._mul(a, self.frobenius(t))
+                t = mul(a, frob(t, 1))
                 k += 1
-        b = self.frobenius(t)
-        return b, self._mul(a, b).coeffs[0]
+        b = frob(t, 1)
+        return b, mul(a, b)[0]
+
+    def _inv_packed(self, a: tuple) -> tuple:
+        """The inverse of a nonzero residue tuple (r > 1): a^-1 = b / N(a)."""
+        p = self.p
+        b, norm = self._norm(a)
+        c = pow(norm, -1, p)
+        return tuple([v * c % p for v in b])
+
+    def _mul(self, a: FieldElement, b: FieldElement) -> FieldElement:
+        if self.r == 1:
+            return FieldElement(self, (a.coeffs[0] * b.coeffs[0] % self.p,))
+        return FieldElement(self, self._mul_packed(a.coeffs, b.coeffs))
 
     def _inv(self, a: FieldElement) -> FieldElement:
         if not a:
             raise DivisionByZero(f"inverse of 0 in {self}")
-        p = self.p
-        if self.r == 1:
-            return FieldElement(self, (pow(a.coeffs[0], -1, p),))
-        b, norm = self._norm(a)
-        return b * pow(norm, -1, p)
+        return self.wrap(self.raw_ops[4](self.unwrap(a)))
 
     # -- Frobenius ---------------------------------------------------------
 
@@ -384,6 +425,10 @@ class Field:
             tbl = self._frob_tables[k] = [self._pack(a.coeffs) for a in pw]
         return tbl
 
+    def _frobenius_packed(self, a: tuple, k: int) -> tuple:
+        """a ** (p**k) for a residue tuple a and 0 < k < r."""
+        return self._reduce(sum(map(mul, a, self._frob_table(k))))
+
     def frobenius(self, a: FieldElement, k: int = 1) -> FieldElement:
         """a ** (p**k); k may be any integer (taken mod r)."""
         if self.r == 1:
@@ -391,7 +436,7 @@ class Field:
         k %= self.r
         if k == 0:
             return a
-        return self._reduce(sum(map(mul, a.coeffs, self._frob_table(k))))
+        return FieldElement(self, self._frobenius_packed(a.coeffs, k))
 
     def least_nonresidue(self) -> FieldElement:
         """Lexicographically least quadratic non-residue (p odd)."""

@@ -2,11 +2,12 @@
 
 The workhorse is Velu's construction: given a Frobenius-stable cyclic
 subgroup presented by a generator (possibly over an extension), it produces
-the quotient curve together with explicit rational maps defined over the
-base field.  On top of that sit composition, dual isogenies, pure Frobenius
-powers, [m], cyclic_isogenies (the one enumerator of rational cyclic
-isogenies, each storing its kernel generator) and the modular polynomials
-of levels 2, 3, 5 and 7.  Duals sample no points (Velu's normalisation).
+the quotient curve from the kernel polynomial's power sums, and explicit
+rational maps defined over the base field, built on first use.  On top of
+that sit composition, dual isogenies, pure Frobenius powers, [m],
+cyclic_isogenies (the one enumerator of rational cyclic isogenies, each
+storing its kernel generator) and the modular polynomials of levels 2, 3,
+5 and 7.  Duals sample no points (Velu's normalisation).
 
 An :class:`Isogeny` is stored as a chain of elementary steps (one Velu
 quotient per prime power, scaling isomorphisms, Frobenius powers, [m]),
@@ -65,17 +66,39 @@ from .intmath import factorize, multiplicative_order, prime_factors
 
 
 class _VeluStep:
-    """x -> N/F^2, y -> y * Yn/F^3, with F the kernel polynomial."""
+    """x -> N/F^2, y -> y * Yn/F^3, with F the kernel polynomial.
 
-    __slots__ = ("src", "dst", "order", "F", "N", "Yn")
+    The target needs only F's power sum p1 (and p2, p3); N and Yn cost
+    O(n^2) polynomial products and are built on first use, write-once.
+    """
 
-    def __init__(self, src, dst, order, F, N, Yn):
+    __slots__ = ("src", "dst", "order", "F", "p1", "_maps")
+
+    def __init__(self, src, dst, order, F, p1):
         self.src = src
         self.dst = dst
         self.order = order
         self.F = F
-        self.N = N
-        self.Yn = Yn
+        self.p1 = p1
+        self._maps = None
+
+    @property
+    def maps(self):
+        """(N, Yn), Velu's numerators of the x- and y-maps."""
+        if self._maps is None:
+            E, F, n = self.src, self.F, self.order
+            base = E.field
+            f = Poly(base, [E.B, E.A, base.zero, base.one])
+            Fp = F.derivative()
+            Fpp = Fp.derivative()
+            N = (
+                (n * Poly.x(base) - self.p1) * F * F
+                - f.derivative() * Fp * F
+                + 2 * f * (Fp * Fp - Fpp * F)
+            )
+            assert N.degree() == 2 * n - 1
+            self._maps = (N, N.derivative() * F - 2 * N * Fp)
+        return self._maps
 
 
 class _IsoStep:
@@ -133,9 +156,10 @@ def _apply_step(step, P: Point) -> Point:
         Fx = _lift_poly(step.F, K).eval(x)
         if not Fx:
             return dstK.infinity()
+        N, Yn = step.maps
         Fx2 = Fx * Fx
-        X = _lift_poly(step.N, K).eval(x) / Fx2
-        Y = y * _lift_poly(step.Yn, K).eval(x) / (Fx2 * Fx)
+        X = _lift_poly(N, K).eval(x) / Fx2
+        Y = y * _lift_poly(Yn, K).eval(x) / (Fx2 * Fx)
         return dstK.point(X, Y)
     if isinstance(step, _IsoStep):
         u = embed_element(step.u, K)
@@ -352,7 +376,8 @@ def _step_maps(step):
     F = step.src.field
     one = Poly.from_ints(F, [1])
     if isinstance(step, _VeluStep):
-        return step.N, step.F * step.F, step.Yn, step.F * step.F * step.F
+        N, Yn = step.maps
+        return N, step.F * step.F, Yn, step.F * step.F * step.F
     if isinstance(step, _IsoStep):
         u = step.u
         return Poly(F, [F.zero, u * u]), one, Poly.const(F, u * u * u), one
@@ -455,16 +480,7 @@ def _velu_from_kernel_poly(E, F, n, gen):
     w = 5 * p3 + 3 * A * p1 + 2 * (n - 1) * B
     target = Curve(base, A - 5 * v, B - 7 * w)
     share_count(E, target)
-    f = Poly(base, [B, A, base.zero, base.one])
-    Fp = F.derivative()
-    Fpp = Fp.derivative()
-    N = (n * Poly.x(base) - p1) * F * F - f.derivative() * Fp * F + 2 * f * (
-        Fp * Fp - Fpp * F
-    )
-    assert N.degree() == 2 * n - 1
-    Yn = N.derivative() * F - 2 * N * Fp
-    step = _VeluStep(E, target, n, F, N, Yn)
-    return Isogeny((step,), E, target, n, 0, gen)
+    return Isogeny((_VeluStep(E, target, n, F, p1),), E, target, n, 0, gen)
 
 
 def frobenius_isogeny(E: Curve, e: int) -> Isogeny:

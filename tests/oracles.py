@@ -6,6 +6,10 @@ from contextlib import contextmanager
 from functools import lru_cache
 from math import gcd
 
+from isogenion.elliptic_curve import Point
+from isogenion.errors import CurveMismatch
+from isogenion.intmath import factorize
+
 
 @contextmanager
 def deadline(seconds: int):
@@ -166,3 +170,54 @@ def euler_is_square(F, a):
     if not any(a) or F.p == 2:
         return True
     return schoolbook_pow(F, a, (F.order - 1) // 2) == (1,) + (0,) * (F.r - 1)
+
+
+# ---------------------------------------------------------------------------
+# group-law oracles: the FieldElement arithmetic that the raw-residue group
+# law of `elliptic_curve` replaced, and the prime-at-a-time order search
+# that halving replaced.
+
+
+def element_point_add(P, Q):
+    """P + Q in affine coordinates, every intermediate a FieldElement."""
+    if P.curve != Q.curve:
+        raise CurveMismatch("points on different curves")
+    if P.x is None:
+        return Q
+    if Q.x is None:
+        return P
+    if P.x == Q.x:
+        if P.y != Q.y or not P.y:
+            return P.curve.infinity()
+        slope = (3 * P.x * P.x + P.curve.A) / (2 * P.y)
+    else:
+        slope = (Q.y - P.y) / (Q.x - P.x)
+    x3 = slope * slope - P.x - Q.x
+    y3 = slope * (P.x - x3) - P.y
+    return Point(P.curve, x3, y3)
+
+
+def element_scalar_mul(m, P):
+    """m*P by double-and-add over `element_point_add`."""
+    if m < 0:
+        return element_scalar_mul(-m, -P)
+    acc = P.curve.infinity()
+    add = P
+    while m:
+        if m & 1:
+            acc = element_point_add(acc, add)
+        m >>= 1
+        if m:
+            add = element_point_add(add, add)
+    return acc
+
+
+def prime_by_prime_order(P, n):
+    """ord(P) for P killed by n: divide n by each prime while the quotient
+    still kills P, one full-size multiplication per test."""
+    if element_scalar_mul(n, P):
+        raise ValueError(f"{n} does not annihilate the point")
+    for ell, _ in factorize(n):
+        while n % ell == 0 and not element_scalar_mul(n // ell, P):
+            n //= ell
+    return n

@@ -11,6 +11,8 @@ import random
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isogenion import elliptic_curve
 from isogenion.errors import (
@@ -49,6 +51,7 @@ from isogenion.elliptic_curve import (
 from isogenion.finite_field import field_create
 from isogenion.intmath import factorize, valuation
 from isogenion.polyring import Poly, roots, subfield_embedding
+from oracles import element_point_add, element_scalar_mul, prime_by_prime_order
 
 
 def _all_points(E):
@@ -603,3 +606,108 @@ def _full_torsion(EK, m):
         if b < e:
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# the raw-residue group law against the FieldElement oracle
+
+
+def _group_law_cases():
+    """(curve, r): a GF(41) curve over GF(41^r), and curves whose
+    coefficients generate GF(41^2) and GF(7^3), over extensions of those."""
+    E41 = curve_from_j(field_create(41), 5, 6)
+    F2, F3 = field_create(41, 2), field_create(7, 3)
+    E2 = Curve(F2, F2.from_coeffs([3, 1]), F2.from_coeffs([5, 2]))
+    E3 = Curve(F3, F3.from_coeffs([1, 2, 3]), F3.from_coeffs([4, 0, 1]))
+    cases = [base_change(E41, r) for r in (1, 2, 3, 4, 6, 8)]
+    cases += [base_change(E2, s) for s in (1, 2, 3, 4)] + [E3]
+    return cases
+
+
+GROUP_LAW_CASES = _group_law_cases()
+
+
+def _two_torsion(E):
+    F = E.field
+    return [E.point(x, 0) for x, _ in roots(Poly(F, [E.B, E.A, F.zero, F.one]))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(0, len(GROUP_LAW_CASES) - 1),
+    st.sampled_from(("0", "1", "-1", "2", "-2", "N", "N+1", "N-1", "random")),
+    st.integers(-(2**64), 2**64),
+    st.integers(0, 2**32),
+)
+def test_raw_group_law_matches_the_element_oracle(case, kind, big, seed):
+    E = GROUP_LAW_CASES[case]
+    N = E.order
+    m = {"N": N, "N+1": N + 1, "N-1": N - 1, "random": big}.get(kind)
+    m = int(kind) if m is None else m
+    rng = random.Random(seed)
+    P, Q = E.random_point(rng), E.random_point(rng)
+    assert scalar_mul(m, P) == element_scalar_mul(m, P)
+    assert point_add(P, Q) == element_point_add(P, Q)
+    assert point_add(P, P) == element_point_add(P, P)
+
+
+@pytest.mark.parametrize("case", range(len(GROUP_LAW_CASES)))
+def test_raw_group_law_edge_cases(case):
+    E = GROUP_LAW_CASES[case]
+    O = E.infinity()
+    rng = random.Random(case)
+    P = E.random_point(rng)
+    assert not point_add(P, -P) and not element_point_add(P, -P)
+    assert point_add(O, P) == point_add(P, O) == P
+    assert not scalar_mul(E.order, P) and not scalar_mul(-E.order, P)
+    assert not scalar_mul(5, O)
+    twos = _two_torsion(E)
+    assert twos, "every case has a rational point with y = 0"
+    for T in twos:
+        assert not point_add(T, T) and not element_point_add(T, T)
+        for m in (2, 3, -3, 2**64 + 1):
+            assert scalar_mul(m, T) == element_scalar_mul(m, T)
+        assert point_add(T, P) == element_point_add(T, P)
+
+
+# ---------------------------------------------------------------------------
+# point orders by halving against the prime-at-a-time search
+
+
+def _order_grid():
+    """Points over GF(41^s), s <= 8, and GF(10007): O, a random point, and
+    points of small order made by multiplying it by cofactors."""
+    E41 = curve_from_j(field_create(41), 5, 6)
+    curves = [base_change(E41, s) for s in range(1, 9)]
+    curves.append(Curve(field_create(10007), 1, 1))
+    grid = []
+    for E in curves:
+        N = E.order
+        rng = random.Random(N)
+        P = E.random_point(rng)
+        pts = [E.infinity(), P]
+        pts += [scalar_mul(N // ell**e, P) for ell, e in factorize(N)[:2]]
+        pts += [scalar_mul(N // 6, P) if N % 6 == 0 else scalar_mul(N // 15, P)]
+        grid += [pytest.param(E, T, id=f"{E.field!r}-{k}") for k, T in enumerate(pts)]
+    return grid
+
+
+@pytest.mark.parametrize("E,T", _order_grid())
+def test_point_order_by_halving_matches_the_old_loop(E, T):
+    o = prime_by_prime_order(T, E.order)
+    assert point_order(T) == o
+    assert point_order(T, o) == o
+    assert point_order(T, 35 * o) == o
+
+
+@pytest.mark.parametrize("bad", [0, -39, 78.0, "6"])
+def test_point_order_refuses_a_bad_multiple_before_point_work(monkeypatch, bad):
+    E = curve_from_j(field_create(41), 29, 6)
+    P, _, _ = torsion_basis(E, 3)
+
+    def no_point_work(*args):
+        raise AssertionError("point work before the multiple was checked")
+
+    monkeypatch.setattr(elliptic_curve, "scalar_mul", no_point_work)
+    with pytest.raises(ValueError, match="positive integer"):
+        point_order(P, bad)

@@ -467,3 +467,25 @@ def test_norm_square_test_matches_euler(p, r, bits):
         assert got == euler_is_square(F, a.coeffs)
         seen.add(got)
     assert seen == {True} if p == 2 else seen == {True, False}
+
+
+# r = 1 fields beside the packed ones: their raw residues are plain ints
+RAW_FIELDS = [(41, 1, 64), (65521, 1, 64)] + KERNEL_FIELDS
+
+
+@pytest.mark.parametrize("p,r,bits", RAW_FIELDS, ids=lambda v: str(v))
+def test_raw_ops_match_the_oracles(p, r, bits):
+    F = field_create(p, r)
+    zero, add, sub, mul, inv = F.raw_ops
+    assert F.wrap(zero) == F.zero
+    ops = _kernel_operands(F, 10, seed=5 * p + r)
+    for a in ops:
+        ra = F.unwrap(a)
+        assert F.wrap(ra) == a
+        for b in ops:
+            rb = F.unwrap(b)
+            assert F.wrap(mul(ra, rb)).coeffs == schoolbook_mul(F, a.coeffs, b.coeffs)
+            assert F.wrap(add(ra, rb)) == a + b
+            assert F.wrap(sub(ra, rb)) == a - b
+        if a:
+            assert F.wrap(inv(ra)).coeffs == euclid_inverse(F, a.coeffs)

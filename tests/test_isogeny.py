@@ -11,6 +11,8 @@ polynomials (degree <= 4, stated explicitly) and from brute enumeration of
 P^1(Z/m) inside a certified torsion basis.
 """
 
+import hashlib
+import json
 import os
 import random
 import subprocess
@@ -932,3 +934,114 @@ class TestConsistency:
         psi = velu(other, g_other, 2)
         assert phi == psi
         assert psi == phi
+
+
+# ---------------------------------------------------------------------------
+# Velu maps are built on demand, and equal those built eagerly
+
+# (p, r, A, B, n): cyclic_isogenies(Curve(GF(p^r), A, B), n) for every
+# isogeny listed, over GF(41), GF(11^2) and GF(7^2)
+LAZY_MAP_GRID = [
+    (41, 1, [15], [10], 2),
+    (41, 1, [15], [10], 3),
+    (41, 1, [15], [10], 4),
+    (41, 1, [15], [10], 6),
+    (11, 2, [0, 1], [1, 1], 2),
+    (11, 2, [0, 1], [1, 1], 3),
+    (11, 2, [0, 1], [1, 1], 6),
+    (11, 2, [3, 2], [1, 0], 2),
+    (7, 2, [0, 1], [1, 1], 5),
+    (7, 2, [1, 1], [3, 0], 5),
+]
+
+# sha256 of (rational maps, images) from eager maps: N and Yn built inside
+# velu for every step
+LAZY_MAP_DIGESTS = {
+    "(41, 1, [15], [10], 2)": [
+        "5a3ba13fdfd04ebbab55b2a0027ad6194f62156116851d1eaffeca6d94bef9ea",
+        "5a9e137a0336302ef10445a7dc0ea3de6cfa219066d8c0f95ad884e1d18d8321",
+    ],
+    "(41, 1, [15], [10], 3)": [
+        "2b2c1430ba40fcf9b92071b6ab0c64b710326a4f419830ecdf8454b733d3ef73",
+        "f3300ff2c04e2e6385bfdcfcb96d32c75d8f9dd2e86056a07b1cb81e21260a58",
+    ],
+    "(41, 1, [15], [10], 4)": [
+        "0861e97025fc37acd0907fb86b4b92bb6aad005ce8cb45f3dfba3d9ac43c2237",
+        "c28c7951a67520d32fcb7bbbac58f33c5792cbc3bce8b4e6b9475ee5257be739",
+    ],
+    "(41, 1, [15], [10], 6)": [
+        "d6c703a56704cbc5d42bea1662961fb9805c73d3b56ab2c5883493ee9ee8bca6",
+        "cfc6e0519e58d8902e3c450632a0dc2e46f07cccb6fa0f36b272f5f90a41035a",
+    ],
+    "(11, 2, [0, 1], [1, 1], 2)": [
+        "1c33ab1a99f5e300bdd7c3212b3417f09bb713e98aad10eb7d09d11bbe177c78",
+        "6e4ff020334f9f3f93038e886e95161b2a497941489db2fe5b9afe175f3784d3",
+    ],
+    "(11, 2, [0, 1], [1, 1], 3)": [
+        "a2d292ed19f2e95dcff7ab63d42e6af810f72c67ad6f955860cc308e1c334a81",
+        "e00d30819c7926ed968ff45da284eba46d3648a9f4da8af48c83eabead8efb75",
+    ],
+    "(11, 2, [0, 1], [1, 1], 6)": [
+        "5c1cbc85fd9dc971fc70184ba63a693cd3b4507249fc2c374cc520605c07f423",
+        "7a4f46a95b1e75377888fd366487ec4117daa09e25c2c5aee0fc40afd237d7b5",
+    ],
+    "(11, 2, [3, 2], [1, 0], 2)": [
+        "93cb1ff406a038e1d899c5d08d9252b77133a8ef421b3a728f9a28295dd14b4a",
+        "4d57235b0b81781fca91a517f73f0b3881796d26728d91556d9a5034ff448a62",
+    ],
+    "(7, 2, [0, 1], [1, 1], 5)": [
+        "9fef4d3cd40ab016acecb7f35270110db20164b7f50cd0f44972ab243d363b1c",
+        "073eccffd45c7b44f15d36f7779b097fc0ea7dae4a01a4d7ffd3055ed49b43e4",
+    ],
+    "(7, 2, [1, 1], [3, 0], 5)": [
+        "dfb938a13c2393fc65a79a72947d25bae2787486a7b7e57481d46c026335fdf0",
+        "13cc41d7acbe5ec48cb6bbc514a1ae38ebf0e0f677ac3d7d017c736ae4ecc628",
+    ],
+}
+
+
+def _maps_and_images(p, r, A, B, n):
+    """Every isogeny's rational maps, and its images of three points over
+    the base field, two over the quadratic extension and its kernel
+    generator, as JSON-ready lists."""
+    F = field_create(p, r)
+    E = Curve(F, F.from_coeffs(A), F.from_coeffs(B))
+    EK = base_change(E, 2)
+    maps, images = [], []
+    for k, phi in enumerate(cyclic_isogenies(E, n)):
+        maps.append([[c.coeffs for c in f.coeffs] for f in phi.rational_maps])
+        rng = random.Random(100 * n + k)
+        pts = [E.random_point(rng) for _ in range(3)]
+        pts += [EK.random_point(rng) for _ in range(2)] + [phi.kernel_gen]
+        for P in pts:
+            Q = phi(P)
+            images.append([Q.x.coeffs, Q.y.coeffs] if Q else None)
+    return maps, images
+
+
+def _sha(value):
+    return hashlib.sha256(json.dumps(value).encode()).hexdigest()
+
+
+class TestLazyVeluMaps:
+    @pytest.mark.parametrize("case", LAZY_MAP_GRID, ids=str)
+    def test_maps_and_images_equal_the_eager_ones(self, case):
+        maps, images = _maps_and_images(*case)
+        assert maps, "every grid case has an isogeny"
+        assert [_sha(maps), _sha(images)] == LAZY_MAP_DIGESTS[str(case)]
+
+    def test_build_graph_builds_no_maps(self, monkeypatch):
+        from isogenion import isogeny
+        from isogenion.isogeny_graph import build_graph
+
+        steps = []
+        init = isogeny._VeluStep.__init__
+
+        def record(step, *args):
+            init(step, *args)
+            steps.append(step)
+
+        monkeypatch.setattr(isogeny._VeluStep, "__init__", record)
+        cyclic_isogenies.cache_clear()
+        build_graph(field_create(11, 2), -6, 2)
+        assert steps and all(st._maps is None for st in steps)
