@@ -613,7 +613,7 @@ def _full_torsion(EK, m):
 
 
 def _group_law_cases():
-    """(curve, r): a GF(41) curve over GF(41^r), and curves whose
+    """A GF(41) curve over GF(41^r), r in {1, 2, 3, 4, 6, 8}, and curves whose
     coefficients generate GF(41^2) and GF(7^3), over extensions of those."""
     E41 = curve_from_j(field_create(41), 5, 6)
     F2, F3 = field_create(41, 2), field_create(7, 3)
@@ -686,8 +686,8 @@ def _order_grid():
         rng = random.Random(N)
         P = E.random_point(rng)
         pts = [E.infinity(), P]
-        pts += [scalar_mul(N // ell**e, P) for ell, e in factorize(N)[:2]]
-        pts += [scalar_mul(N // 6, P) if N % 6 == 0 else scalar_mul(N // 15, P)]
+        pts += [element_scalar_mul(N // ell**e, P) for ell, e in factorize(N)[:2]]
+        pts.append(element_scalar_mul(N // (6 if N % 6 == 0 else 15), P))
         grid += [pytest.param(E, T, id=f"{E.field!r}-{k}") for k, T in enumerate(pts)]
     return grid
 
