@@ -4,13 +4,20 @@ Everything here is desk-scale by design: point counting is an exhaustive
 x-sweep (capped at q <= 2^20), orders over extension fields come from the
 trace recurrence, and torsion bases are found by seeded random sampling whose
 output is certified after the fact (so the randomness never affects
-correctness, only how long the search takes).
+correctness, only how long the search takes).  The field E[m] needs is
+known before any sampling: by Lenstra's theorem E(GF(q^s)) = O/(pi^s - 1)
+for O = End_k(E), so the least s with pi^s - 1 in m*O is integer
+arithmetic, exact over GF(p) and bracketed between the maximal order and
+Z[pi] beyond it (see _torsion_degrees).  A request past the R_MAX tower is
+refused before any point is drawn over an extension.
 
 The group law is one routine on raw residues (the field's `raw_ops`: ints
 mod p for r = 1, residue tuples for r > 1).  `point_add` and `scalar_mul`
 unwrap the coordinates once, add or run the double-and-add ladder on raw
-residues, and make field elements only for the result.  `point_order`
-halves the prime powers of a known multiple and recurses on each half.
+residues, and make field elements only for the result; walks over the
+multiples of a point (point_progression, point_log, two_dim_dlog) step on
+raw residues as well.  `point_order` halves the prime powers of a known
+multiple and recurses on each half.
 
 Curves compare by value (field, A, B).  The point-count cache is write-once
 per instance.  Curves built from a counted curve inherit its count instead
@@ -36,7 +43,7 @@ from .errors import (
 )
 from .finite_field import R_MAX, Field, FieldElement, field_create
 from .finite_field import sqrt as field_sqrt
-from .intmath import factorize, split_discriminant, valuation
+from .intmath import factorize, multiplicative_order, split_discriminant, valuation
 from .polyring import subfield_embedding
 
 EXHAUSTIVE_COUNT_MAX = 2**20
@@ -248,6 +255,26 @@ def _add_raw(ops, a, P, Q):
     return x3, sub(mul(slope, sub(x1, x3)), y1)
 
 
+def _raw_law(E: Curve):
+    """(ops, a): the field's raw_ops and E's raw coefficient A, which
+    _add_raw and _mul_raw take."""
+    F = E.field
+    return F.raw_ops, F.unwrap(E.A)
+
+
+def _mul_raw(ops, a, m: int, R):
+    """m*R for m >= 0 by double-and-add on raw residues, from the low bit of
+    m up."""
+    acc = None
+    while m:
+        if m & 1:
+            acc = _add_raw(ops, a, acc, R)
+        m >>= 1
+        if m:
+            R = _add_raw(ops, a, R, R)
+    return acc
+
+
 def _unwrap_point(P: Point):
     if P.x is None:
         return None
@@ -270,10 +297,7 @@ def point_add(P: Point, Q: Point) -> Point:
         return Q
     if Q.x is None:
         return P
-    F = E.field
-    return _wrap_point(
-        E, _add_raw(F.raw_ops, F.unwrap(E.A), _unwrap_point(P), _unwrap_point(Q))
-    )
+    return _wrap_point(E, _add_raw(*_raw_law(E), _unwrap_point(P), _unwrap_point(Q)))
 
 
 def scalar_mul(m: int, P: Point) -> Point:
@@ -281,16 +305,20 @@ def scalar_mul(m: int, P: Point) -> Point:
     if m < 0:
         m, P = -m, -P
     E = P.curve
-    F = E.field
-    ops, a = F.raw_ops, F.unwrap(E.A)
-    acc, add = None, _unwrap_point(P)
-    while m:
-        if m & 1:
-            acc = _add_raw(ops, a, acc, add)
-        m >>= 1
-        if m:
-            add = _add_raw(ops, a, add, add)
-    return _wrap_point(E, acc)
+    return _wrap_point(E, _mul_raw(*_raw_law(E), m, _unwrap_point(P)))
+
+
+def point_progression(start: Point, step: Point, count: int) -> list[Point]:
+    """start, start + step, ..., start + (count - 1)*step, walked on raw
+    residues (both points on one curve)."""
+    E = start.curve
+    ops, a = _raw_law(E)
+    R, d = _unwrap_point(start), _unwrap_point(step)
+    out = [start]
+    for _ in range(count - 1):
+        R = _add_raw(ops, a, R, d)
+        out.append(_wrap_point(E, R))
+    return out
 
 
 def point_order(P: Point, multiple: int | None = None) -> int:
@@ -317,7 +345,7 @@ def _order_dividing(P: Point, fac) -> int:
         return 1
     if len(fac) == 1:
         ell, e = fac[0]
-        return ell ** _ell_power_order(P, ell, e)
+        return ell ** _ell_power_order(P, ell, e)[0]
     left, right = fac[: len(fac) // 2], fac[len(fac) // 2 :]
     n1 = prod(ell**e for ell, e in left)
     n2 = prod(ell**e for ell, e in right)
@@ -635,27 +663,25 @@ def curve_seed(E: Curve, *extra: int) -> int:
     return seed
 
 
-def _ell_power_order(P: Point, ell: int, cap: int) -> int:
-    """k with ord(P) = ell^k, given that the order is an ell-power."""
-    k = 0
-    while P:
-        P = scalar_mul(ell, P)
+def _ell_power_order(P: Point, ell: int, cap: int) -> tuple[int, Point]:
+    """(k, ell^(k-1)*P) with ord(P) = ell^k, given that the order is an
+    ell-power: the chain P, ell*P, ... on raw residues, and its last nonzero
+    point (O for k = 0)."""
+    E = P.curve
+    ops, a = _raw_law(E)
+    R, bottom, k = _unwrap_point(P), None, 0
+    while R is not None:
+        bottom, R = R, _mul_raw(ops, a, ell, R)
         k += 1
         if k > cap:
             raise AssertionError("point order is not the expected ell-power")
-    return k
+    return k, _wrap_point(E, bottom)
 
 
-def _bottom_independent(S1: Point, a: int, S2: Point, b: int, ell: int) -> bool:
-    """True if the order-ell layers of <S1>, <S2> intersect trivially."""
-    U1 = scalar_mul(ell ** (a - 1), S1)
-    U2 = scalar_mul(ell ** (b - 1), S2)
-    T = S1.curve.infinity()
-    for _ in range(ell):
-        if T == U2:
-            return False
-        T = point_add(T, U1)
-    return True
+def _bottom_independent(U1: Point, U2: Point, ell: int) -> bool:
+    """True if U2 lies outside <U1>, for U1 of order ell: then the order-ell
+    layers they span intersect trivially."""
+    return point_log(U2, U1, ell) is None
 
 
 @lru_cache(maxsize=None)
@@ -664,9 +690,11 @@ def sylow_basis(E: Curve, ell: int) -> tuple[Point, Point, int, int]:
     ell^a >= ell^b.  Certified: the pair is independent and a + b equals the
     full ell-valuation of |E(k)|, which forces <S1, S2> = Sylow exactly.
     Cached per (curve, ell); the draws are seeded by curve_seed, so a cold
-    recompute returns the same pair.  Should no two draws certify (a draw
-    hits a complement with probability about ell^(b-a)), one is reduced
-    into a complement of <S1> by a discrete log in <S1>.
+    recompute returns the same pair.  Each draw keeps the last nonzero point
+    of its order chain, so the pair test runs no ladder.  Should no two
+    draws certify (a draw hits a complement with probability about
+    ell^(b-a)), one is reduced into a complement of <S1> by a discrete log
+    in <S1>.
     """
     N = E.order
     v = valuation(N, ell)
@@ -675,31 +703,51 @@ def sylow_basis(E: Curve, ell: int) -> tuple[Point, Point, int, int]:
         return (inf, inf, 0, 0)
     cof = N // ell**v
     rng = random.Random(curve_seed(E, ell))
-    pool: list[tuple[Point, int]] = []
+    pool: list[tuple[Point, int, Point]] = []
     for _ in range(600):
         T = scalar_mul(cof, E.random_point(rng))
-        k = _ell_power_order(T, ell, v)
+        k, U = _ell_power_order(T, ell, v)
         if k == 0:
             continue
         if k == v:
             return (T, inf, v, 0)
-        for S, m in pool:
+        for S, m, W in pool:
             big, bk, small, sk = (S, m, T, k) if m >= k else (T, k, S, m)
-            if bk + sk == v and _bottom_independent(big, bk, small, sk, ell):
+            if bk + sk == v and _bottom_independent(W, U, ell):
                 return (big, small, bk, sk)
-        pool.append((T, k))
+        pool.append((T, k, U))
     # With ord(S1) = ell^a maximal, <S1> is a direct summand: ell^b*T = y*S1
     # for every T (b = v - a), and T - (y / ell^b)*S1 lies in a complement.
-    S1, a = max(pool, key=lambda entry: entry[1], default=(inf, 0))
+    S1, a, U1 = max(pool, key=lambda entry: entry[1], default=(inf, 0, inf))
     b = v - a
-    for T, _ in pool:
-        dl = two_dim_dlog(scalar_mul(ell**b, T), S1, inf, ell**a, 1)
-        if dl is None or dl[0] % ell**b:
+    for T, _, _ in pool:
+        y = point_log(scalar_mul(ell**b, T), S1, ell**a)
+        if y is None or y % ell**b:
             continue
-        S2 = point_add(T, scalar_mul(-(dl[0] // ell**b), S1))  # ell^b*S2 = O
-        if _bottom_independent(S1, a, S2, b, ell):
+        S2 = point_add(T, scalar_mul(-(y // ell**b), S1))  # ell^b*S2 = O
+        if _bottom_independent(U1, scalar_mul(ell ** (b - 1), S2), ell):
             return (S1, S2, a, b)
     raise AssertionError("sylow sampling failed to span; group smaller than N?")
+
+
+def point_log(R: Point, T: Point, n: int) -> int | None:
+    """The least c in [0, n) with c*T = R, or None: a walk over the
+    multiples of T on raw residues that stops at the first match.  The
+    range has two_dim_dlog's cap; CurveMismatch unless R and T lie on one
+    curve."""
+    if n > 2**16:
+        raise BoundExceeded("discrete-log plane too large for table search")
+    E = T.curve
+    if R.curve is not E and R.curve != E:
+        raise CurveMismatch("points on different curves")
+    ops, a = _raw_law(E)
+    target, step = _unwrap_point(R), _unwrap_point(T)
+    W = None
+    for c in range(n):
+        if W == target:
+            return c
+        W = _add_raw(ops, a, W, step)
+    return None
 
 
 def two_dim_dlog(
@@ -707,20 +755,27 @@ def two_dim_dlog(
 ) -> tuple[int, int] | None:
     """(i, j) with R = i*S1 + j*S2, or None if R is outside the span.
 
-    Brute baby-step table over <S1>; fine for the small planes used here.
+    Brute baby-step table over <S1>, keyed by raw (x, y) residues; fine for
+    the small planes used here.  CurveMismatch unless all three points lie
+    on one curve.
     """
     if ord1 * ord2 > 2**16:
         raise BoundExceeded("discrete-log plane too large for table search")
+    E = R.curve
+    if not E == S1.curve == S2.curve:
+        raise CurveMismatch("points on different curves")
+    ops, a = _raw_law(E)
+    step1, step2 = _unwrap_point(S1), _unwrap_point(S2)
     table = {}
-    T = R.curve.infinity()
+    T = None
     for i in range(ord1):
         table.setdefault(T, i)
-        T = point_add(T, S1)
-    W = R
+        T = _add_raw(ops, a, T, step1)
+    W = _unwrap_point(R)
     for j in range(ord2):
         if W in table:
             return (table[W], (-j) % max(ord2, 1))
-        W = point_add(W, S2)
+        W = _add_raw(ops, a, W, step2)
     return None
 
 
@@ -742,7 +797,8 @@ def _sylow_projectors(N: int, n: int) -> list[tuple[int, int, int]]:
 def divide_point(P: Point, n: int) -> Point:
     """Some Q with n*Q = P, possibly over an extension field (smallest
     extension degree that works, scanning upward).  BoundExceeded if none
-    exists within the R_MAX tower."""
+    exists within the R_MAX tower.  The torsion gate does not apply: a
+    solution over GF(q^s) does not need E[n] in E(GF(q^s))."""
     if n < 1:
         raise ValueError("divisor must be positive")
     E = P.curve
@@ -796,8 +852,12 @@ def _divide_in_field(P: Point, n: int) -> Point | None:
 def torsion_basis(E: Curve, m: int) -> tuple[Point, Point, Field]:
     """A basis (P, Q) of E[m] over the smallest extension containing it.
 
-    The basis is certified prime by prime (see _certify_basis).  Bases are
-    cached per (curve, m): every caller treats the choice as arbitrary, and
+    The extension degree comes from _torsion_degrees, by integer arithmetic
+    on the Frobenius, so points are sampled only there (and, beyond GF(p),
+    at the few degrees it cannot rule out); a cap that E[m] exceeds is
+    refused before any point work over an extension.  The basis is
+    certified prime by prime (see _certify_basis).  Bases are cached per
+    (curve, m): every caller treats the choice as arbitrary, and
     recomputing them dominated profile runs.
     """
     if not isinstance(m, int) or m < 1:
@@ -805,15 +865,13 @@ def torsion_basis(E: Curve, m: int) -> tuple[Point, Point, Field]:
     if m == 1:
         return (E.infinity(), E.infinity(), E.field)
     if m > M_MAX:
-        raise BoundExceeded(f"torsion cap is m <= {M_MAX}")
+        raise BoundExceeded(
+            f"torsion cap is m <= {M_MAX}", cap="M_MAX", limit=M_MAX, requested=m
+        )
     if m % E.field.p == 0:
         raise ValueError("m must be coprime to the characteristic")
-    E.order
-    r0 = E.field.r
     fac = factorize(m)
-    for s in range(1, R_MAX // r0 + 1):
-        if curve_order_over_extension(E, s) % (m * m):
-            continue
+    for s in _torsion_degrees(E, m):
         EK = base_change(E, s)
         parts = []
         for ell, e in fac:
@@ -837,8 +895,89 @@ def torsion_basis(E: Curve, m: int) -> tuple[Point, Point, Field]:
         _certify_basis(P, Q, m)
         return (P, Q, EK.field)
     raise BoundExceeded(
-        f"E[{m}] needs an extension beyond the degree cap {R_MAX}"
+        f"E[{m}] needs an extension beyond the degree cap {R_MAX}",
+        cap="R_MAX",
+        limit=R_MAX,
     )
+
+
+def _torsion_degrees(E: Curve, m: int) -> list[int]:
+    """The degrees s, ascending, at which torsion_basis samples E[m] over
+    GF(q^s): the least s with E[m] in E(GF(q^s)), or a short list ending at
+    it.  Integer arithmetic only, apart from one Sylow exponent over E's own
+    field; BoundExceeded when every such s is beyond R_MAX.
+
+    If End_k(E) = O is quadratic, E(GF(q^s)) = O/(pi^s - 1) (Lenstra 1996,
+    "Complex multiplication structure of elliptic curves"), so E[m] is
+    rational over GF(q^s) exactly when pi^s - 1 lies in m*O.  Write
+    pi^s = x_s + y_s*w0 with w0 = (D0 + sqrt(D0))/2; for O of conductor F
+    the test is m | x_s - 1 and m*F | y_s.  As f0 | y_s always, only the
+    ell-part of F with ell | gcd(m, f0) matters, and its exponent, the
+    level, is bracketed between 0 and h = v_ell(f0).
+
+    Over GF(p) the second ell-Sylow exponent b of E(k) narrows the bracket:
+    the level is h - b when b < v_ell(x_1 - 1) and at most h - b otherwise
+    (Miret et al. 2008).  conductor_level settles it only when the two ends
+    give different least s, so the answer is always the single least s.
+    Beyond GF(p) no levels are computed (compute_endo_conductor refuses
+    supersingular curves there), so the maximal order (a necessary test) and
+    Z[pi] (a sufficient one) stand in for O: the list is every s the first
+    admits, up to the first s the second certifies.  When pi is an integer,
+    E(GF(q^s)) = (Z/(pi^s - 1))^2 and m | pi^s - 1 is exact.
+    """
+    q, t, r0 = E.field.order, E.trace, E.field.r
+    cap = R_MAX // r0
+    if t * t == 4 * q:
+        lo = hi = multiplicative_order(t // 2, m)
+    else:
+        D0, f0 = discriminant_frobenius_order(q, t)
+        x1 = (t - f0 * D0) // 2  # pi = x1 + f0*w0, w0^2 = D0*w0 - n0
+        n0 = (D0 * D0 - D0) // 4
+
+        def least(c: int, stop: int = cap) -> int | None:
+            """The least s <= stop with pi^s - 1 in m*(Z + c*w0*Z), or None;
+            the powers are kept mod m*f0, which fixes both conditions."""
+            x, y, M = 1, 0, m * f0
+            for s in range(1, stop + 1):
+                x, y = (x * x1 - y * f0 * n0) % M, (x * f0 + y * (x1 + f0 * D0)) % M
+                if (x - 1) % m == 0 and y % (m * c) == 0:
+                    return s
+            return None
+
+        c_lo = c_hi = 1  # the conductor's ell-parts at the two ends of the bracket
+        undecided = []
+        for ell, _ in factorize(m):
+            if f0 % ell:
+                continue
+            h = valuation(f0, ell)
+            if r0 > 1:
+                c_hi *= ell**h
+                continue
+            b = sylow_basis(E, ell)[3]
+            if x1 == 1 or b < valuation(x1 - 1, ell):
+                c_lo *= ell ** (h - b)
+            else:
+                undecided.append(ell)
+            c_hi *= ell ** (h - b)
+        lo, hi = least(c_lo), least(c_hi)
+        if lo is not None and lo != hi and r0 == 1:
+            from .endo_ring import conductor_level  # endo_ring imports this module
+
+            c = c_lo * prod(ell ** conductor_level(E, ell) for ell in undecided)
+            lo = hi = least(c, m * m)
+        if lo is None:
+            lo = least(c_lo, m * m)  # the unit group of O/mO has < m^2 elements
+    if lo > cap:
+        raise BoundExceeded(
+            f"E[{m}] needs an extension beyond the degree cap {R_MAX}",
+            cap="R_MAX",
+            limit=R_MAX,
+            requested=lo * r0,
+        )
+    if hi == lo:
+        return [lo]
+    # the admissible s are the multiples of lo, and the least one divides hi
+    return [s for s in range(lo, (hi or cap) + 1, lo) if hi is None or hi % s == 0]
 
 
 def _certify_basis(P: Point, Q: Point, m: int):
@@ -849,7 +988,7 @@ def _certify_basis(P: Point, Q: Point, m: int):
         raise AssertionError("proposed basis is not m-torsion")
     for ell, _ in factorize(m):
         U1, U2 = scalar_mul(m // ell, P), scalar_mul(m // ell, Q)
-        if not U1 or not _bottom_independent(U1, 1, U2, 1, ell):
+        if not U1 or not _bottom_independent(U1, U2, ell):
             raise AssertionError(f"proposed basis is dependent modulo {ell}")
 
 

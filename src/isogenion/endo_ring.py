@@ -198,7 +198,9 @@ def frobenius_matrix(E: Curve, m: int) -> FrobeniusMatrix:
     if not isinstance(m, int) or m < 1:
         raise ValueError("modulus must be a positive integer")
     if m > M_MAX:
-        raise BoundExceeded(f"torsion cap is m <= {M_MAX}")
+        raise BoundExceeded(
+            f"torsion cap is m <= {M_MAX}", cap="M_MAX", limit=M_MAX, requested=m
+        )
     if m == 1:
         return FrobeniusMatrix(1, (E.infinity(), E.infinity()), ((0, 0), (0, 0)))
     P, Q, _ = torsion_basis(E, m)

@@ -15,7 +15,19 @@ class NotPrime(IsogenionError):
 
 class BoundExceeded(IsogenionError):
     """A configured desk-scale cap (field size, extension degree, norm, ...)
-    would be exceeded."""
+    would be exceeded.
+
+    Raise sites that say which cap tripped set `cap` (its name, such as
+    "M_MAX" or "R_MAX"), `limit` (its value) and `requested` (the value the
+    call needed: an extension degree over GF(p) for R_MAX, at least that
+    degree where only a lower bound is known); each is None otherwise.
+    """
+
+    def __init__(self, *args, cap=None, limit=None, requested=None):
+        super().__init__(*args)
+        self.cap = cap
+        self.limit = limit
+        self.requested = requested
 
 
 class DivisionByZero(IsogenionError, ZeroDivisionError):

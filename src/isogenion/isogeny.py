@@ -48,7 +48,9 @@ from .elliptic_curve import (
     isomorphism_scale,
     j_invariant,
     point_add,
+    point_log,
     point_order,
+    point_progression,
     scalar_mul,
     share_count,
     sylow_basis,
@@ -272,10 +274,10 @@ class Isogeny:
         if n == 1:
             return []
         P1, Q1, _ = torsion_basis(self.source_curve, n)
-        cols = _progression(P1.curve.infinity(), Q1, n)
+        cols = point_progression(P1.curve.infinity(), Q1, n)
         pts = [
             T
-            for R in _progression(P1.curve.infinity(), P1, n)
+            for R in point_progression(P1.curve.infinity(), P1, n)
             for C in cols
             if (T := point_add(R, C)) and not evaluate(self, T)
         ]
@@ -300,7 +302,7 @@ class Isogeny:
         else:
             gen = self.kernel_gen
             if isinstance(gen, Point):
-                gen = _progression(gen, gen, self.separable_degree - 1)
+                gen = point_progression(gen, gen, self.separable_degree - 1)
             F = _kernel_poly(gen, base)
         object.__setattr__(self, "_kernel_poly", F)
         return F
@@ -408,12 +410,6 @@ def _subst_hom(p: Poly, Xn: Poly, Xd: Poly, deg: int) -> Poly:
     return out
 
 
-def _progression(start: Point, step: Point, count: int) -> list[Point]:
-    """start, start + step, ..., start + (count - 1)*step."""
-    steps = itertools.repeat(step, count - 1)
-    return list(itertools.accumulate(steps, point_add, initial=start))
-
-
 def _kernel_poly(pts: list[Point], base: Field) -> Poly:
     """prod (x - x(T)) over T in pts, descended to `base` (else ValueError)."""
     K = pts[0].curve.field
@@ -461,7 +457,7 @@ def velu(E: Curve, kernel_gen, order: int) -> Isogeny:
         raise NotRational("kernel is not stable under the base-field Frobenius")
 
     try:
-        F = _kernel_poly(_progression(P, P, order - 1), E.field)
+        F = _kernel_poly(point_progression(P, P, order - 1), E.field)
     except ValueError:
         raise NotRational("kernel polynomial does not descend to the base field")
     return _velu_from_kernel_poly(E, F, order, P)
@@ -661,7 +657,9 @@ def stable_cyclic_subgroups(E: Curve, ell: int, e: int = 1) -> list[Point]:
     if m % E.field.p == 0:
         raise ValueError("subgroup order must be coprime to the characteristic")
     if m > M_MAX:
-        raise BoundExceeded(f"kernel order cap is {M_MAX}")
+        raise BoundExceeded(
+            f"kernel order cap is {M_MAX}", cap="M_MAX", limit=M_MAX, requested=m
+        )
     q = E.field.order
     t = E.trace
     fixed = ell ** min(sylow_basis(E, ell)[3], e)
@@ -671,7 +669,10 @@ def stable_cyclic_subgroups(E: Curve, ell: int, e: int = 1) -> list[Point]:
     for s in sorted({multiplicative_order(c, m) for c in eigen}):
         if s * r0 > R_MAX:
             raise BoundExceeded(
-                f"order-{m} kernels need extension degree {s} (cap {R_MAX // r0})"
+                f"order-{m} kernels need extension degree {s} (cap {R_MAX // r0})",
+                cap="R_MAX",
+                limit=R_MAX,
+                requested=s * r0,
             )
         EK = base_change(E, s)
         S1, S2, a, b = sylow_basis(EK, ell)
@@ -680,9 +681,9 @@ def stable_cyclic_subgroups(E: Curve, ell: int, e: int = 1) -> list[Point]:
         e2 = min(b, e)
         U1 = scalar_mul(ell ** (a - e), S1)
         U2 = scalar_mul(ell ** (b - e2), S2) if b else EK.infinity()
-        cands = _progression(U1, U2, ell**e2)
+        cands = point_progression(U1, U2, ell**e2)
         if e2 == e:
-            cands += _progression(U2, scalar_mul(ell, U1), ell ** (e - 1))
+            cands += point_progression(U2, scalar_mul(ell, U1), ell ** (e - 1))
         for T in cands:
             c = _frobenius_eigenvalue(T, m, r0)
             if c is not None and multiplicative_order(c, m) == s:
@@ -691,14 +692,9 @@ def stable_cyclic_subgroups(E: Curve, ell: int, e: int = 1) -> list[Point]:
 
 
 def _frobenius_eigenvalue(T: Point, m: int, r0: int):
-    """c with pi_q(T) = c*T, or None if <T> is not pi_q-stable."""
-    R = frobenius_endo(T, r0)
-    W = T
-    for c in range(1, m):
-        if W == R:
-            return c
-        W = point_add(W, T)
-    return None
+    """c with pi_q(T) = c*T, or None if <T> is not pi_q-stable, for T of
+    order m."""
+    return point_log(frobenius_endo(T, r0), T, m)
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -717,7 +713,9 @@ def cyclic_isogenies(E: Curve, n: int) -> tuple[Isogeny, ...]:
     if n % E.field.p == 0:
         raise ValueError("n must be coprime to the characteristic")
     if n > M_MAX:
-        raise BoundExceeded(f"kernel order cap is {M_MAX}")
+        raise BoundExceeded(
+            f"kernel order cap is {M_MAX}", cap="M_MAX", limit=M_MAX, requested=n
+        )
     fac = factorize(n)
     per_prime = [stable_cyclic_subgroups(E, ell, e) for ell, e in fac]
     out = []

@@ -6,8 +6,15 @@ from contextlib import contextmanager
 from functools import lru_cache
 from math import gcd
 
-from isogenion.elliptic_curve import Point
-from isogenion.errors import CurveMismatch
+from isogenion.elliptic_curve import (
+    Point,
+    base_change,
+    curve_order_over_extension,
+    scalar_mul,
+    sylow_basis,
+)
+from isogenion.errors import BoundExceeded, CurveMismatch
+from isogenion.finite_field import R_MAX
 from isogenion.intmath import factorize
 
 
@@ -221,3 +228,30 @@ def prime_by_prime_order(P, n):
         while n % ell == 0 and not element_scalar_mul(n // ell, P):
             n //= ell
     return n
+
+
+# ---------------------------------------------------------------------------
+# torsion oracle: the extension scan that the Lenstra gate of
+# `torsion_basis` replaced.
+
+
+def scanned_torsion_basis(E, m):
+    """(P, Q, field) as `torsion_basis` built it by scanning: Sylow-sample
+    every GF(q^s), s ascending up to the R_MAX tower, whose count m^2
+    divides, until each ell-Sylow group has second exponent >= v_ell(m).
+    BoundExceeded when no degree in the tower has E[m]."""
+    r0 = E.field.r
+    for s in range(1, R_MAX // r0 + 1):
+        if curve_order_over_extension(E, s) % (m * m):
+            continue
+        EK = base_change(E, s)
+        P = Q = EK.infinity()
+        for ell, e in factorize(m):
+            S1, S2, a, b = sylow_basis(EK, ell)
+            if b < e:
+                break
+            P = P + scalar_mul(ell ** (a - e), S1)
+            Q = Q + scalar_mul(ell ** (b - e), S2)
+        else:
+            return (P, Q, EK.field)
+    raise BoundExceeded(f"E[{m}] needs an extension beyond the degree cap {R_MAX}")

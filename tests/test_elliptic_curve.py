@@ -49,9 +49,14 @@ from isogenion.elliptic_curve import (
     two_dim_dlog,
 )
 from isogenion.finite_field import field_create
-from isogenion.intmath import factorize, valuation
+from isogenion.intmath import factorize, multiplicative_order, valuation
 from isogenion.polyring import Poly, roots, subfield_embedding
-from oracles import element_point_add, element_scalar_mul, prime_by_prime_order
+from oracles import (
+    element_point_add,
+    element_scalar_mul,
+    prime_by_prime_order,
+    scanned_torsion_basis,
+)
 
 
 def _all_points(E):
@@ -506,8 +511,11 @@ def test_torsion_basis_trivial_and_errors():
     assert not P and not Q and ext is E.field
     with pytest.raises(ValueError):
         torsion_basis(E, 41)
-    with pytest.raises(BoundExceeded):
+    with pytest.raises(BoundExceeded) as refusal:
         torsion_basis(E, 65)
+    assert (refusal.value.cap, refusal.value.limit, refusal.value.requested) == (
+        "M_MAX", 64, 65,
+    )
 
 
 def test_torsion_basis_2_rational_for_split_cubic():
@@ -598,6 +606,89 @@ def test_basis_certificate_agrees_with_the_span_oracle(j, m):
     pairs += [(scalar_mul(ell, P), Q) for ell, _ in factorize(m)]
     for A, B in pairs:
         assert _certified(A, B, m) == _spans_m_squared_points(A, B, m)
+
+
+# ---------------------------------------------------------------------------
+# the Lenstra gate against the extension scan it replaced
+
+GATE_MS = (2, 3, 4, 6, 8, 12, 16)
+
+
+def _gate_grid():
+    """Every ordinary class over GF(13), and the GF(41), t = 6 volcano."""
+    F13, F41 = field_create(13), field_create(41)
+    curves = [
+        pytest.param(
+            c.representative, id=f"13-{c.j.coeffs[0]}-{c.trace}-{c.twist_index}"
+        )
+        for j in F13.elements()
+        for c in twist_classes(F13, j)
+        if not is_supersingular(c.representative)
+    ]
+    curves += [
+        pytest.param(curve_from_j(F41, j, 6), id=f"41-{j}")
+        for j in (5, 29, 22, 13, 33, 25, 35)
+    ]
+    return curves
+
+
+def _basis_or_refusal(fn, E, m):
+    try:
+        return fn(E, m)
+    except BoundExceeded:
+        return "refused"
+
+
+@pytest.mark.parametrize("E", _gate_grid())
+def test_gate_bases_equal_the_scan(E):
+    """Sampling only at the degree the gate names gives the scan's (P, Q,
+    field) bit for bit: both draw from sylow_basis(EK, ell), seeded by EK."""
+    for m in GATE_MS:
+        assert _basis_or_refusal(torsion_basis, E, m) == _basis_or_refusal(
+            scanned_torsion_basis, E, m
+        )
+
+
+def _curve_with(F, j, t):
+    return next(c.representative for c in twist_classes(F, j) if c.trace == t)
+
+
+def test_gate_with_an_integer_frobenius():
+    """Supersingular over GF(7^2) with t = -14: pi = -7, E(GF(49^s)) is
+    (Z/(pi^s - 1))^2, and E[m] needs exactly the order of -7 mod m.  E[17]
+    needs s = 16, GF(7^32), past the cap."""
+    F = field_create(7, 2)
+    E = _curve_with(F, F.from_int(6), -14)
+    for m in GATE_MS:
+        s = multiplicative_order(-7, m)
+        assert elliptic_curve._torsion_degrees(E, m) == [s]
+        basis = torsion_basis(E, m)
+        assert basis == scanned_torsion_basis(E, m) and basis[2].r == 2 * s
+    with pytest.raises(BoundExceeded) as refusal:
+        torsion_basis(E, 17)
+    assert (refusal.value.cap, refusal.value.limit, refusal.value.requested) == (
+        "R_MAX", 24, 32,
+    )
+
+
+@pytest.mark.parametrize(
+    "p, j, t, ms",
+    [(11, (0, 1), 14, (2, 3, 4, 6, 8)), (7, (0, 0), 2, (2, 3, 4, 6, 8))],
+)
+def test_gate_bracket_beyond_the_prime_field(p, j, t, ms):
+    """An ordinary curve over GF(p^2): the maximal order and Z[pi] bracket
+    End_k(E), and sampling every degree the first admits, up to the first
+    the second certifies, finds the scan's basis."""
+    F = field_create(p, 2)
+    E = _curve_with(F, F.from_coeffs(j), t)
+    widths = []
+    for m in ms:
+        degrees = elliptic_curve._torsion_degrees(E, m)
+        widths.append(len(degrees))
+        basis = torsion_basis(E, m)
+        assert basis == scanned_torsion_basis(E, m)
+        assert basis[2].r // 2 in degrees
+    assert max(widths) > 1
 
 
 def _full_torsion(EK, m):

@@ -16,6 +16,7 @@ import random
 import pytest
 
 import isogenion.elliptic_curve
+import isogenion.endo_ring
 import isogenion.isogeny
 from isogenion.elliptic_curve import (
     Curve,
@@ -349,12 +350,50 @@ class TestFrobeniusMatrix:
         assert frobenius_matrix(e49, m).matrix == ((s, 0), (0, s))
 
     def test_bounds(self, e5):
-        with pytest.raises(BoundExceeded):
+        with pytest.raises(BoundExceeded) as refusal:
             frobenius_matrix(e5, 65)
+        assert (refusal.value.cap, refusal.value.limit, refusal.value.requested) == (
+            "M_MAX", 64, 65,
+        )
         with pytest.raises(ValueError):
             frobenius_matrix(e5, 41)
         with pytest.raises(ValueError):
             frobenius_matrix(e5, 0)
+
+    def test_gate_refuses_before_sampling_an_extension(self, monkeypatch):
+        """E[32] on the floor (level 2) and E[64] on level 1 lie beyond
+        GF(41^24): the gate refuses without sampling an extension, and
+        frobenius_matrix inherits the refusal.  The floor's level comes from
+        the base field's Sylow exponent; on level 1 that exponent leaves the
+        level at 0 or 1, which give different least degrees, so one volcano
+        search over GF(41) settles it."""
+        sylow = isogenion.elliptic_curve.sylow_basis
+        level = isogenion.endo_ring.conductor_level
+        searched = []
+
+        def base_field_only(C, ell):
+            if C.field is not F41:
+                raise AssertionError(f"sampled points over {C.field!r}")
+            return sylow(C, ell)
+
+        def recorded(C, ell):
+            searched.append(j_invariant(C))
+            return level(C, ell)
+
+        monkeypatch.setattr(isogenion.elliptic_curve, "sylow_basis", base_field_only)
+        monkeypatch.setattr(isogenion.isogeny, "sylow_basis", base_field_only)
+        monkeypatch.setattr(isogenion.endo_ring, "conductor_level", recorded)
+        calls = [
+            (torsion_basis, 13, 32),
+            (torsion_basis, 29, 64),
+            (frobenius_matrix, 13, 32),
+        ]
+        for fn, j, m in calls:
+            with deadline(10), pytest.raises(BoundExceeded) as refusal:
+                fn(curve41(j), m)
+            assert (refusal.value.cap, refusal.value.limit) == ("R_MAX", 24)
+            assert refusal.value.requested > 24
+        assert searched == [F41.from_int(29)]
 
 
 class TestOrderElements:

@@ -702,6 +702,18 @@ class TestStableSubgroups:
         ]
         assert sorted(f.coeffs for f in mine) == sorted(f.coeffs for f in brute)
 
+    def test_refusals_name_their_caps(self, e29):
+        """An order past M_MAX, and 59-kernels whose Frobenius eigenvalues
+        (roots of x^2 - 6x + 41 mod 59) have order 29 > 24."""
+        for args, named in [
+            ((2, 7), ("M_MAX", 64, 128)),
+            ((59, 1), ("R_MAX", 24, 29)),
+        ]:
+            with pytest.raises(BoundExceeded) as refusal:
+                stable_cyclic_subgroups(e29, *args)
+            err = refusal.value
+            assert (err.cap, err.limit, err.requested) == named
+
     def test_generators_live_over_minimal_extensions(self, e29):
         for ell, e in [(2, 1), (3, 1), (2, 2), (3, 2)]:
             for g in stable_cyclic_subgroups(e29, ell, e):
@@ -816,8 +828,11 @@ class TestCyclicIsogenies:
         assert len(only) == 1 and only[0].degree == 1
         with pytest.raises(ValueError):
             cyclic_isogenies(e29, 82)
-        with pytest.raises(BoundExceeded):
+        with pytest.raises(BoundExceeded) as refusal:
             cyclic_isogenies(e29, 128)
+        assert (refusal.value.cap, refusal.value.limit, refusal.value.requested) == (
+            "M_MAX", 64, 128,
+        )
 
 
 # ---------------------------------------------------------------------------
