@@ -1,15 +1,16 @@
 """Short Weierstrass curves y^2 = x^3 + Ax + B over GF(p^r), p > 3.
 
-Everything here is desk-scale by design: point counting is an exhaustive
-x-sweep (capped at q <= 2^20), orders over extension fields come from the
-trace recurrence, and torsion bases are found by seeded random sampling whose
-output is certified after the fact (so the randomness never affects
-correctness, only how long the search takes).  The field E[m] needs is
-known before any sampling: by Lenstra's theorem E(GF(q^s)) = O/(pi^s - 1)
-for O = End_k(E), so the least s with pi^s - 1 in m*O is integer
-arithmetic, exact over GF(p) and bracketed between the maximal order and
-Z[pi] beyond it (see _torsion_degrees).  A request past the R_MAX tower is
-refused before any point is drawn over an extension.
+Everything here is desk-scale by design: point counting sweeps every x in
+rows x = y + c, c in GF(p), with integer arithmetic mod p per point and a
+byte table of quadratic characters (count_points; q <= 2^20); orders over
+extension fields come from the trace recurrence; torsion bases come from
+seeded random sampling certified after the fact (so the randomness only
+affects how long the search takes).  The field E[m] needs is known before
+any sampling: by Lenstra's theorem E(GF(q^s)) = O/(pi^s - 1) for O =
+End_k(E), so the least s with pi^s - 1 in m*O is integer arithmetic, exact
+over GF(p) and bracketed between the maximal order and Z[pi] beyond it (see
+_torsion_degrees).  A request past the R_MAX tower is refused before any
+point is drawn over an extension.
 
 The group law is one routine on raw residues (the field's `raw_ops`: ints
 mod p for r = 1, residue tuples for r > 1).  `point_add` and `scalar_mul`
@@ -359,43 +360,54 @@ def _order_dividing(P: Point, fac) -> int:
 
 
 def count_points(E: Curve) -> tuple[int, int]:
-    """Exhaustive (order, trace) for q <= 2^20; caches on the curve.
+    """(order, trace) by a sweep of GF(q), q <= 2^20; caches on the curve.
+    Only curves made from bare coefficients are swept (see the module doc).
 
-    Only curves made from bare coefficients reach the sweep; the module
-    docstring lists the curves that inherit a count instead."""
+    Rows x = y + c, c over GF(p) and y over the q/p residues with y_0 = 0:
+    coordinate k of f(y + c), f = x^3 + Ax + B, is f(y)_k + c (3y^2 + A)_k
+    + c^2 (3y)_k, plus c^3 at k = 0, so a row costs two raw products and a
+    point integer arithmetic mod p.  f(x), read as base-p digits, indexes a
+    byte table of 1 + chi (0 non-square, 1 zero, 2 nonzero square) built by
+    the same rows on (y + c)^2 = y^2 + 2c y + c^2, c <= (p - 1)/2 (x or -x
+    has such a c): #E = 1 + sum table[f(x)].  Over GF(p), one row: y = 0."""
     if E._order is not None:
         return (E._order, E._trace)
     F = E.field
-    q = F.order
+    p, q, r = F.p, F.order, F.r
     if q > EXHAUSTIVE_COUNT_MAX:
-        raise BoundExceeded(
-            f"point counting sweeps only fields with q <= 2^20 (got q={q})"
-        )
-    if F.r == 1:
-        p = F.p
-        is_sq = bytearray(p)
-        for v in range(p):
-            is_sq[v * v % p] = 1
-        a, b = E.A.coeffs[0], E.B.coeffs[0]
-        n = 1  # infinity
-        for x in range(p):
-            fx = (x * x + a) * x + b
-            fx %= p
-            if fx == 0:
-                n += 1
-            elif is_sq[fx]:
-                n += 2
-    else:
-        squares = set()
-        for el in F.elements():
-            squares.add(el * el)
-        n = 1
-        for x in F.elements():
-            fx = E.rhs(x)
-            if not fx:
-                n += 1
-            elif fx in squares:
-                n += 2
+        raise BoundExceeded(f"point counting sweeps only fields with q <= 2^20 (got q={q})",
+                            cap="EXHAUSTIVE_COUNT_MAX", limit=EXHAUSTIVE_COUNT_MAX, requested=q)
+    mul, cs, half, rows = F._mul_packed, range(p), range((p + 1) // 2), range(q // p)
+    table = bytearray(q)
+    for c in half:  # the row y = 0
+        table[c * c % p] = 2
+    for t in rows[1:]:  # y_k is digit k - 1 of t in base p
+        y = (0, *[t // p**k % p for k in range(r - 1)])
+        y2 = mul(y, y)
+        idx = [(c * c + y2[0]) % p for c in half]
+        for k in range(1, r):
+            v, s, w = 2 * y[k], y2[k], p**k
+            idx = [i + (v * c + s) % p * w for i, c in zip(idx, half)]
+        for i in idx:
+            table[i] = 2
+    table[0] = 1
+    A, B = E.A.coeffs, E.B.coeffs
+    y, g, f, n = (0,) * r, A, B, 1  # at y = 0, 3y^2 + A = A and f(y) = B
+    for t in rows:
+        if t:  # g and f up to multiples of p
+            y = (0, *[t // p**k % p for k in range(r - 1)])
+            y2 = mul(y, y)
+            g = [3 * s + a for s, a in zip(y2, A)]
+            f = [u + b for u, b in zip(mul(tuple([(s + a) % p for s, a in zip(y2, A)]), y), B)]
+        g0, f0 = g[0], f[0]
+        if r == 1:  # no coordinates above 0, so no partial indices to add
+            n += sum([table[((c * c + g0) * c + f0) % p] for c in cs])
+            break
+        hi = [0] * p  # the coordinates above 0 of f(y + c), at their weights
+        for k in range(1, r):
+            v, gk, fk, w = 3 * y[k], g[k], f[k], p**k
+            hi = [i + ((v * c + gk) * c + fk) % p * w for i, c in zip(hi, cs)]
+        n += sum([table[i + ((c * c + g0) * c + f0) % p] for i, c in zip(hi, cs)])
     E._set_count(n)
     return (n, E._trace)
 
@@ -817,9 +829,7 @@ def _divide_in_field(P: Point, n: int) -> Point | None:
     E = P.curve
     N = E.order
     parts = _sylow_projectors(N, n)
-    sylows = 1
-    for _, M, _ in parts:
-        sylows *= M
+    sylows = prod(M for _, M, _ in parts)
     rest = N // sylows
     # component of P away from the primes of n: n is invertible there
     if rest > 1:
@@ -879,25 +889,17 @@ def torsion_basis(E: Curve, m: int) -> tuple[Point, Point, Field]:
             if b < e:
                 parts = None
                 break
-            parts.append(
-                (
-                    scalar_mul(ell ** (a - e), S1),
-                    scalar_mul(ell ** (b - e), S2),
-                )
-            )
+            parts.append((scalar_mul(ell ** (a - e), S1), scalar_mul(ell ** (b - e), S2)))
         if parts is None:
             continue
-        P = EK.infinity()
-        Q = EK.infinity()
+        P = Q = EK.infinity()
         for Pl, Ql in parts:
             P = point_add(P, Pl)
             Q = point_add(Q, Ql)
         _certify_basis(P, Q, m)
         return (P, Q, EK.field)
     raise BoundExceeded(
-        f"E[{m}] needs an extension beyond the degree cap {R_MAX}",
-        cap="R_MAX",
-        limit=R_MAX,
+        f"E[{m}] needs an extension beyond the degree cap {R_MAX}", cap="R_MAX", limit=R_MAX
     )
 
 
@@ -970,9 +972,7 @@ def _torsion_degrees(E: Curve, m: int) -> list[int]:
     if lo > cap:
         raise BoundExceeded(
             f"E[{m}] needs an extension beyond the degree cap {R_MAX}",
-            cap="R_MAX",
-            limit=R_MAX,
-            requested=lo * r0,
+            cap="R_MAX", limit=R_MAX, requested=lo * r0,
         )
     if hi == lo:
         return [lo]

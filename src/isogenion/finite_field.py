@@ -459,8 +459,12 @@ def field_create(p: int, r: int = 1) -> Field:
     """The canonical GF(p^r).  Cached, so field objects are singletons."""
     if type(p) is not int or type(r) is not int or r < 1:
         raise ValueError("p and r must be positive integers")
-    if p > P_MAX or r > R_MAX:
-        raise BoundExceeded(f"caps are p <= {P_MAX}, r <= {R_MAX}")
+    for cap, limit, requested in (("P_MAX", P_MAX, p), ("R_MAX", R_MAX, r)):
+        if requested > limit:
+            raise BoundExceeded(
+                f"caps are p <= {P_MAX}, r <= {R_MAX}",
+                cap=cap, limit=limit, requested=requested,
+            )
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
     return _field_singleton(p, r)

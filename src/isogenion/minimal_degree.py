@@ -290,7 +290,10 @@ def rB(field: Field, t: int) -> tuple:
     if not isinstance(t, int):
         raise TypeError("the trace must be an integer")
     if field.order > CLASS_SWEEP_MAX:
-        raise BoundExceeded(f"class sweeps are capped at order {CLASS_SWEEP_MAX}")
+        raise BoundExceeded(
+            f"class sweeps are capped at order {CLASS_SWEEP_MAX}",
+            cap="CLASS_SWEEP_MAX", limit=CLASS_SWEEP_MAX, requested=field.order,
+        )
     classes = classes_with_trace(field, t)
     if not classes:
         raise NoCurveWithTrace(f"no class over {field!r} has trace {t}")

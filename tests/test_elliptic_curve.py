@@ -56,6 +56,7 @@ from oracles import (
     element_scalar_mul,
     prime_by_prime_order,
     scanned_torsion_basis,
+    swept_count,
 )
 
 
@@ -229,11 +230,78 @@ def test_twist_orders_sum():
         assert t * t <= 4 * 41
 
 
-def test_count_respects_cap():
-    # no sweep over q > 2^20; GF(1031^2) is past the cap
+def test_count_respects_cap(monkeypatch):
+    # no sweep over q > 2^20; GF(1031^2) is past the cap, and the refusal
+    # comes before the character table is allocated
     E = Curve(field_create(1031, 2), 1, 3)
-    with pytest.raises(BoundExceeded):
+
+    def no_table(*args):
+        raise AssertionError("allocated a table before refusing")
+
+    monkeypatch.setattr(elliptic_curve, "bytearray", no_table, raising=False)
+    with pytest.raises(BoundExceeded) as refusal:
         count_points(E)
+    err = refusal.value
+    assert (err.cap, err.limit, err.requested) == ("EXHAUSTIVE_COUNT_MAX", 2**20, 1031**2)
+    assert E._order is None
+
+
+def fresh(E):
+    """A curve with E's coefficients and no count yet."""
+    C = Curve(E.field, E.A, E.B)
+    assert C._order is None
+    return C
+
+
+@pytest.mark.parametrize("p, r", [(5, 2), (7, 2), (11, 2)])
+def test_row_kernel_equals_the_sweep_on_the_whole_j_line(p, r):
+    """Every twist class of every j, the j = 0 and j = 1728 families
+    (up to six and four classes) included."""
+    F = field_create(p, r)
+    assert len(twist_classes(F, 0)) == 6 and len(twist_classes(F, 1728)) == 4
+    for j in F.elements():
+        for cls in twist_classes(F, j):
+            E = fresh(cls.representative)
+            assert count_points(E)[0] == swept_count(E), (j, cls)
+            assert E.trace == cls.trace
+
+
+@pytest.mark.parametrize(
+    "p, r, curves",
+    [(7, 3, 6), (5, 4, 6), (13, 3, 3), (41, 2, 4), (41, 1, 20), (10007, 1, 4), (65521, 1, 2)],
+)
+def test_row_kernel_equals_the_sweep_on_seeded_curves(p, r, curves):
+    F = field_create(p, r)
+    rng = random.Random(p * 100 + r)
+    done = 0
+    while done < curves:
+        A = F.from_coeffs([rng.randrange(p) for _ in range(r)])
+        B = F.from_coeffs([rng.randrange(p) for _ in range(r)])
+        if not 4 * A * A * A + 27 * B * B:
+            continue
+        E = Curve(F, A, B)
+        assert count_points(E)[0] == swept_count(E), (A, B)
+        done += 1
+
+
+@pytest.mark.parametrize(
+    "p, d, s", [(7, 1, 2), (7, 1, 3), (5, 1, 4), (5, 2, 2), (11, 1, 2), (13, 1, 3)]
+)
+def test_row_kernel_on_curves_from_a_subfield(p, d, s):
+    """Coefficients in GF(p^d) inside GF(p^(ds)): the count equals the
+    sweep's and the trace recurrence's."""
+    k = field_create(p, d)
+    rng = random.Random(p * 1000 + d * 10 + s)
+    for _ in range(3):
+        while True:
+            A = k.from_coeffs([rng.randrange(p) for _ in range(d)])
+            B = k.from_coeffs([rng.randrange(p) for _ in range(d)])
+            if 4 * A * A * A + 27 * B * B:
+                break
+        E0 = Curve(k, A, B)
+        E = fresh(base_change(E0, s))
+        n = count_points(E)[0]
+        assert n == swept_count(E) == curve_order_over_extension(E0, s)
 
 
 def test_paper_scale_orders():

@@ -37,6 +37,7 @@ from isogenion.polyring import Poly, roots, subfield_embedding
 from isogenion.elliptic_curve import (
     Curve,
     base_change,
+    count_points,
     curve_class,
     curve_from_j,
     embed_point,
@@ -64,6 +65,7 @@ from isogenion.isogeny import (
     stable_cyclic_subgroups,
     velu,
 )
+from isogenion.minimal_degree import rB
 
 F41 = field_create(41, 1)
 
@@ -704,13 +706,20 @@ class TestStableSubgroups:
 
     def test_refusals_name_their_caps(self, e29):
         """An order past M_MAX, and 59-kernels whose Frobenius eigenvalues
-        (roots of x^2 - 6x + 41 mod 59) have order 29 > 24."""
-        for args, named in [
-            ((2, 7), ("M_MAX", 64, 128)),
-            ((59, 1), ("R_MAX", 24, 29)),
+        (roots of x^2 - 6x + 41 mod 59) have order 29 > 24; then the three
+        sweep caps: a point count past 2^20, a field past P_MAX or R_MAX,
+        and a class sweep past CLASS_SWEEP_MAX."""
+        big = Curve(field_create(1031, 2), 1, 3)
+        for call, named in [
+            (lambda: stable_cyclic_subgroups(e29, 2, 7), ("M_MAX", 64, 128)),
+            (lambda: stable_cyclic_subgroups(e29, 59, 1), ("R_MAX", 24, 29)),
+            (lambda: count_points(big), ("EXHAUSTIVE_COUNT_MAX", 2**20, 1031**2)),
+            (lambda: field_create(65537), ("P_MAX", 2**16, 65537)),
+            (lambda: field_create(41, 25), ("R_MAX", 24, 25)),
+            (lambda: rB(field_create(1031), 1), ("CLASS_SWEEP_MAX", 1000, 1031)),
         ]:
             with pytest.raises(BoundExceeded) as refusal:
-                stable_cyclic_subgroups(e29, *args)
+                call()
             err = refusal.value
             assert (err.cap, err.limit, err.requested) == named
 
