@@ -44,11 +44,12 @@ from .errors import (
 )
 from .finite_field import R_MAX, Field, FieldElement, field_create
 from .finite_field import sqrt as field_sqrt
-from .intmath import factorize, multiplicative_order, split_discriminant, valuation
+from .intmath import factorize, is_prime, multiplicative_order, split_discriminant, valuation
 from .polyring import subfield_embedding
 
 EXHAUSTIVE_COUNT_MAX = 2**20
 M_MAX = 64
+DLOG_MAX = 2**16  # the longest walk of point_log, the largest plane of two_dim_dlog
 
 
 class Point:
@@ -696,18 +697,22 @@ def _bottom_independent(U1: Point, U2: Point, ell: int) -> bool:
     return point_log(U2, U1, ell) is None
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def sylow_basis(E: Curve, ell: int) -> tuple[Point, Point, int, int]:
-    """Generators (S1, S2) of the ell-Sylow subgroup of E(k), with orders
-    ell^a >= ell^b.  Certified: the pair is independent and a + b equals the
-    full ell-valuation of |E(k)|, which forces <S1, S2> = Sylow exactly.
-    Cached per (curve, ell); the draws are seeded by curve_seed, so a cold
-    recompute returns the same pair.  Each draw keeps the last nonzero point
-    of its order chain, so the pair test runs no ladder.  Should no two
-    draws certify (a draw hits a complement with probability about
-    ell^(b-a)), one is reduced into a complement of <S1> by a discrete log
-    in <S1>.
+    """Generators (S1, S2) of the ell-Sylow subgroup of E(k), of orders
+    ell^a >= ell^b; ValueError unless ell is a prime int.  Cached, and
+    seeded by curve_seed, so a cold recompute returns the same pair.
+
+    S1 is the draw of largest order (the earliest on a tie); each other draw
+    T, or the S1 a larger draw displaces, is reduced into a complement of
+    <S1>: ell^b*T (b = v - a) has order at most ell^(a-b), so it is
+    z*ell^b*S1 with z < ell^(a-b) when T can be reduced, and S2 = T - z*S1
+    is killed by ell^b.  If ell^(b-1)*S2 is outside <S1>, the two cyclic
+    groups meet trivially and span all ell^v points.  No reduction is tried
+    when b > a or ell^(a-b) > DLOG_MAX.
     """
+    if type(ell) is not int or not is_prime(ell):
+        raise ValueError(f"ell must be a prime int, got {ell!r}")
     N = E.order
     v = valuation(N, ell)
     inf = E.infinity()
@@ -715,28 +720,21 @@ def sylow_basis(E: Curve, ell: int) -> tuple[Point, Point, int, int]:
         return (inf, inf, 0, 0)
     cof = N // ell**v
     rng = random.Random(curve_seed(E, ell))
-    pool: list[tuple[Point, int, Point]] = []
+    S1, a, U1 = inf, 0, inf
     for _ in range(600):
         T = scalar_mul(cof, E.random_point(rng))
         k, U = _ell_power_order(T, ell, v)
-        if k == 0:
-            continue
         if k == v:
             return (T, inf, v, 0)
-        for S, m, W in pool:
-            big, bk, small, sk = (S, m, T, k) if m >= k else (T, k, S, m)
-            if bk + sk == v and _bottom_independent(W, U, ell):
-                return (big, small, bk, sk)
-        pool.append((T, k, U))
-    # With ord(S1) = ell^a maximal, <S1> is a direct summand: ell^b*T = y*S1
-    # for every T (b = v - a), and T - (y / ell^b)*S1 lies in a complement.
-    S1, a, U1 = max(pool, key=lambda entry: entry[1], default=(inf, 0, inf))
-    b = v - a
-    for T, _, _ in pool:
-        y = point_log(scalar_mul(ell**b, T), S1, ell**a)
-        if y is None or y % ell**b:
+        if k > a:
+            S1, a, U1, T = T, k, U, S1  # reduce the displaced S1 instead
+        b = v - a
+        if not T or b > a or ell ** (a - b) > DLOG_MAX:
             continue
-        S2 = point_add(T, scalar_mul(-(y // ell**b), S1))  # ell^b*S2 = O
+        z = point_log(scalar_mul(ell**b, T), scalar_mul(ell**b, S1), ell ** (a - b))
+        if z is None:
+            continue
+        S2 = point_add(T, scalar_mul(-z, S1))
         if _bottom_independent(U1, scalar_mul(ell ** (b - 1), S2), ell):
             return (S1, S2, a, b)
     raise AssertionError("sylow sampling failed to span; group smaller than N?")
@@ -744,11 +742,14 @@ def sylow_basis(E: Curve, ell: int) -> tuple[Point, Point, int, int]:
 
 def point_log(R: Point, T: Point, n: int) -> int | None:
     """The least c in [0, n) with c*T = R, or None: a walk over the
-    multiples of T on raw residues that stops at the first match.  The
-    range has two_dim_dlog's cap; CurveMismatch unless R and T lie on one
-    curve."""
-    if n > 2**16:
-        raise BoundExceeded("discrete-log plane too large for table search")
+    multiples of T on raw residues that stops at the first match.
+    BoundExceeded past DLOG_MAX, as in two_dim_dlog; CurveMismatch unless R
+    and T lie on one curve."""
+    if n > DLOG_MAX:
+        raise BoundExceeded(
+            "discrete-log plane too large for table search",
+            cap="DLOG_MAX", limit=DLOG_MAX, requested=n,
+        )
     E = T.curve
     if R.curve is not E and R.curve != E:
         raise CurveMismatch("points on different curves")
@@ -771,8 +772,11 @@ def two_dim_dlog(
     the small planes used here.  CurveMismatch unless all three points lie
     on one curve.
     """
-    if ord1 * ord2 > 2**16:
-        raise BoundExceeded("discrete-log plane too large for table search")
+    if ord1 * ord2 > DLOG_MAX:
+        raise BoundExceeded(
+            "discrete-log plane too large for table search",
+            cap="DLOG_MAX", limit=DLOG_MAX, requested=ord1 * ord2,
+        )
     E = R.curve
     if not E == S1.curve == S2.curve:
         raise CurveMismatch("points on different curves")
@@ -822,7 +826,9 @@ def divide_point(P: Point, n: int) -> Point:
         Q = _divide_in_field(embed_point(P, EK), n)
         if Q is not None:
             return Q
-    raise BoundExceeded(f"no solution of {n}*Q = P within the extension cap")
+    raise BoundExceeded(
+        f"no solution of {n}*Q = P within the extension cap", cap="R_MAX", limit=R_MAX
+    )
 
 
 def _divide_in_field(P: Point, n: int) -> Point | None:

@@ -56,7 +56,7 @@ from .elliptic_curve import (
     sylow_basis,
     torsion_basis,
 )
-from .intmath import factorize, multiplicative_order, prime_factors
+from .intmath import factorize, is_prime, multiplicative_order, prime_factors
 
 
 # ---------------------------------------------------------------------------
@@ -651,8 +651,11 @@ def stable_cyclic_subgroups(E: Curve, ell: int, e: int = 1) -> list[Point]:
     subgroup is pointwise rational exactly over GF(q^ord(c)); scanning those
     extension degrees in increasing order finds each subgroup once.
     Only roots c = 1 mod ell^b can be eigenvalues, since the Frobenius fixes
-    E[ell^b], b the second ell-Sylow exponent of E(k) capped at e.
+    E[ell^b], b the second ell-Sylow exponent of E(k) capped at e.  ell must
+    be a prime int (ValueError otherwise).
     """
+    if type(ell) is not int or not is_prime(ell):
+        raise ValueError(f"ell must be a prime int, got {ell!r}")
     m = ell**e
     if m % E.field.p == 0:
         raise ValueError("subgroup order must be coprime to the characteristic")

@@ -1,6 +1,7 @@
 """Oracles and guards shared by several test modules; the package itself
 needs none of them."""
 
+import random
 import signal
 from contextlib import contextmanager
 from functools import lru_cache
@@ -8,14 +9,19 @@ from math import gcd
 
 from isogenion.elliptic_curve import (
     Point,
+    _bottom_independent,
+    _ell_power_order,
     base_change,
     curve_order_over_extension,
+    curve_seed,
+    point_add,
+    point_log,
     scalar_mul,
     sylow_basis,
 )
 from isogenion.errors import BoundExceeded, CurveMismatch
 from isogenion.finite_field import R_MAX
-from isogenion.intmath import factorize
+from isogenion.intmath import factorize, valuation
 
 
 @contextmanager
@@ -228,6 +234,50 @@ def prime_by_prime_order(P, n):
         while n % ell == 0 and not element_scalar_mul(n // ell, P):
             n //= ell
     return n
+
+
+# ---------------------------------------------------------------------------
+# Sylow oracle: the pair-sampling loop that the complement reduction of
+# `sylow_basis` replaced.
+
+
+def paired_sylow_basis(E, ell):
+    """((S1, S2, a, b), draws, nonzero) as `sylow_basis` built it by pairs:
+    draw seeded points until one has order ell^v or two draws of orders
+    ell^a >= ell^b with a + b = v have independent bottoms; after 600 draws,
+    reduce the pool into a complement of the largest draw's <S1> by a log
+    in <S1>.  `draws` counts every point drawn, `nonzero` those with a
+    nonzero ell-part.  Not cached."""
+    N = E.order
+    v = valuation(N, ell)
+    inf = E.infinity()
+    if v == 0:
+        return (inf, inf, 0, 0), 0, 0
+    cof = N // ell**v
+    rng = random.Random(curve_seed(E, ell))
+    pool = []
+    for draws in range(1, 601):
+        T = scalar_mul(cof, E.random_point(rng))
+        k, U = _ell_power_order(T, ell, v)
+        if k == 0:
+            continue
+        if k == v:
+            return (T, inf, v, 0), draws, len(pool) + 1
+        for S, m, W in pool:
+            big, bk, small, sk = (S, m, T, k) if m >= k else (T, k, S, m)
+            if bk + sk == v and _bottom_independent(W, U, ell):
+                return (big, small, bk, sk), draws, len(pool) + 1
+        pool.append((T, k, U))
+    S1, a, U1 = max(pool, key=lambda entry: entry[1], default=(inf, 0, inf))
+    b = v - a
+    for T, _, _ in pool:
+        y = point_log(scalar_mul(ell**b, T), S1, ell**a)
+        if y is None or y % ell**b:
+            continue
+        S2 = point_add(T, scalar_mul(-(y // ell**b), S1))
+        if _bottom_independent(U1, scalar_mul(ell ** (b - 1), S2), ell):
+            return (S1, S2, a, b), 600, len(pool)
+    raise AssertionError("sylow sampling failed to span; group smaller than N?")
 
 
 # ---------------------------------------------------------------------------

@@ -40,15 +40,18 @@ from isogenion.elliptic_curve import (
     count_points,
     curve_class,
     curve_from_j,
+    divide_point,
     embed_point,
     frobenius_endo,
     j_invariant,
     point_add,
+    point_log,
     point_order,
     scalar_mul,
     sylow_basis,
     torsion_basis,
     twist_classes,
+    two_dim_dlog,
 )
 from isogenion.isogeny import (
     Isogeny,
@@ -708,8 +711,13 @@ class TestStableSubgroups:
         """An order past M_MAX, and 59-kernels whose Frobenius eigenvalues
         (roots of x^2 - 6x + 41 mod 59) have order 29 > 24; then the three
         sweep caps: a point count past 2^20, a field past P_MAX or R_MAX,
-        and a class sweep past CLASS_SWEEP_MAX."""
+        and a class sweep past CLASS_SWEEP_MAX; then the discrete-log walks
+        past DLOG_MAX, and dividing by 3 over GF(5^13): the tower under
+        R_MAX is GF(5^13) alone, and there its 3-Sylow generator is no
+        3*Q."""
         big = Curve(field_create(1031, 2), 1, 3)
+        S = sylow_basis(e29, 3)[0]
+        tall = base_change(Curve(field_create(5), 1, 1), 13)
         for call, named in [
             (lambda: stable_cyclic_subgroups(e29, 2, 7), ("M_MAX", 64, 128)),
             (lambda: stable_cyclic_subgroups(e29, 59, 1), ("R_MAX", 24, 29)),
@@ -717,11 +725,29 @@ class TestStableSubgroups:
             (lambda: field_create(65537), ("P_MAX", 2**16, 65537)),
             (lambda: field_create(41, 25), ("R_MAX", 24, 25)),
             (lambda: rB(field_create(1031), 1), ("CLASS_SWEEP_MAX", 1000, 1031)),
+            (lambda: point_log(S, S, 2**16 + 1), ("DLOG_MAX", 2**16, 2**16 + 1)),
+            (lambda: two_dim_dlog(S, S, S, 2**9, 2**8), ("DLOG_MAX", 2**16, 2**17)),
+            (lambda: divide_point(sylow_basis(tall, 3)[0], 3), ("R_MAX", 24, None)),
         ]:
             with pytest.raises(BoundExceeded) as refusal:
                 call()
             err = refusal.value
             assert (err.cap, err.limit, err.requested) == named
+
+    @pytest.mark.parametrize("ell", [4, 6, 1, 2.0])
+    def test_an_ell_that_is_not_a_prime_int_is_refused(self, monkeypatch, e29, ell):
+        """E = (15, 10) over GF(41) has 2-Sylow Z/2 x Z/2: ell = 4 used to
+        fail with "0 is not a unit mod 4".  The refusal comes before any
+        point is drawn, also for 2.0 once e29's int 2 is cached."""
+        stable_cyclic_subgroups(e29, 2)
+
+        def no_point_work(*args):
+            raise AssertionError("point work before ell was checked")
+
+        monkeypatch.setattr(Curve, "random_point", no_point_work)
+        for E in (Curve(F41, 15, 10), e29):
+            with pytest.raises(ValueError, match="prime int"):
+                stable_cyclic_subgroups(E, ell)
 
     def test_generators_live_over_minimal_extensions(self, e29):
         for ell, e in [(2, 1), (3, 1), (2, 2), (3, 2)]:
@@ -819,7 +845,9 @@ class TestCyclicIsogenies:
 
     def test_rare_sylow_complement_is_completed(self):
         # t = -6 over GF(11^2); over GF(11^4) the 2-Sylow subgroup is
-        # Z/2 x Z/256, and no two of the seeded draws certify a basis
+        # Z/2 x Z/256: a draw of order 2 that certifies a pair is rare, and
+        # sylow_basis completes the basis by reducing a draw into a
+        # complement of the largest one
         F = field_create(11, 2)
         E = Curve(F, F.from_coeffs([6, 10]), F.from_coeffs([6, 8]))
         assert sylow_basis(base_change(E, 2), 2)[2:] == (8, 1)
