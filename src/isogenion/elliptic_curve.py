@@ -8,9 +8,8 @@ seeded random sampling certified after the fact (so the randomness only
 affects how long the search takes).  The field E[m] needs is known before
 any sampling: by Lenstra's theorem E(GF(q^s)) = O/(pi^s - 1) for O =
 End_k(E), so the least s with pi^s - 1 in m*O is integer arithmetic, exact
-over GF(p) and bracketed between the maximal order and Z[pi] beyond it (see
-_torsion_degrees).  A request past the R_MAX tower is refused before any
-point is drawn over an extension.
+on every field (see torsion_degree).  A request past the R_MAX tower is
+refused before any point is drawn over an extension.
 
 The group law is one routine on raw residues (the field's `raw_ops`: ints
 mod p for r = 1, residue tuples for r > 1).  `point_add` and `scalar_mul`
@@ -813,10 +812,11 @@ def _sylow_projectors(N: int, n: int) -> list[tuple[int, int, int]]:
 def divide_point(P: Point, n: int) -> Point:
     """Some Q with n*Q = P, possibly over an extension field (smallest
     extension degree that works, scanning upward).  BoundExceeded if none
-    exists within the R_MAX tower.  The torsion gate does not apply: a
-    solution over GF(q^s) does not need E[n] in E(GF(q^s))."""
-    if n < 1:
-        raise ValueError("divisor must be positive")
+    exists within the R_MAX tower, ValueError unless n is a positive int.
+    The torsion gate does not apply: a solution over GF(q^s) does not need
+    E[n] in E(GF(q^s))."""
+    if type(n) is not int or n < 1:
+        raise ValueError(f"divisor must be a positive int, got {n!r}")
     E = P.curve
     if n == 1:
         return P
@@ -868,75 +868,67 @@ def _divide_in_field(P: Point, n: int) -> Point | None:
 def torsion_basis(E: Curve, m: int) -> tuple[Point, Point, Field]:
     """A basis (P, Q) of E[m] over the smallest extension containing it.
 
-    The extension degree comes from _torsion_degrees, by integer arithmetic
-    on the Frobenius, so points are sampled only there (and, beyond GF(p),
-    at the few degrees it cannot rule out); a cap that E[m] exceeds is
-    refused before any point work over an extension.  The basis is
-    certified prime by prime (see _certify_basis).  Bases are cached per
-    (curve, m): every caller treats the choice as arbitrary, and
-    recomputing them dominated profile runs.
+    The extension degree is torsion_degree(E, m), found by integer
+    arithmetic on the Frobenius, so points are sampled only over that one
+    field, and a request beyond the R_MAX tower is refused before any point
+    work over an extension.  The basis is certified prime by prime (see
+    _certify_basis).  Bases are cached per (curve, m): every caller treats
+    the choice as arbitrary, and recomputing them dominated profile runs.
     """
-    if not isinstance(m, int) or m < 1:
-        raise ValueError("m must be a positive integer")
-    if m == 1:
-        return (E.infinity(), E.infinity(), E.field)
-    if m > M_MAX:
-        raise BoundExceeded(
-            f"torsion cap is m <= {M_MAX}", cap="M_MAX", limit=M_MAX, requested=m
-        )
-    if m % E.field.p == 0:
-        raise ValueError("m must be coprime to the characteristic")
-    fac = factorize(m)
-    for s in _torsion_degrees(E, m):
-        EK = base_change(E, s)
-        parts = []
-        for ell, e in fac:
-            S1, S2, a, b = sylow_basis(EK, ell)
-            if b < e:
-                parts = None
-                break
-            parts.append((scalar_mul(ell ** (a - e), S1), scalar_mul(ell ** (b - e), S2)))
-        if parts is None:
-            continue
-        P = Q = EK.infinity()
-        for Pl, Ql in parts:
-            P = point_add(P, Pl)
-            Q = point_add(Q, Ql)
-        _certify_basis(P, Q, m)
-        return (P, Q, EK.field)
-    raise BoundExceeded(
-        f"E[{m}] needs an extension beyond the degree cap {R_MAX}", cap="R_MAX", limit=R_MAX
-    )
+    s = torsion_degree(E, m)
+    EK = base_change(E, s)
+    P = Q = EK.infinity()
+    for ell, e in factorize(m):
+        S1, S2, a, b = sylow_basis(EK, ell)
+        if b < e:  # Lenstra's theorem rules this out; a raise survives python -O
+            raise AssertionError(f"E[{m}] is not rational over GF(q^{s})")
+        P = point_add(P, scalar_mul(ell ** (a - e), S1))
+        Q = point_add(Q, scalar_mul(ell ** (b - e), S2))
+    _certify_basis(P, Q, m)
+    return (P, Q, EK.field)
 
 
-def _torsion_degrees(E: Curve, m: int) -> list[int]:
-    """The degrees s, ascending, at which torsion_basis samples E[m] over
-    GF(q^s): the least s with E[m] in E(GF(q^s)), or a short list ending at
-    it.  Integer arithmetic only, apart from one Sylow exponent over E's own
-    field; BoundExceeded when every such s is beyond R_MAX.
+def torsion_degree(E: Curve, m: int) -> int:
+    """The least s with E[m] in E(GF(q^s)), q = #k, on every field k.
+    Integer arithmetic only, apart from one Sylow exponent of E(k) per
+    prime of gcd(m, f0) and, rarely, one conductor_level.  ValueError
+    unless m is an int >= 1 coprime to p; BoundExceeded past M_MAX, or when
+    GF(q^s) is beyond the R_MAX tower.
 
     If End_k(E) = O is quadratic, E(GF(q^s)) = O/(pi^s - 1) (Lenstra 1996,
     "Complex multiplication structure of elliptic curves"), so E[m] is
     rational over GF(q^s) exactly when pi^s - 1 lies in m*O.  Write
     pi^s = x_s + y_s*w0 with w0 = (D0 + sqrt(D0))/2; for O of conductor F
     the test is m | x_s - 1 and m*F | y_s.  As f0 | y_s always, only the
-    ell-part of F with ell | gcd(m, f0) matters, and its exponent, the
-    level, is bracketed between 0 and h = v_ell(f0).
+    ell-part of F with ell | gcd(m, f0) matters; call its exponent the
+    level, between 0 and h = v_ell(f0).  The same theorem at s = 1 gives
+    the second ell-Sylow exponent of E(k) as b = min(v_ell(x_1 - 1),
+    h - level) (Miret et al. 2008), so the level is h - b when
+    b < v_ell(x_1 - 1) and at most h - b otherwise.  conductor_level
+    settles it only when the two ends give different least s.
 
-    Over GF(p) the second ell-Sylow exponent b of E(k) narrows the bracket:
-    the level is h - b when b < v_ell(x_1 - 1) and at most h - b otherwise
-    (Miret et al. 2008).  conductor_level settles it only when the two ends
-    give different least s, so the answer is always the single least s.
-    Beyond GF(p) no levels are computed (compute_endo_conductor refuses
-    supersingular curves there), so the maximal order (a necessary test) and
-    Z[pi] (a sufficient one) stand in for O: the list is every s the first
-    admits, up to the first s the second certifies.  When pi is an integer,
-    E(GF(q^s)) = (Z/(pi^s - 1))^2 and m | pi^s - 1 is exact.
+    Beyond GF(p) that happens only for ordinary curves, whose volcanoes
+    conductor_level searches as over GF(p).  A supersingular curve there
+    with pi not in Z has a prime ell != p in f0 only when r is odd, t = 0
+    and p = 3 (mod 4): then ell = 2, h = 1 and x_1 = p^((r+1)/2) is odd, so
+    an undecided level has b >= v_2(x_1 - 1) >= h and both ends are level
+    0.  When pi is an integer, E(GF(q^s)) = (Z/(pi^s - 1))^2 and
+    m | pi^s - 1 is exact.
     """
+    if not isinstance(m, int) or m < 1:
+        raise ValueError("m must be a positive integer")
+    if m == 1:
+        return 1
+    if m > M_MAX:
+        raise BoundExceeded(
+            f"torsion cap is m <= {M_MAX}", cap="M_MAX", limit=M_MAX, requested=m
+        )
+    if m % E.field.p == 0:
+        raise ValueError("m must be coprime to the characteristic")
     q, t, r0 = E.field.order, E.trace, E.field.r
     cap = R_MAX // r0
     if t * t == 4 * q:
-        lo = hi = multiplicative_order(t // 2, m)
+        s = multiplicative_order(t // 2, m)
     else:
         D0, f0 = discriminant_frobenius_order(q, t)
         x1 = (t - f0 * D0) // 2  # pi = x1 + f0*w0, w0^2 = D0*w0 - n0
@@ -958,32 +950,25 @@ def _torsion_degrees(E: Curve, m: int) -> list[int]:
             if f0 % ell:
                 continue
             h = valuation(f0, ell)
-            if r0 > 1:
-                c_hi *= ell**h
-                continue
             b = sylow_basis(E, ell)[3]
             if x1 == 1 or b < valuation(x1 - 1, ell):
                 c_lo *= ell ** (h - b)
             else:
                 undecided.append(ell)
             c_hi *= ell ** (h - b)
-        lo, hi = least(c_lo), least(c_hi)
-        if lo is not None and lo != hi and r0 == 1:
+        s = least(c_lo)
+        if s is not None and s != least(c_hi):
             from .endo_ring import conductor_level  # endo_ring imports this module
 
-            c = c_lo * prod(ell ** conductor_level(E, ell) for ell in undecided)
-            lo = hi = least(c, m * m)
-        if lo is None:
-            lo = least(c_lo, m * m)  # the unit group of O/mO has < m^2 elements
-    if lo > cap:
+            s = least(c_lo * prod(ell ** conductor_level(E, ell) for ell in undecided), m * m)
+        if s is None:
+            s = least(c_lo, m * m)  # the unit group of O/mO has < m^2 elements
+    if s > cap:
         raise BoundExceeded(
             f"E[{m}] needs an extension beyond the degree cap {R_MAX}",
-            cap="R_MAX", limit=R_MAX, requested=lo * r0,
+            cap="R_MAX", limit=R_MAX, requested=s * r0,
         )
-    if hi == lo:
-        return [lo]
-    # the admissible s are the multiples of lo, and the least one divides hi
-    return [s for s in range(lo, (hi or cap) + 1, lo) if hi is None or hi % s == 0]
+    return s
 
 
 def _certify_basis(P: Point, Q: Point, m: int):

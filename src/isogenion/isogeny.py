@@ -652,10 +652,12 @@ def stable_cyclic_subgroups(E: Curve, ell: int, e: int = 1) -> list[Point]:
     extension degrees in increasing order finds each subgroup once.
     Only roots c = 1 mod ell^b can be eigenvalues, since the Frobenius fixes
     E[ell^b], b the second ell-Sylow exponent of E(k) capped at e.  ell must
-    be a prime int (ValueError otherwise).
+    be a prime int and e a positive int (ValueError otherwise).
     """
     if type(ell) is not int or not is_prime(ell):
         raise ValueError(f"ell must be a prime int, got {ell!r}")
+    if type(e) is not int or e < 1:
+        raise ValueError(f"e must be a positive int, got {e!r}")
     m = ell**e
     if m % E.field.p == 0:
         raise ValueError("subgroup order must be coprime to the characteristic")

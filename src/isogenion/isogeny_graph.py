@@ -34,7 +34,7 @@ from .elliptic_curve import CurveClass, classes_with_trace
 from .endo_ring import conductor_level
 from .errors import NoCurveWithTrace, NotImaginaryQuadratic, NotOnSurface
 from .finite_field import Field, element_to_json
-from .intmath import divisors, kronecker, split_discriminant, valuation
+from .intmath import divisors, is_prime, kronecker, split_discriminant, valuation
 from .isogeny import cyclic_isogenies, modular_polynomial
 from .polyring import multiplicity
 from .quadratic_order import class_group, class_order, primes_above, quad_order
@@ -320,8 +320,11 @@ def count_components(q: int, t: int, ell: int) -> int:
     ell in cl(O) (1 when ell is inert, so such vertices head their own
     components).  Summing h(O) / ord([l]) over the orders between Z[pi]
     and the maximal order that are maximal at ell counts every component
-    exactly once.
+    exactly once.  ell must be a prime int not dividing q (ValueError
+    otherwise, as build_graph refuses that graph).
     """
+    if type(ell) is not int or not is_prime(ell) or q % ell == 0:
+        raise ValueError(f"ell must be a prime not dividing q = {q}, got {ell!r}")
     disc = t * t - 4 * q
     if disc >= 0:
         raise NotImaginaryQuadratic(f"t^2 >= 4q for t={t}, q={q}")

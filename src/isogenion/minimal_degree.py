@@ -24,7 +24,7 @@ from .elliptic_curve import (
     curve_class,
     is_supersingular,
     j_invariant,
-    torsion_basis,
+    torsion_degree,
     twist_classes,
 )
 from .errors import BoundExceeded, NoCurveWithTrace, NotIsogenous, SearchExhausted
@@ -178,8 +178,7 @@ def _cyclic_closure(E: Curve, m: int):
     Over the field GF(q^s) of E[m] every cyclic subgroup of E[m] is
     Frobenius-stable, so cyclic_isogenies of the base change lists them all.
     """
-    K = torsion_basis(E, m)[2]
-    return cyclic_isogenies(base_change(E, K.r // E.field.r), m)
+    return cyclic_isogenies(base_change(E, torsion_degree(E, m)), m)
 
 
 def _lands_on(phi, target, over_k: bool) -> bool:

@@ -45,6 +45,7 @@ from isogenion.elliptic_curve import (
     scalar_mul,
     sylow_basis,
     torsion_basis,
+    torsion_degree,
     trace_over_extension,
     twist_classes,
     two_dim_dlog,
@@ -53,6 +54,7 @@ from isogenion.finite_field import field_create
 from isogenion.intmath import factorize, multiplicative_order, valuation
 from isogenion.polyring import Poly, roots, subfield_embedding
 from oracles import (
+    deadline,
     element_point_add,
     element_scalar_mul,
     paired_sylow_basis,
@@ -848,7 +850,7 @@ def test_gate_with_an_integer_frobenius():
     E = _curve_with(F, F.from_int(6), -14)
     for m in GATE_MS:
         s = multiplicative_order(-7, m)
-        assert elliptic_curve._torsion_degrees(E, m) == [s]
+        assert torsion_degree(E, m) == s
         basis = torsion_basis(E, m)
         assert basis == scanned_torsion_basis(E, m) and basis[2].r == 2 * s
     with pytest.raises(BoundExceeded) as refusal:
@@ -863,19 +865,72 @@ def test_gate_with_an_integer_frobenius():
     [(11, (0, 1), 14, (2, 3, 4, 6, 8)), (7, (0, 0), 2, (2, 3, 4, 6, 8))],
 )
 def test_gate_bracket_beyond_the_prime_field(p, j, t, ms):
-    """An ordinary curve over GF(p^2): the maximal order and Z[pi] bracket
-    End_k(E), and sampling every degree the first admits, up to the first
-    the second certifies, finds the scan's basis."""
+    """An ordinary curve over GF(p^2): the gate names the one degree at
+    which the scan finds E[m], and the basis sampled there is the scan's."""
     F = field_create(p, 2)
     E = _curve_with(F, F.from_coeffs(j), t)
-    widths = []
     for m in ms:
-        degrees = elliptic_curve._torsion_degrees(E, m)
-        widths.append(len(degrees))
         basis = torsion_basis(E, m)
         assert basis == scanned_torsion_basis(E, m)
-        assert basis[2].r // 2 in degrees
-    assert max(widths) > 1
+        assert torsion_degree(E, m) == basis[2].r // 2
+
+
+def _extension_gate_grid():
+    """Every class over GF(5^2), and the supersingular classes over GF(7^3)
+    (j = 1728, t = 0, where f0 = 2*7 puts ell = 2 in the gate)."""
+    F25, F343 = field_create(5, 2), field_create(7, 3)
+    curves = [(F25, c) for j in F25.elements() for c in twist_classes(F25, j)]
+    curves += [
+        (F343, c)
+        for c in twist_classes(F343, F343.from_int(1728))
+        if is_supersingular(c.representative)
+    ]
+    return [
+        pytest.param(
+            c.representative,
+            id=f"{F.order}-{'.'.join(map(str, c.j.coeffs))}-{c.trace}-{c.twist_index}",
+        )
+        for F, c in curves
+    ]
+
+
+@pytest.mark.parametrize("E", _built_or_raised(_extension_gate_grid))
+def test_gate_degree_equals_the_scan_beyond_the_prime_field(E):
+    """torsion_degree is the degree at which the scan first finds E[m], or
+    both refuse.  The GF(5^2) grid holds ordinary classes whose level the
+    Sylow exponent leaves open (ell = 3 at t = 1 and -8, ell = 2 at t = 6),
+    which conductor_level settles."""
+    _reraise(E)
+    for m in (2, 3, 4, 6, 8):
+        want = _basis_or_refusal(scanned_torsion_basis, E, m)
+        if want == "refused":
+            with pytest.raises(BoundExceeded):
+                torsion_degree(E, m)
+            continue
+        assert torsion_degree(E, m) == want[2].r // E.field.r
+        assert torsion_basis(E, m) == want
+
+
+def test_gate_refuses_beyond_the_prime_field_before_sampling(monkeypatch):
+    """E[16] on y^2 = x^3 + (3 + 2x)x + 4 over GF(5^2) (j = x, t = -2)
+    needs GF(5^32): the gate refuses from integer arithmetic and Sylow
+    exponents over GF(5^2), without drawing a point over an extension."""
+    F = field_create(5, 2)
+    E = Curve(F, F.from_coeffs([3, 2]), F.from_coeffs([4, 0]))
+    assert (j_invariant(E), E.trace) == (F.from_coeffs([0, 1]), -2)
+    sylow = elliptic_curve.sylow_basis
+
+    def base_field_only(C, ell):
+        if C.field is not F:
+            raise AssertionError(f"sampled points over {C.field!r}")
+        return sylow(C, ell)
+
+    monkeypatch.setattr(elliptic_curve, "sylow_basis", base_field_only)
+    with deadline(10), pytest.raises(BoundExceeded) as refusal:
+        torsion_basis(E, 16)
+    assert (refusal.value.cap, refusal.value.limit, refusal.value.requested) == (
+        "R_MAX", 24, 32,
+    )
 
 
 def _full_torsion(EK, m):
@@ -993,3 +1048,17 @@ def test_point_order_refuses_a_bad_multiple_before_point_work(monkeypatch, bad):
     monkeypatch.setattr(elliptic_curve, "scalar_mul", no_point_work)
     with pytest.raises(ValueError, match="positive integer"):
         point_order(P, bad)
+
+
+@pytest.mark.parametrize("bad", [0, -2, 2.0, "2"])
+def test_divide_point_refuses_a_bad_divisor_before_point_work(monkeypatch, bad):
+    """divide_point(P, 2.0) used to fail with a TypeError from pow."""
+    E = curve_from_j(field_create(41), 29, 6)
+    P, _, _ = torsion_basis(E, 3)
+
+    def no_point_work(*args):
+        raise AssertionError("point work before the divisor was checked")
+
+    monkeypatch.setattr(elliptic_curve, "scalar_mul", no_point_work)
+    with pytest.raises(ValueError, match="positive int"):
+        divide_point(P, bad)

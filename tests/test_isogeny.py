@@ -500,12 +500,16 @@ class TestDual:
             assert evaluate(pi, evaluate(V, P)) == scalar_mul(41, P)
         assert dual(V) == pi
 
-    @pytest.mark.parametrize("p, r", [(37, 1), (7, 2)])
+    @pytest.mark.parametrize("p, r", [(37, 1), (7, 2), (7, 1)])
     @pytest.mark.parametrize("j", [0, 1728])
     def test_dual_closes_to_multiplication_with_extra_automorphisms(self, p, r, j):
         """Where E has more automorphisms than +-1 the closing isomorphism
         of the dual is still the scaling by 1/n that Velu's normalisation
-        fixes: dual(phi) o phi = [n] on every twist of j = 0 and 1728."""
+        fixes: dual(phi) o phi = [n] on every twist of j = 0 and 1728.
+        Over GF(7), each 2-isogeny from y^2 = x^3 + 3x onto y^2 = x^3 + 5x
+        meets two 2-kernels on the target whose Velu targets are both
+        (2^4*3, 0) and on which pi acts by the same eigenvalue 1 mod 2: a
+        dual must tell them apart by phi(E[2]), not by its landing curve."""
         F = field_create(p, r)
         rng = random.Random(p * r + j)
         checked = 0
@@ -748,6 +752,20 @@ class TestStableSubgroups:
         for E in (Curve(F41, 15, 10), e29):
             with pytest.raises(ValueError, match="prime int"):
                 stable_cyclic_subgroups(E, ell)
+
+    @pytest.mark.parametrize("e", [0, -1, 1.5, 2.0])
+    def test_an_exponent_that_is_not_a_positive_int_is_refused(
+        self, monkeypatch, e29, e
+    ):
+        """e = 0, -1 and 1.5 used to fail with a TypeError inside the scan."""
+
+        def no_point_work(*args):
+            raise AssertionError("point work before e was checked")
+
+        monkeypatch.setattr(isogenion.elliptic_curve, "scalar_mul", no_point_work)
+        monkeypatch.setattr(isogenion.isogeny, "scalar_mul", no_point_work)
+        with pytest.raises(ValueError, match="positive int"):
+            stable_cyclic_subgroups(e29, 2, e)
 
     def test_generators_live_over_minimal_extensions(self, e29):
         for ell, e in [(2, 1), (3, 1), (2, 2), (3, 2)]:

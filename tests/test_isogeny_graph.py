@@ -624,6 +624,21 @@ class TestValidation:
         with pytest.raises(ValueError):
             build_graph(F41, 6, 2.0)
 
+    @pytest.mark.parametrize("ell", [41, 1, 4, 2.0])
+    def test_count_components_refuses_a_bad_ell(self, monkeypatch, ell):
+        """An ell that is not a prime int, or that divides q, is refused
+        before any class group is built: count_components(41, 6, 41) used
+        to answer 7 for a graph build_graph refuses, and ell = 1 failed in
+        valuation."""
+
+        def no_class_groups(*args):
+            raise AssertionError("class-group work before ell was checked")
+
+        monkeypatch.setattr(isogenion.isogeny_graph, "class_group", no_class_groups)
+        monkeypatch.setattr(isogenion.isogeny_graph, "primes_above", no_class_groups)
+        with pytest.raises(ValueError, match="prime not dividing"):
+            count_components(41, 6, ell)
+
     def test_vertex_index_rejects_foreign_class(self, g41_2, g31_2):
         with pytest.raises(ValueError):
             g41_2.vertex_index(g31_2.vertices[0])
