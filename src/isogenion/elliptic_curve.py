@@ -189,9 +189,6 @@ class Curve:
             count_points(self)
         return self._trace
 
-    def j(self) -> FieldElement:
-        return j_invariant(self)
-
 
 class CurveClass:
     """A k-isomorphism class: (j, trace, twist_index) with a chosen
@@ -464,28 +461,17 @@ def embed_point(P: Point, EK: Curve) -> Point:
     return Point(EK, emb.map(P.x), emb.map(P.y))
 
 
-def frobenius_endo(P: Point, k: int | None = None) -> Point:
+def frobenius_endo(P: Point, k: int) -> Point:
     """(x, y) -> (x^{p^k}, y^{p^k}) on the same curve.
 
-    k defaults to the degree of the curve's coefficient field over GF(p), so
-    for a base-changed curve this is the base-field Frobenius endomorphism.
+    This is an endomorphism when the curve's coefficients lie in GF(p^k);
+    for a base change of E over GF(p^r0), k = r0 gives the Frobenius of
+    E's own field.
     """
-    E = P.curve
-    F = E.field
-    if k is None:
-        k = _coefficient_degree(E)
     if P.x is None:
         return P
-    return Point(E, F.frobenius(P.x, k), F.frobenius(P.y, k))
-
-
-def _coefficient_degree(E: Curve) -> int:
-    """Smallest k with A, B in GF(p^k) (so pi_{p^k} is an endomorphism)."""
-    F = E.field
-    for k in range(1, F.r + 1):
-        if F.r % k == 0 and F.frobenius(E.A, k) == E.A and F.frobenius(E.B, k) == E.B:
-            return k
-    raise AssertionError("coefficients generate the whole field tower")
+    F = P.curve.field
+    return Point(P.curve, F.frobenius(P.x, k), F.frobenius(P.y, k))
 
 
 def is_supersingular(E: Curve) -> bool:
@@ -826,8 +812,11 @@ def divide_point(P: Point, n: int) -> Point:
         Q = _divide_in_field(embed_point(P, EK), n)
         if Q is not None:
             return Q
+    # requested=None: the scan stops at the cap, so the degree that has a
+    # solution (if any) is not known
     raise BoundExceeded(
-        f"no solution of {n}*Q = P within the extension cap", cap="R_MAX", limit=R_MAX
+        f"no solution of {n}*Q = P within the extension cap",
+        cap="R_MAX", limit=R_MAX, requested=None,
     )
 
 
@@ -981,13 +970,3 @@ def _certify_basis(P: Point, Q: Point, m: int):
         U1, U2 = scalar_mul(m // ell, P), scalar_mul(m // ell, Q)
         if not U1 or not _bottom_independent(U1, U2, ell):
             raise AssertionError(f"proposed basis is dependent modulo {ell}")
-
-
-def group_structure(E: Curve) -> tuple[int, int]:
-    """E(k) = Z/n1 x Z/n2 with n1 | n2; returns (n1, n2)."""
-    n1 = n2 = 1
-    for ell, _ in factorize(E.order):
-        _, _, a, b = sylow_basis(E, ell)
-        n1 *= ell**b
-        n2 *= ell**a
-    return (n1, n2)

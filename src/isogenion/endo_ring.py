@@ -9,10 +9,9 @@ below the surface of its ell-volcano.  `conductor_level` finds that
 exponent by a breadth-first search from E, over class representatives, for
 the nearest vertex with a single rational ell-isogeny (the floor test);
 `compute_endo_conductor` runs it for every prime of f0.  The module
-also represents the Frobenius as an explicit 2x2 matrix on torsion bases,
-evaluates arbitrary order elements (u + v*pi)/w on points by lifting through
-division, and measures the index of the annihilator of a finite subgroup
-inside End(E).
+also represents the Frobenius as an explicit 2x2 matrix on torsion bases
+and measures the index of the annihilator of a finite subgroup inside
+End(E).
 """
 
 from __future__ import annotations
@@ -20,15 +19,9 @@ from __future__ import annotations
 from functools import lru_cache
 from math import lcm
 
-from .errors import (
-    BoundExceeded,
-    NotInEndomorphismRing,
-    OrdinaryOnly,
-    WrongOrder,
-)
+from .errors import BoundExceeded, OrdinaryOnly, WrongOrder
 from .finite_field import R_MAX
 from .intmath import factorize, is_prime, valuation
-from .polyring import subfield_embedding
 from .elliptic_curve import (
     M_MAX,
     Curve,
@@ -41,10 +34,8 @@ from .elliptic_curve import (
     embed_point,
     frobenius_endo,
     is_supersingular,
-    point_add,
     point_order,
     scalar_mul,
-    divide_point,
     torsion_basis,
     two_dim_dlog,
 )
@@ -219,82 +210,6 @@ def frobenius_matrix(E: Curve, m: int) -> FrobeniusMatrix:
 
 
 # ---------------------------------------------------------------------------
-# order elements acting on points
-
-
-def order_generator_element(E: Curve) -> tuple[int, int, int]:
-    """(u, v, w) with f*gamma = (u + v*pi)/w, the non-trivial generator of
-    End(E) = Z + Z*f*gamma.
-
-    Derived from (t, q, D0, f0, f) and verified: the element must have the
-    trace and norm of f*gamma in the abstract order.
-    """
-    desc = compute_endo_conductor(E)
-    t, q = E.trace, E.field.order
-    delta = desc.D0 % 2
-    u0, rem = divmod(t - desc.f0 * delta, 2)
-    assert rem == 0, "trace and conductor disagree in parity"
-    w = desc.f0 // desc.f
-    u, v = -u0, 1
-    ring = desc.order()
-    assert (2 * u + v * t) == w * ring.element_trace(0, 1)
-    assert (u * u + u * v * t + v * v * q) == w * w * ring.element_norm(0, 1)
-    return (u, v, w)
-
-
-def _descend_point(R: Point, C: Curve) -> Point:
-    """Rewrite R, known to be rational over C's field, as a point of C."""
-    if R.curve == C:
-        return R
-    if not R:
-        return C.infinity()
-    emb = subfield_embedding(C.field, R.curve.field)
-    try:
-        return C.point(emb.unmap(R.x), emb.unmap(R.y))
-    except ValueError:
-        raise AssertionError("image must be rational over the point's field")
-
-
-def evaluate_order_element(E: Curve, elem: tuple, P: Point) -> Point:
-    """Apply (u + v*pi)/w in End(E) to P, with elem = (u, v, w).
-
-    P is divided by w first (possibly in an extension), u + v*pi is applied
-    to the lift, and the result is descended back to P's field.  Raises
-    NotInEndomorphismRing when the element is not integral for E.
-    """
-    u, v, w = elem
-    if not all(isinstance(z, int) for z in (u, v, w)):
-        raise TypeError("element coordinates must be integers")
-    if w < 1:
-        raise ValueError("denominator must be a positive integer")
-    base_change_degree(E, P.curve)
-    desc = compute_endo_conductor(E)
-    t = E.trace
-    u0 = (t - desc.f0 * (desc.D0 % 2)) // 2
-    if (v * desc.f0) % (w * desc.f) or (u + v * u0) % w:
-        raise NotInEndomorphismRing(
-            f"({u} + {v}*pi)/{w} does not lie in the conductor-{desc.f} order"
-        )
-    p = E.field.p
-    if w % p == 0:
-        raise ValueError("denominator must be coprime to the characteristic")
-    if not P:
-        return P
-    m = point_order(P)
-    if m % p == 0:
-        raise ValueError("point order must be coprime to the characteristic")
-    lift = P if w == 1 else divide_point(P, w)
-    r0 = E.field.r
-    R = point_add(scalar_mul(u, lift), scalar_mul(v, frobenius_endo(lift, r0)))
-    # lift-independence: w*R must equal (u + v*pi) applied to P itself
-    up = embed_point(P, lift.curve)
-    direct = point_add(scalar_mul(u, up), scalar_mul(v, frobenius_endo(up, r0)))
-    if scalar_mul(w, R) != direct:
-        raise AssertionError("image depends on the choice of lift")
-    return _descend_point(R, P.curve)
-
-
-# ---------------------------------------------------------------------------
 # annihilator indices
 
 
@@ -303,7 +218,8 @@ def coords_in_basis(T: Point, P: Point, Q: Point, m: int) -> tuple[int, int]:
     r_common = lcm(T.curve.field.r, P.curve.field.r)
     if r_common > R_MAX:
         raise BoundExceeded(
-            f"no common field for the point and the basis within degree {R_MAX}"
+            f"no common field for the point and the basis within degree {R_MAX}",
+            cap="R_MAX", limit=R_MAX, requested=r_common,
         )
     EK = base_change(P.curve, r_common // P.curve.field.r)
     Pm, Qm, Tm = (embed_point(R, EK) for R in (P, Q, T))
@@ -326,7 +242,8 @@ def gamma_matrix(E: Curve, m: int):
     w = desc.f0 // desc.f
     if m * w > M_MAX:
         raise BoundExceeded(
-            f"f*gamma on E[{m}] needs the {m * w}-torsion; cap is {M_MAX}"
+            f"f*gamma on E[{m}] needs the {m * w}-torsion; cap is {M_MAX}",
+            cap="M_MAX", limit=M_MAX, requested=m * w,
         )
     fm = frobenius_matrix(E, m * w)
     (a, b), (c, d) = fm.matrix
@@ -358,7 +275,9 @@ def annihilator_index(E: Curve, kernel_gen, m: int) -> int:
     if not isinstance(m, int) or m < 1:
         raise ValueError("order must be a positive integer")
     if m > M_MAX:
-        raise BoundExceeded(f"kernel order cap is {M_MAX}")
+        raise BoundExceeded(
+            f"kernel order cap is {M_MAX}", cap="M_MAX", limit=M_MAX, requested=m
+        )
     if m == 1:
         if isinstance(kernel_gen, Point) and kernel_gen:
             raise WrongOrder("order 1 demands a trivial generator")

@@ -17,10 +17,11 @@ class BoundExceeded(IsogenionError):
     """A configured desk-scale cap (field size, extension degree, norm, ...)
     would be exceeded.
 
-    Raise sites that say which cap tripped set `cap` (its name, such as
-    "M_MAX" or "R_MAX"), `limit` (its value) and `requested` (the value the
-    call needed: an extension degree over GF(p) for R_MAX, at least that
-    degree where only a lower bound is known); each is None otherwise.
+    Every raise site sets `cap` (its name, such as "M_MAX" or "R_MAX"),
+    `limit` (its value; M_MAX**2 where M_MAX bounds an ideal norm) and
+    `requested` (the value the call needed: an extension degree over GF(p)
+    for R_MAX, at least that degree where only a lower bound is known, and
+    None where the value is not known).
     """
 
     def __init__(self, *args, cap=None, limit=None, requested=None):
@@ -92,10 +93,6 @@ class NotOnSurface(IsogenionError):
 
 class OrdinaryOnly(IsogenionError):
     """The operation is defined for ordinary curves only."""
-
-
-class NotInEndomorphismRing(IsogenionError):
-    """(u + v*pi)/w does not lie in End(E)."""
 
 
 class NotIsogenous(IsogenionError):

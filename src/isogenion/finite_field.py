@@ -35,9 +35,7 @@ __all__ = [
     "Field",
     "FieldElement",
     "field_create",
-    "arith",
     "sqrt",
-    "frobenius",
     "element_to_json",
     "P_MAX",
     "R_MAX",
@@ -470,19 +468,6 @@ def field_create(p: int, r: int = 1) -> Field:
     return _field_singleton(p, r)
 
 
-def arith(a: FieldElement, b: FieldElement, op: str) -> FieldElement:
-    """Dispatch add/sub/mul/div by name."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown op {op!r}")
-
-
 def sqrt(a: FieldElement):
     """Both square roots of `a`, or None if `a` is a non-square.
 
@@ -527,11 +512,6 @@ def _tonelli_shanks(a: FieldElement) -> FieldElement:
         t = t * c
         s = i
     return x
-
-
-def frobenius(a: FieldElement) -> FieldElement:
-    """The field-level Frobenius a -> a**p."""
-    return a.field.frobenius(a, 1)
 
 
 def element_to_json(a: FieldElement):

@@ -52,7 +52,6 @@ from .isogeny import Isogeny, cyclic_isogenies
 from .quadratic_order import (
     DISC_MAX,
     QuadIdeal,
-    ideal_create,
     ideal_multiply,
     primes_above,
     unit_ideal,
@@ -358,11 +357,17 @@ def kernel_of_ideal(E: Curve, I: QuadIdeal) -> list[Point]:
         raise PPartUnsupported(
             "the p-part of an ideal kernel is not an etale subgroup"
         )
-    if I.norm > M_MAX * M_MAX:
-        raise BoundExceeded(f"ideal norm cap is {M_MAX * M_MAX}")
+    if I.norm > M_MAX * M_MAX:  # norm t^2*a <= n^2 whenever H(I) fits in E[n]
+        raise BoundExceeded(
+            f"ideal norm cap is {M_MAX * M_MAX}",
+            cap="M_MAX", limit=M_MAX * M_MAX, requested=I.norm,
+        )
     n = I.a * I.t
     if n > M_MAX:
-        raise BoundExceeded(f"H(I) lives in E[{n}]; torsion cap is {M_MAX}")
+        raise BoundExceeded(
+            f"H(I) lives in E[{n}]; torsion cap is {M_MAX}",
+            cap="M_MAX", limit=M_MAX, requested=n,
+        )
     W, P, Q = gamma_matrix(E, n)
     m00 = (I.t * (I.b + W[0])) % n
     m01 = (I.t * W[1]) % n
@@ -395,10 +400,12 @@ def annihilator_ideal(E: Curve, points) -> QuadIdeal:
     if n % E.field.p == 0:
         raise PPartUnsupported("point orders must be coprime to p")
     if n > M_MAX:
-        raise BoundExceeded(f"subgroup exponent cap is {M_MAX}")
+        raise BoundExceeded(
+            f"subgroup exponent cap is {M_MAX}", cap="M_MAX", limit=M_MAX, requested=n
+        )
     A, c, d = _annihilator_lattice(E, pts, n)
     assert A % d == 0 and c % d == 0, "annihilators always form an ideal"
-    return ideal_create(order, d, A // d, (c // d) % (A // d))
+    return QuadIdeal(order, d, A // d, (c // d) % (A // d))
 
 
 def p_part_ideal(E: Curve, e1: int, e: int) -> QuadIdeal:
@@ -420,7 +427,10 @@ def p_part_ideal(E: Curve, e1: int, e: int) -> QuadIdeal:
     order = desc.order()
     p = E.field.p
     if p**e > DISC_MAX:
-        raise BoundExceeded(f"ideal norm cap is {DISC_MAX}")
+        raise BoundExceeded(
+            f"ideal norm cap is {DISC_MAX}",
+            cap="DISC_MAX", limit=DISC_MAX, requested=p**e,
+        )
     above = primes_above(order, p)
     assert len(above) == 2, "p must split in the CM order of an ordinary curve"
     u0 = (E.trace - desc.f0 * (desc.D0 % 2)) // 2

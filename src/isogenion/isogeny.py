@@ -19,7 +19,6 @@ inseparability exponents are tracked explicitly.
 from __future__ import annotations
 
 import itertools
-import os
 from functools import lru_cache
 from importlib import resources
 from math import lcm
@@ -57,6 +56,9 @@ from .elliptic_curve import (
     torsion_basis,
 )
 from .intmath import factorize, is_prime, multiplicative_order, prime_factors
+
+# the largest q whose q-power Frobenius gets explicit rational maps (x^q, ...)
+FROBENIUS_MAP_MAX = 2**12
 
 
 # ---------------------------------------------------------------------------
@@ -385,8 +387,11 @@ def _step_maps(step):
         return Poly(F, [F.zero, u * u]), one, Poly.const(F, u * u * u), one
     if isinstance(step, _FrobStep) and step.e > 0:
         q = F.p ** step.e
-        if q > 2**12:
-            raise BoundExceeded("rational maps of this Frobenius power are huge")
+        if q > FROBENIUS_MAP_MAX:
+            raise BoundExceeded(
+                "rational maps of this Frobenius power are huge",
+                cap="FROBENIUS_MAP_MAX", limit=FROBENIUS_MAP_MAX, requested=q,
+            )
         xmap = Poly(F, [F.zero] * q + [F.one])
         f = Poly(F, [step.src.B, step.src.A, F.zero, F.one])
         return xmap, one, f ** ((q - 1) // 2), one
@@ -443,7 +448,9 @@ def velu(E: Curve, kernel_gen, order: int) -> Isogeny:
     if order % E.field.p == 0:
         raise ValueError("kernel order must be coprime to the characteristic")
     if order > M_MAX:
-        raise BoundExceeded(f"kernel order cap is {M_MAX}")
+        raise BoundExceeded(
+            f"kernel order cap is {M_MAX}", cap="M_MAX", limit=M_MAX, requested=order
+        )
     P = kernel_gen
     if not isinstance(P, Point) or not P:
         raise WrongOrder("kernel generator must be a finite point")
@@ -530,7 +537,10 @@ def compose(psi: Isogeny, phi: Isogeny) -> Isogeny:
         raise ClassMismatch("target class of phi differs from source class of psi")
     sep = phi.separable_degree * psi.separable_degree
     if sep > M_MAX:
-        raise BoundExceeded(f"composite separable degree cap is {M_MAX}")
+        raise BoundExceeded(
+            f"composite separable degree cap is {M_MAX}",
+            cap="M_MAX", limit=M_MAX, requested=sep,
+        )
     glue = ()
     if mid_out != mid_in:
         u = isomorphism_scale(mid_out, mid_in)
@@ -741,9 +751,6 @@ def cyclic_isogenies(E: Curve, n: int) -> tuple[Isogeny, ...]:
 # modular polynomials
 
 
-SUPPORTED_LEVELS = (2, 3, 5, 7)
-
-
 class ModularPolynomial:
     """Phi_level as a symmetric integer coefficient table (i, j) -> c."""
 
@@ -782,16 +789,8 @@ class ModularPolynomial:
 
 
 @lru_cache(maxsize=None)
-def _load_modular_tables(source_key: str):
-    if source_key:
-        with open(os.path.join(source_key, "modular_polynomials.txt")) as fh:
-            text = fh.read()
-    else:
-        text = (
-            resources.files("isogenion")
-            .joinpath("data/modular_polynomials.txt")
-            .read_text()
-        )
+def _load_modular_tables():
+    text = resources.files("isogenion").joinpath("data/modular_polynomials.txt").read_text()
     tables: dict[int, dict] = {}
     for line in text.split("\n"):
         line = line.strip()
@@ -807,17 +806,9 @@ def _load_modular_tables(source_key: str):
 
 def modular_polynomial(level: int) -> ModularPolynomial:
     """The classical modular polynomial Phi_level (levels 2, 3, 5, 7)."""
-    tables = _load_modular_tables(os.environ.get("ISOGENION_DATA", ""))
+    tables = _load_modular_tables()
     if level not in tables:
         raise UnsupportedLevel(
             f"no modular polynomial for level {level}; have {sorted(tables)}"
         )
     return tables[level]
-
-
-def modular_adjacent(level: int, j1: FieldElement, j2: FieldElement) -> bool:
-    """Whether Phi_level(j1, j2) = 0, i.e. the two j-invariants are joined
-    by a cyclic isogeny of degree `level` over the algebraic closure."""
-    if level not in SUPPORTED_LEVELS:
-        raise UnsupportedLevel(f"supported levels: {SUPPORTED_LEVELS}")
-    return not modular_polynomial(level).evaluate(j1, j2)

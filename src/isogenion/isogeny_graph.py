@@ -20,9 +20,9 @@ which must match the number of components the edge scan actually finds.
 
 Degrees here always count k-rational kernels: a self-loop contributes one
 per kernel, and at j = 0 or 1728 several kernels may share a target class
-without changing the count.  `IsogenyGraph.degree` exposes the classical
-handshake convention (loops doubled) as an option, but every structural
-check works with raw kernel counts.
+without changing the count.  Every structural check works with these raw
+kernel counts; the handshake convention (loops doubled) adds
+`multiplicity(v, v)` to `degree(v)`.
 """
 
 from __future__ import annotations
@@ -38,10 +38,6 @@ from .intmath import divisors, is_prime, kronecker, split_discriminant, valuatio
 from .isogeny import cyclic_isogenies, modular_polynomial
 from .polyring import multiplicity
 from .quadratic_order import class_group, class_order, primes_above, quad_order
-
-HORIZONTAL = "horizontal"
-ASCENDING = "ascending"
-DESCENDING = "descending"
 
 
 class IsogenyGraph:
@@ -99,14 +95,9 @@ class IsogenyGraph:
         quotient lands in class v (0 when there is no edge)."""
         return self._adj.get(u, {}).get(v, 0)
 
-    def degree(self, v: int, loops_double: bool = False) -> int:
-        """Kernel count at v; with loops_double each self-loop adds two
-        (the usual graph-theoretic handshake convention)."""
-        row = self._adj.get(v, {})
-        deg = sum(row.values())
-        if loops_double:
-            deg += row.get(v, 0)
-        return deg
+    def degree(self, v: int) -> int:
+        """Kernel count at v (a self-loop counts once per kernel)."""
+        return sum(self._adj.get(v, {}).values())
 
     def neighbor_count(self, v: int) -> int:
         """Distinct classes adjacent to v (the drawn-vertex degree; at
@@ -192,20 +183,6 @@ def build_graph(field: Field, trace: int, ell: int) -> IsogenyGraph:
         field, trace, ell, classes, edges, levels, depth, components,
         disc0, cond0,
     )
-
-
-def classify_edge(e, g: IsogenyGraph) -> str:
-    """One of "horizontal", "ascending", "descending" for the edge
-    (from-index, to-index[, multiplicity]), read against g's levels."""
-    u, v = e[0], e[1]
-    lu, lv = g.levels[u], g.levels[v]
-    if lu == lv:
-        return HORIZONTAL
-    if lv == lu + 1:
-        return DESCENDING
-    if lv == lu - 1:
-        return ASCENDING
-    raise ValueError(f"edge {e!r} jumps levels {lu} -> {lv}")
 
 
 def verify_volcano(g: IsogenyGraph) -> dict:

@@ -42,6 +42,9 @@ from .polyring import roots as poly_roots
 # rB enumerates every class of a trace and searches all pairs; the point
 # counts behind that sweep are quadratic in q, so keep it at desk scale.
 CLASS_SWEEP_MAX = 1000
+# Degrees divisible by p (on ordinary curves) and supersingular pairs are
+# searched only over GF(p) and GF(p^2); see _degree_candidates.
+SEARCH_R_MAX = 2
 
 
 def eB(q: int, t: int) -> int:
@@ -208,9 +211,10 @@ def _degree_candidates(E: Curve, m: int, over_k: bool):
     if e == 0:
         yield from cyclic_isogenies(E, m) if over_k else _cyclic_closure(E, m)
         return
-    if E.field.r > 2 and not is_supersingular(E):
+    if E.field.r > SEARCH_R_MAX and not is_supersingular(E):
         raise BoundExceeded(
-            "degrees divisible by p are only searched over GF(p) and GF(p^2)"
+            "degrees divisible by p are only searched over GF(p) and GF(p^2)",
+            cap="SEARCH_R_MAX", limit=SEARCH_R_MAX, requested=E.field.r,
         )
     frob = frobenius_isogeny(E, e)
     if sep == 1:
@@ -264,7 +268,10 @@ def md_between(E2: Curve, E1: Curve, over_k: bool = True) -> MdResult:
     elif E2.field.r == 2:
         bound = p
     else:
-        raise BoundExceeded("supersingular search beyond GF(p^2) is not supported")
+        raise BoundExceeded(
+            "supersingular search beyond GF(p^2) is not supported",
+            cap="SEARCH_R_MAX", limit=SEARCH_R_MAX, requested=E2.field.r,
+        )
 
     # Same class: only 2 and 3 need searching; [2] settles 4 without
     # enumerating any 4-torsion.

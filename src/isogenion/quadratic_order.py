@@ -18,9 +18,8 @@ normal form.  Arithmetic never leaves the integers: elements x + y*f*gamma are
 Besides ideal arithmetic (products via 2x2 Hermite reduction, conjugation,
 invertibility through the multiplier ring) the module enumerates ideals of a
 given norm, counts invertible/non-invertible ideals of prime-power norm by
-the closed piecewise formulas, lists class groups through reduced binary
-quadratic forms, and computes the floor((2/pi)*sqrt|disc|) norm bound with
-exact bracketing.
+the closed piecewise formulas, and lists class groups through reduced
+binary quadratic forms.
 """
 
 from math import gcd
@@ -33,8 +32,6 @@ from .errors import (
     OrderMismatch,
 )
 from .intmath import (
-    factorize,
-    floor_two_over_pi_sqrt,
     hnf2,
     is_prime,
     kronecker,
@@ -58,7 +55,7 @@ class QuadOrder:
             raise NotImaginaryQuadratic(f"D0 = {D0} is not negative")
         if f < 1:
             raise ValueError("conductor must be a positive integer")
-        if not _is_fundamental(D0):
+        if D0 % 4 > 1 or split_discriminant(D0)[1] != 1:
             raise ValueError(f"{D0} is not a fundamental discriminant")
         self.D0 = D0
         self.f = f
@@ -94,26 +91,7 @@ class QuadOrder:
         return f"QuadOrder(D0={self.D0}, f={self.f})"
 
 
-def _is_fundamental(D0: int) -> bool:
-    if D0 % 4 == 1:
-        return _squarefree(-D0)
-    if D0 % 4 == 0:
-        m = D0 // 4
-        return m % 4 in (2, 3) and _squarefree(-m)
-    return False
-
-
-def _squarefree(n: int) -> bool:
-    return all(e == 1 for _, e in factorize(n))
-
-
 def quad_order(D0: int, f: int = 1) -> QuadOrder:
-    return QuadOrder(D0, f)
-
-
-def order_from_disc(disc: int) -> QuadOrder:
-    """The unique order of the given (negative) discriminant."""
-    D0, f = split_discriminant(disc)
     return QuadOrder(D0, f)
 
 
@@ -167,16 +145,8 @@ class QuadIdeal:
         return f"QuadIdeal({self.order!r}, t={self.t}, a={self.a}, b={self.b})"
 
 
-def ideal_create(order: QuadOrder, t: int, a: int, b: int) -> QuadIdeal:
-    return QuadIdeal(order, t, a, b)
-
-
 def unit_ideal(order: QuadOrder) -> QuadIdeal:
     return QuadIdeal(order, 1, 1, 0)
-
-
-def ideal_norm(I: QuadIdeal) -> int:
-    return I.norm
 
 
 def ideal_conjugate(I: QuadIdeal) -> QuadIdeal:
@@ -275,7 +245,10 @@ def class_group(order: QuadOrder) -> IdealClassGroup:
     """
     disc = order.disc
     if -disc > DISC_MAX:
-        raise BoundExceeded(f"|disc| cap for class groups is {DISC_MAX}")
+        raise BoundExceeded(
+            f"|disc| cap for class groups is {DISC_MAX}",
+            cap="DISC_MAX", limit=DISC_MAX, requested=-disc,
+        )
     reps = []
     a = 1
     while 3 * a * a <= -disc:
@@ -323,13 +296,6 @@ def _reduce_form(a: int, B: int, C: int, disc: int) -> tuple[int, int, int]:
     return a, B, C
 
 
-def is_principal(I: QuadIdeal) -> bool:
-    if not is_invertible(I):
-        raise ValueError("principality is a class notion; ideal not invertible")
-    a, _, _ = _reduce_form(*_ideal_form(I), I.order.disc)
-    return a == 1
-
-
 def class_order(I: QuadIdeal) -> int:
     """Multiplicative order of the ideal class in the class group."""
     if not is_invertible(I):
@@ -344,12 +310,6 @@ def class_order(I: QuadIdeal) -> int:
         if k > -O.disc:
             raise AssertionError("class order exceeded the discriminant bound")
     return k
-
-
-def minkowski_bound(order: QuadOrder) -> int:
-    """floor((2/pi) * sqrt(|disc|)): every ideal class has a representative
-    of norm at most this."""
-    return floor_two_over_pi_sqrt(-order.disc)
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +366,10 @@ def enumerate_ideals(order: QuadOrder, norm: int) -> list[QuadIdeal]:
     if not isinstance(norm, int) or norm < 1:
         raise ValueError("norm must be a positive integer")
     if norm > DISC_MAX:
-        raise BoundExceeded(f"norm cap for enumeration is {DISC_MAX}")
+        raise BoundExceeded(
+            f"norm cap for enumeration is {DISC_MAX}",
+            cap="DISC_MAX", limit=DISC_MAX, requested=norm,
+        )
     Tw, Nw = order.Tw, order.Nw
     out = []
     t = 1

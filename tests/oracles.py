@@ -12,16 +12,23 @@ from isogenion.elliptic_curve import (
     _bottom_independent,
     _ell_power_order,
     base_change,
+    base_change_degree,
     curve_order_over_extension,
     curve_seed,
+    divide_point,
+    embed_point,
+    frobenius_endo,
     point_add,
     point_log,
+    point_order,
     scalar_mul,
     sylow_basis,
 )
+from isogenion.endo_ring import compute_endo_conductor
 from isogenion.errors import BoundExceeded, CurveMismatch
 from isogenion.finite_field import R_MAX
 from isogenion.intmath import factorize, valuation
+from isogenion.polyring import subfield_embedding
 
 
 @contextmanager
@@ -339,3 +346,83 @@ def swept_count(E):
         elif fx in squares:
             n += 2
     return n
+
+
+# ---------------------------------------------------------------------------
+# order-element oracles: End(E) = Z + Z*f*gamma applied to points by point
+# division and lifting, a path that never touches a torsion matrix.  This
+# module is not rewritten by pytest, so its checks raise explicitly and
+# hold under `python -O` too.
+
+
+def order_generator_element(E):
+    """(u, v, w) with f*gamma = (u + v*pi)/w, the non-trivial generator of
+    End(E) = Z + Z*f*gamma.
+
+    Derived from (t, q, D0, f0, f) and verified: the element must have the
+    trace and norm of f*gamma in the abstract order.
+    """
+    desc = compute_endo_conductor(E)
+    t, q = E.trace, E.field.order
+    u0, rem = divmod(t - desc.f0 * (desc.D0 % 2), 2)
+    if rem:
+        raise AssertionError("trace and conductor disagree in parity")
+    w = desc.f0 // desc.f
+    u, v = -u0, 1
+    ring = desc.order()
+    if 2 * u + v * t != w * ring.element_trace(0, 1):
+        raise AssertionError("generator has the wrong trace")
+    if u * u + u * v * t + v * v * q != w * w * ring.element_norm(0, 1):
+        raise AssertionError("generator has the wrong norm")
+    return (u, v, w)
+
+
+def _descend_point(R, C):
+    """Rewrite R, known to be rational over C's field, as a point of C."""
+    if R.curve == C:
+        return R
+    if not R:
+        return C.infinity()
+    emb = subfield_embedding(C.field, R.curve.field)
+    try:
+        return C.point(emb.unmap(R.x), emb.unmap(R.y))
+    except ValueError:
+        raise AssertionError("image must be rational over the point's field")
+
+
+def evaluate_order_element(E, elem, P):
+    """Apply (u + v*pi)/w in End(E) to P, with elem = (u, v, w).
+
+    P is divided by w first (possibly in an extension), u + v*pi is applied
+    to the lift, and the result is descended back to P's field.  Raises
+    ValueError when the element is not integral for E.
+    """
+    u, v, w = elem
+    if not all(isinstance(z, int) for z in (u, v, w)):
+        raise TypeError("element coordinates must be integers")
+    if w < 1:
+        raise ValueError("denominator must be a positive integer")
+    base_change_degree(E, P.curve)
+    desc = compute_endo_conductor(E)
+    u0 = (E.trace - desc.f0 * (desc.D0 % 2)) // 2
+    if (v * desc.f0) % (w * desc.f) or (u + v * u0) % w:
+        raise ValueError(
+            f"({u} + {v}*pi)/{w} does not lie in the conductor-{desc.f} order"
+        )
+    p = E.field.p
+    if w % p == 0:
+        raise ValueError("denominator must be coprime to the characteristic")
+    if not P:
+        return P
+    m = point_order(P)
+    if m % p == 0:
+        raise ValueError("point order must be coprime to the characteristic")
+    lift = P if w == 1 else divide_point(P, w)
+    r0 = E.field.r
+    R = point_add(scalar_mul(u, lift), scalar_mul(v, frobenius_endo(lift, r0)))
+    # lift-independence: w*R must equal (u + v*pi) applied to P itself
+    up = embed_point(P, lift.curve)
+    direct = point_add(scalar_mul(u, up), scalar_mul(v, frobenius_endo(up, r0)))
+    if scalar_mul(w, R) != direct:
+        raise AssertionError("image depends on the choice of lift")
+    return _descend_point(R, P.curve)

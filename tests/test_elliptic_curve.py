@@ -9,7 +9,7 @@ recurrence.
 
 import random
 from functools import lru_cache
-from math import gcd
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings
@@ -35,7 +35,6 @@ from isogenion.elliptic_curve import (
     divide_point,
     embed_point,
     frobenius_endo,
-    group_structure,
     is_supersingular,
     isomorphism_scale,
     j_invariant,
@@ -399,8 +398,8 @@ def test_frobenius_characteristic_equation():
         rng = random.Random(6 + s)
         for _ in range(10):
             R = EK.random_point(rng)
-            piR = frobenius_endo(R)
-            pi2R = frobenius_endo(piR)
+            piR = frobenius_endo(R, 1)
+            pi2R = frobenius_endo(piR, 1)
             assert EK.is_on(piR.x, piR.y)
             assert not point_add(
                 point_add(pi2R, scalar_mul(-t, piR)), scalar_mul(41, R)
@@ -408,7 +407,7 @@ def test_frobenius_characteristic_equation():
         # Frobenius fixes exactly the base-field points
         P = E.random_point(rng)
         PK = embed_point(P, EK)
-        assert frobenius_endo(PK) == PK
+        assert frobenius_endo(PK, 1) == PK
 
 
 def test_supersingular_flag():
@@ -541,7 +540,10 @@ def test_group_structure_matches_brute():
                 exponent = exponent * o // gcd(exponent, o)
             n2 = exponent
             n1 = len(pts) // n2
-            assert group_structure(E) == (n1, n2)
+            # E(k) = Z/n1 x Z/n2 with n1 = prod ell^b and n2 = prod ell^a
+            exps = [(ell, sylow_basis(E, ell)[2:]) for ell, _ in factorize(E.order)]
+            assert prod(ell**b for ell, (_, b) in exps) == n1
+            assert prod(ell**a for ell, (a, _) in exps) == n2
             assert n2 % n1 == 0
 
 
@@ -864,7 +866,7 @@ def test_gate_with_an_integer_frobenius():
     "p, j, t, ms",
     [(11, (0, 1), 14, (2, 3, 4, 6, 8)), (7, (0, 0), 2, (2, 3, 4, 6, 8))],
 )
-def test_gate_bracket_beyond_the_prime_field(p, j, t, ms):
+def test_gate_degree_beyond_the_prime_field(p, j, t, ms):
     """An ordinary curve over GF(p^2): the gate names the one degree at
     which the scan finds E[m], and the basis sampled there is the scan's."""
     F = field_create(p, 2)

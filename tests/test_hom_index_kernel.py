@@ -4,8 +4,9 @@ The index formula under test never enumerates endomorphisms: it reads
 conductor valuations off the two endomorphism rings and multiplies by the
 degree.  Each claim below is re-measured by at least one of: the brute
 residue count of endo_ring.annihilator_index, a lifted-division lattice
-built from order_generator_element (which applies (u + v*pi)/w through
-point division, a completely separate code path), or — over a prime field
+built from the oracles' order_generator_element (evaluate_order_element
+applies (u + v*pi)/w through point division, a completely separate code
+path), or — over a prime field
 with trace zero, where f*gamma is the Frobenius itself — direct point
 arithmetic with frobenius_endo.
 """
@@ -27,12 +28,7 @@ from isogenion.elliptic_curve import (
     torsion_basis,
     twist_classes,
 )
-from isogenion.endo_ring import (
-    annihilator_index,
-    evaluate_order_element,
-    frobenius_matrix,
-    order_generator_element,
-)
+from isogenion.endo_ring import annihilator_index, frobenius_matrix
 from isogenion.errors import (
     BoundExceeded,
     CurveMismatch,
@@ -58,14 +54,14 @@ from isogenion.hom_index_kernel import (
 )
 from isogenion.isogeny import compose, cyclic_isogenies, dual, evaluate, velu
 from isogenion.quadratic_order import (
+    QuadIdeal,
     ideal_conjugate,
-    ideal_create,
     ideal_multiply,
     is_invertible,
     quad_order,
     unit_ideal,
 )
-from oracles import cyclic_lines
+from oracles import cyclic_lines, evaluate_order_element, order_generator_element
 
 F41 = field_create(41)
 F53 = field_create(53)
@@ -222,7 +218,7 @@ class TestIndexAnchors:
         O5 = quad_order(-8, 1)
         K = phi.kernel_gen
         I = annihilator_ideal(volcano[5], [K])
-        assert I == ideal_create(O5, 1, 2, 0)
+        assert I == QuadIdeal(O5, 1, 2, 0)
         assert is_invertible(I)
         H = kernel_of_ideal(volcano[5], I)
         assert len(H) == 2  # identity plus the kernel generator
@@ -351,7 +347,7 @@ class TestPrimeFieldSupersingular:
 
     def test_matching_edge(self, e0_53):
         O53 = quad_order(-212, 1)
-        P2 = ideal_create(O53, 1, 2, 1)
+        P2 = QuadIdeal(O53, 1, 2, 1)
         H = kernel_of_ideal(e0_53, P2)
         pts = [T for T in H if T]
         assert len(H) == 2 and len(pts) == 1
@@ -372,7 +368,7 @@ class TestPrimeFieldSupersingular:
             # so the velu model itself names the class
             phi = velu(e0_53, K, n)
             d = hom_index(e0_53, phi.target_curve, phi)
-            piK = frobenius_endo(K)
+            piK = frobenius_endo(K, 1)
             members = {
                 (x, y)
                 for x in range(n)
@@ -384,7 +380,7 @@ class TestPrimeFieldSupersingular:
 
     def test_principal_two_cuts_full_two_torsion(self, e0_53):
         O53 = quad_order(-212, 1)
-        H = kernel_of_ideal(e0_53, ideal_create(O53, 2, 1, 0))
+        H = kernel_of_ideal(e0_53, QuadIdeal(O53, 2, 1, 0))
         assert sorted(point_order(T) for T in H if T) == [2, 2, 2]
 
 
@@ -499,7 +495,7 @@ class TestKernelOfIdeal:
         """Both primes above 3 in disc -8 are principal: two loops at j=5."""
         O5 = quad_order(-8, 1)
         for b in (1, 2):
-            I = ideal_create(O5, 1, 3, b)
+            I = QuadIdeal(O5, 1, 3, b)
             H = kernel_of_ideal(volcano[5], I)
             pts = [T for T in H if T]
             assert len(pts) == 2
@@ -507,7 +503,7 @@ class TestKernelOfIdeal:
             phi = velu(volcano[5], gen, 3)
             assert curve_class(phi.target_curve).j.lift_int() == 5
             assert annihilator_ideal(volcano[5], H) == I
-        assert ideal_conjugate(ideal_create(O5, 1, 3, 1)) == ideal_create(O5, 1, 3, 2)
+        assert ideal_conjugate(QuadIdeal(O5, 1, 3, 1)) == QuadIdeal(O5, 1, 3, 2)
 
     def test_non_invertible_ideal_is_still_a_kernel_ideal(self, volcano):
         """On the floor, the non-invertible norm-4 ideal cuts out Z/4.
@@ -516,7 +512,7 @@ class TestKernelOfIdeal:
         correspondence: the round trip I -> H(I) -> I closes.
         """
         O13 = quad_order(-8, 4)
-        I = ideal_create(O13, 1, 4, 0)
+        I = QuadIdeal(O13, 1, 4, 0)
         assert not is_invertible(I)
         H = kernel_of_ideal(volcano[13], I)
         assert sorted(point_order(T) for T in H if T) == [2, 4, 4]
@@ -524,7 +520,7 @@ class TestKernelOfIdeal:
 
     def test_invertible_norm_four_neighbour(self, volcano):
         O13 = quad_order(-8, 4)
-        I = ideal_create(O13, 1, 4, 2)
+        I = QuadIdeal(O13, 1, 4, 2)
         assert is_invertible(I)
         H = kernel_of_ideal(volcano[13], I)
         assert sorted(point_order(T) for T in H if T) == [2, 4, 4]
@@ -532,7 +528,7 @@ class TestKernelOfIdeal:
 
     def test_principal_two_on_the_floor(self, volcano):
         O13 = quad_order(-8, 4)
-        H = kernel_of_ideal(volcano[13], ideal_create(O13, 2, 1, 0))
+        H = kernel_of_ideal(volcano[13], QuadIdeal(O13, 2, 1, 0))
         assert sorted(point_order(T) for T in H if T) == [2, 2, 2]
 
     def test_rejects_foreign_order(self, volcano):
@@ -545,7 +541,7 @@ class TestKernelOfIdeal:
 
     def test_norm_cap(self, e0_53):
         with pytest.raises(BoundExceeded):
-            kernel_of_ideal(e0_53, ideal_create(quad_order(-212, 1), 65, 1, 0))
+            kernel_of_ideal(e0_53, QuadIdeal(quad_order(-212, 1), 65, 1, 0))
 
     def test_rejects_non_ideal(self, volcano):
         with pytest.raises(TypeError):
@@ -561,7 +557,7 @@ class TestAnnihilatorIdeal:
     def test_full_two_torsion(self, volcano):
         P, Q, _ = torsion_basis(volcano[5], 2)
         I = annihilator_ideal(volcano[5], [P, Q, point_add(P, Q)])
-        assert I == ideal_create(quad_order(-8, 1), 2, 1, 0)
+        assert I == QuadIdeal(quad_order(-8, 1), 2, 1, 0)
 
     def test_saturates_unstable_subgroups(self, volcano):
         """A lone 5-torsion point spans no stable line, so I is all of (5).
@@ -571,7 +567,7 @@ class TestAnnihilatorIdeal:
         """
         P, _, _ = torsion_basis(volcano[5], 5)
         I = annihilator_ideal(volcano[5], [P])
-        assert I == ideal_create(quad_order(-8, 1), 5, 1, 0)
+        assert I == QuadIdeal(quad_order(-8, 1), 5, 1, 0)
         assert len(kernel_of_ideal(volcano[5], I)) == 25
 
 
@@ -583,7 +579,7 @@ class TestPiAdicFactor:
         assert P1.norm == 41 and P2.norm == 41
         assert P1 != P2
         assert P2 == ideal_conjugate(P1)
-        assert ideal_multiply(P1, P2) == ideal_create(O5, 41, 1, 0)
+        assert ideal_multiply(P1, P2) == QuadIdeal(O5, 41, 1, 0)
 
     def test_contains_frobenius(self, volcano):
         """pi itself lies in the chosen factor and not in its conjugate."""
@@ -598,7 +594,7 @@ class TestPiAdicFactor:
         O5 = quad_order(-8, 1)
         P1 = p_part_ideal(volcano[5], 1, 1)
         assert p_part_ideal(volcano[5], 0, 0) == unit_ideal(O5)
-        assert p_part_ideal(volcano[5], 1, 2) == ideal_create(O5, 41, 1, 0)
+        assert p_part_ideal(volcano[5], 1, 2) == QuadIdeal(O5, 41, 1, 0)
         assert p_part_ideal(volcano[5], 2, 2) == ideal_multiply(P1, P1)
 
     def test_on_the_floor(self, volcano):

@@ -1,0 +1,158 @@
+"""Every cap refuses with a structured `BoundExceeded`.
+
+Each case trips one raise site and checks the refusal's `cap`, `limit`
+and `requested`, and its message, so a caller can tell which cap tripped
+and by how much without reading the text.
+"""
+
+import random
+
+import pytest
+
+from isogenion.elliptic_curve import Curve, base_change, curve_from_j, torsion_basis
+from isogenion.endo_ring import annihilator_index, coords_in_basis, gamma_matrix
+from isogenion.errors import BoundExceeded
+from isogenion.finite_field import field_create
+from isogenion.hom_index_kernel import annihilator_ideal, kernel_of_ideal, p_part_ideal
+from isogenion.isogeny import (
+    compose,
+    cyclic_isogenies,
+    frobenius_isogeny,
+    stable_cyclic_subgroups,
+    velu,
+)
+from isogenion.minimal_degree import _degree_candidates, md_between
+from isogenion.quadratic_order import (
+    QuadIdeal,
+    class_group,
+    enumerate_ideals,
+    quad_order,
+)
+
+F41 = field_create(41)
+
+
+def curve41(j):
+    return curve_from_j(F41, j, 6)
+
+
+def points_over_two_fields():
+    """A point over GF(5^8) and one over GF(5^5): their common field is
+    GF(5^40)."""
+    E = Curve(field_create(5), 1, 1)
+    rng = random.Random(1)
+    return base_change(E, 8).random_point(rng), base_change(E, 5).random_point(rng)
+
+
+def coords_beyond_the_tower():
+    T, P = points_over_two_fields()
+    return coords_in_basis(T, P, P, 2)
+
+
+def compose_past_the_degree_cap():
+    phi9 = cyclic_isogenies(curve41(29), 9)[0]
+    return compose(cyclic_isogenies(phi9.target_curve, 9)[0], phi9)
+
+
+def ideal_kernel_beyond_the_torsion_cap():
+    E = curve41(5)  # End(E) is the maximal order of Q(sqrt(-2))
+    return kernel_of_ideal(E, enumerate_ideals(quad_order(-8), 67)[0])
+
+
+def annihilator_of_orders_eight_and_nine():
+    E = curve41(5)
+    return annihilator_ideal(E, [torsion_basis(E, 8)[0], torsion_basis(E, 9)[0]])
+
+
+def supersingular_pair_over_a_cubic_field():
+    F = field_create(11, 3)  # j = 1728 and j = 0 are supersingular mod 11
+    return md_between(Curve(F, 1, 0), Curve(F, 0, 1))
+
+
+def inseparable_degree_over_a_cubic_field():
+    E = Curve(field_create(5, 3), 1, 1)
+    return list(_degree_candidates(E, 5, True))
+
+
+CASES = {
+    "coords_in_basis": (
+        coords_beyond_the_tower,
+        ("R_MAX", 24, 40),
+        "no common field for the point and the basis within degree 24",
+    ),
+    "gamma_matrix": (
+        lambda: gamma_matrix(curve41(29), 64),
+        ("M_MAX", 64, 128),
+        "f*gamma on E[64] needs the 128-torsion; cap is 64",
+    ),
+    "annihilator_index": (
+        lambda: annihilator_index(curve41(5), None, 65),
+        ("M_MAX", 64, 65),
+        "kernel order cap is 64",
+    ),
+    "kernel_of_ideal-norm": (
+        lambda: kernel_of_ideal(curve41(5), QuadIdeal(quad_order(-8), 65, 1, 0)),
+        ("M_MAX", 4096, 4225),
+        "ideal norm cap is 4096",
+    ),
+    "kernel_of_ideal-torsion": (
+        ideal_kernel_beyond_the_torsion_cap,
+        ("M_MAX", 64, 67),
+        "H(I) lives in E[67]; torsion cap is 64",
+    ),
+    "annihilator_ideal": (
+        annihilator_of_orders_eight_and_nine,
+        ("M_MAX", 64, 72),
+        "subgroup exponent cap is 64",
+    ),
+    "p_part_ideal": (
+        lambda: p_part_ideal(curve41(5), 2, 4),
+        ("DISC_MAX", 10**6, 41**4),
+        "ideal norm cap is 1000000",
+    ),
+    "_step_maps": (
+        lambda: frobenius_isogeny(curve41(29), 3).rational_maps,
+        ("FROBENIUS_MAP_MAX", 2**12, 41**3),
+        "rational maps of this Frobenius power are huge",
+    ),
+    "velu": (
+        lambda: velu(curve41(29), stable_cyclic_subgroups(curve41(29), 2)[0], 128),
+        ("M_MAX", 64, 128),
+        "kernel order cap is 64",
+    ),
+    "compose": (
+        compose_past_the_degree_cap,
+        ("M_MAX", 64, 81),
+        "composite separable degree cap is 64",
+    ),
+    "_degree_candidates": (
+        inseparable_degree_over_a_cubic_field,
+        ("SEARCH_R_MAX", 2, 3),
+        "degrees divisible by p are only searched over GF(p) and GF(p^2)",
+    ),
+    "md_between": (
+        supersingular_pair_over_a_cubic_field,
+        ("SEARCH_R_MAX", 2, 3),
+        "supersingular search beyond GF(p^2) is not supported",
+    ),
+    "class_group": (
+        lambda: class_group(quad_order(-8, 360)),
+        ("DISC_MAX", 10**6, 1036800),
+        "|disc| cap for class groups is 1000000",
+    ),
+    "enumerate_ideals": (
+        lambda: enumerate_ideals(quad_order(-8, 4), 10**6 + 1),
+        ("DISC_MAX", 10**6, 10**6 + 1),
+        "norm cap for enumeration is 1000000",
+    ),
+}
+
+
+@pytest.mark.parametrize("site", sorted(CASES))
+def test_refusal_names_its_cap(site):
+    call, named, message = CASES[site]
+    with pytest.raises(BoundExceeded) as refusal:
+        call()
+    err = refusal.value
+    assert (err.cap, err.limit, err.requested) == named
+    assert str(err) == message

@@ -6,10 +6,13 @@ no module reaches into another's private names with
 `from .module import _name`, every private top-level function or class
 is referenced somewhere in its module outside its own body, only
 `isogeny.py` calls `velu`, only `elliptic_curve.py` builds raw points, and
-`isogeny_graph.py` never factors (no `roots`).
+`isogeny_graph.py` never factors (no `roots`).  Every public function and
+class has a caller outside the tests, no module reads the environment, and
+the test oracles check with explicit raises rather than `assert`.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -17,6 +20,7 @@ import pytest
 import isogenion
 
 SOURCES = sorted(Path(isogenion.__file__).parent.glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def parse(path):
@@ -149,3 +153,82 @@ def test_isogeny_graph_does_not_find_roots():
     calls = [f"line {line}" for line in calls_to(tree, "roots")]
     assert not imports, f"isogeny_graph.py imports roots: {', '.join(imports)}"
     assert not calls, f"isogeny_graph.py calls roots: {', '.join(calls)}"
+
+
+def names_in(node):
+    """Every name, attribute and imported name that occurs under `node`."""
+    out = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+        elif isinstance(n, (ast.Import, ast.ImportFrom)):
+            out.update(alias.name.split(".")[-1] for alias in n.names)
+    return out
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    """A public function or class is used by library code outside its own
+    definition, by the benchmark (`bench/*.py`), by `tools/` or by the
+    README; an operation that only tests call is a second spelling of one
+    the package already has, or belongs in `tests/oracles.py`."""
+    consumers = [
+        *(ROOT / "bench").glob("*.py"), *(ROOT / "tools").glob("*.py"), ROOT / "README.md"
+    ]
+    text = " ".join(path.read_text(encoding="utf-8") for path in consumers)
+    mentioned = set(re.findall(r"\w+", text))
+    tops = [(path, node) for path in SOURCES for node in parse(path).body]
+    uses = [names_in(node) for _, node in tops]
+    unused = [
+        f"{path.stem}.{node.name}"
+        for i, (path, node) in enumerate(tops)
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and node.name not in mentioned
+        and not any(node.name in names for k, names in enumerate(uses) if k != i)
+    ]
+    assert not unused, f"public names that only tests use: {', '.join(unused)}"
+
+
+def test_no_module_reads_the_environment():
+    """Behaviour depends on arguments alone: no module reads `os.environ`
+    or `os.getenv`."""
+    readers = [
+        f"{path.name} (line {node.lineno})"
+        for path in SOURCES
+        for node in ast.walk(parse(path))
+        if (isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv"))
+        or (
+            isinstance(node, ast.ImportFrom)
+            and any(alias.name in ("environ", "getenv") for alias in node.names)
+        )
+    ]
+    assert not readers, f"modules read the environment: {', '.join(readers)}"
+
+
+def test_oracles_use_no_assert_statements():
+    """pytest rewrites `assert` only in test modules, and `python -O` strips
+    it everywhere else, so the shared oracles check with explicit raises."""
+    path = Path(__file__).resolve().parent / "oracles.py"
+    asserts = [
+        f"line {node.lineno}"
+        for node in ast.walk(parse(path))
+        if isinstance(node, ast.Assert)
+    ]
+    assert not asserts, f"oracles.py uses assert at {', '.join(asserts)}"
+
+
+def test_every_refusal_names_its_cap():
+    """Each `BoundExceeded` raised in the package says which cap tripped,
+    its limit and the value requested (None where it is not known)."""
+    bare = [
+        f"{path.name} (line {node.lineno})"
+        for path in SOURCES
+        for node in ast.walk(parse(path))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "BoundExceeded"
+        and not {"cap", "limit", "requested"} <= {kw.arg for kw in node.keywords}
+    ]
+    assert not bare, f"BoundExceeded without cap, limit or requested: {', '.join(bare)}"
