@@ -341,7 +341,7 @@ def kernel_of_ideal(E: Curve, I: QuadIdeal) -> list[Point]:
     """All points of H(I), the subgroup annihilated by every element of I.
 
     I must be an ideal of End(E) with norm coprime to p (the etale case)
-    and at most M_MAX^2.  H(I) sits inside E[a*t] and is cut out there by
+    and a*t at most M_MAX.  H(I) sits inside E[a*t] and is cut out there by
     the single generator t*(b + f*gamma); the identity is included, so an
     invertible I returns exactly norm(I) points.
     """
@@ -356,11 +356,6 @@ def kernel_of_ideal(E: Curve, I: QuadIdeal) -> list[Point]:
     if I.norm % E.field.p == 0:
         raise PPartUnsupported(
             "the p-part of an ideal kernel is not an etale subgroup"
-        )
-    if I.norm > M_MAX * M_MAX:  # norm t^2*a <= n^2 whenever H(I) fits in E[n]
-        raise BoundExceeded(
-            f"ideal norm cap is {M_MAX * M_MAX}",
-            cap="M_MAX", limit=M_MAX * M_MAX, requested=I.norm,
         )
     n = I.a * I.t
     if n > M_MAX:

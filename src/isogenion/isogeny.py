@@ -10,10 +10,12 @@ storing its kernel generator) and the modular polynomials of levels 2, 3,
 5 and 7.  Duals sample no points (Velu's normalisation).
 
 An :class:`Isogeny` is stored as a chain of elementary steps (one Velu
-quotient per prime power, scaling isomorphisms, Frobenius powers, [m]),
-each a map between concrete Weierstrass models over the base field.
-Evaluation at a point over any extension walks the chain; degrees and
-inseparability exponents are tracked explicitly.
+quotient per prime power, scaling isomorphisms, Frobenius powers, their
+Verschiebungs, [m]), each a map between concrete Weierstrass models over
+the base field.  Each step carries its degree, inseparable exponent,
+action on points and dual; an Isogeny derives its degree and insep_exp
+from its steps, evaluation at a point over any extension walks the chain,
+and the dual is the reversed chain of the steps' duals.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 from importlib import resources
-from math import lcm
+from math import isqrt, lcm
 
 from .errors import (
     BoundExceeded,
@@ -66,7 +68,14 @@ FROBENIUS_MAP_MAX = 2**12
 #
 # Every step maps points of base_change(src, s) to points of
 # base_change(dst, s) for any s; src and dst live over the common base field
-# of the whole chain.
+# of the whole chain.  Each step carries its degree, the exponent `insep` of
+# its inseparable part, apply(P, dstK) for a finite point P over K with
+# dstK = base_change(dst, s), maps() (xnum, xden, ynum, yden) over the base
+# field, and dual(), a tuple of steps from dst back to src.
+
+
+def _no_maps(step):
+    raise ValueError("rational maps are not available for this isogeny")
 
 
 class _VeluStep:
@@ -76,51 +85,99 @@ class _VeluStep:
     O(n^2) polynomial products and are built on first use, write-once.
     """
 
-    __slots__ = ("src", "dst", "order", "F", "p1", "_maps")
+    __slots__ = ("src", "dst", "degree", "F", "p1", "_maps")
+    insep = 0
 
-    def __init__(self, src, dst, order, F, p1):
+    def __init__(self, src, dst, degree, F, p1):
         self.src = src
         self.dst = dst
-        self.order = order
+        self.degree = degree
         self.F = F
         self.p1 = p1
         self._maps = None
 
-    @property
     def maps(self):
-        """(N, Yn), Velu's numerators of the x- and y-maps."""
         if self._maps is None:
-            E, F, n = self.src, self.F, self.order
+            E, F, n = self.src, self.F, self.degree
             base = E.field
             f = Poly(base, [E.B, E.A, base.zero, base.one])
             Fp = F.derivative()
             Fpp = Fp.derivative()
+            F2 = F * F
             N = (
-                (n * Poly.x(base) - self.p1) * F * F
+                (n * Poly.x(base) - self.p1) * F2
                 - f.derivative() * Fp * F
                 + 2 * f * (Fp * Fp - Fpp * F)
             )
             assert N.degree() == 2 * n - 1
-            self._maps = (N, N.derivative() * F - 2 * N * Fp)
+            self._maps = (N, F2, N.derivative() * F - 2 * N * Fp, F2 * F)
         return self._maps
+
+    def apply(self, P, dstK):
+        K = dstK.field
+        Fx = _lift_poly(self.F, K).eval(P.x)
+        if not Fx:
+            return dstK.infinity()
+        N, _, Yn, _ = self.maps()
+        Fx2 = Fx * Fx
+        X = _lift_poly(N, K).eval(P.x) / Fx2
+        return dstK.point(X, P.y * _lift_poly(Yn, K).eval(P.x) / (Fx2 * Fx))
+
+    def dual(self):
+        """(tau, scaling by 1/n), drawing no random points.
+
+        tau is the Velu quotient by phi(E[n]), so tau o phi has kernel E[n].
+        Velu's maps pull the invariant differential back to itself, so
+        tau o phi = [n] followed by (x, y) -> (n^2 x, n^3 y), and tau lands
+        on the model (n^4 A, n^6 B); the step back to E scales by 1/n.
+        """
+        n, E = self.degree, self.src
+        F = E.field
+        P1, Q1, _ = torsion_basis(E, n)
+        R1, R2 = _apply_step(self, P1), _apply_step(self, Q1)
+        gen = next(
+            (W for W in [R1, R2] + point_progression(point_add(R1, R2), R2, n - 1)
+             if point_order(W, n) == n),
+            None,
+        )
+        if gen is None:
+            raise AssertionError("image of the n-torsion must be cyclic of order n")
+        tau = velu(self.dst, gen, n)
+        T = tau.target_curve
+        if T != Curve(F, n**4 * E.A, n**6 * E.B):
+            raise AssertionError("Velu dual does not land on the n-scaled source model")
+        return tau._steps + (_IsoStep(T, E, F.from_int(n).inverse()),)
 
 
 class _IsoStep:
     """(x, y) -> (u^2 x, u^3 y) onto the model with A2 = u^4 A, B2 = u^6 B."""
 
     __slots__ = ("src", "dst", "u")
+    degree = 1
+    insep = 0
 
     def __init__(self, src, dst, u):
         self.src = src
         self.dst = dst
         self.u = u
 
+    def maps(self):
+        F, u = self.src.field, self.u
+        one = Poly.from_ints(F, [1])
+        return Poly(F, [F.zero, u * u]), one, Poly.const(F, u * u * u), one
+
+    def apply(self, P, dstK):
+        u = embed_element(self.u, dstK.field)
+        return dstK.point(u * u * P.x, u * u * u * P.y)
+
+    def dual(self):
+        return (_IsoStep(self.dst, self.src, self.u.inverse()),)
+
 
 class _FrobStep:
-    """p^e-power Frobenius; e < 0 (inverse on points) occurs only inside
-    duals, always immediately followed by a matching _MulStep."""
+    """The p^e-power Frobenius (x, y) -> (x^(p^e), y^(p^e)), e >= 1."""
 
-    __slots__ = ("src", "dst", "e")
+    __slots__ = ("src", "dst", "e", "degree", "insep")
 
     def __init__(self, src, e):
         F = src.field
@@ -128,18 +185,71 @@ class _FrobStep:
         self.src = src
         self.dst = Curve(F, F.frobenius(src.A, k), F.frobenius(src.B, k))
         share_count(src, self.dst)
-        self.e = e
+        self.e = self.insep = e
+        self.degree = F.p**e
+
+    def maps(self):
+        F, q = self.src.field, self.degree
+        if q > FROBENIUS_MAP_MAX:
+            raise BoundExceeded(
+                "rational maps of this Frobenius power are huge",
+                cap="FROBENIUS_MAP_MAX", limit=FROBENIUS_MAP_MAX, requested=q,
+            )
+        one = Poly.from_ints(F, [1])
+        f = Poly(F, [self.src.B, self.src.A, F.zero, F.one])
+        return Poly(F, [F.zero] * q + [F.one]), one, f ** ((q - 1) // 2), one
+
+    def apply(self, P, dstK):
+        K = dstK.field
+        k = self.e % K.r
+        return dstK.point(K.frobenius(P.x, k), K.frobenius(P.y, k))
+
+    def dual(self):
+        return (_VerStep(self),)
+
+
+class _VerStep:
+    """The Verschiebung dual to a p^e-power Frobenius: the inverse
+    Frobenius on points, then [p^e].  Its inseparable exponent is e on a
+    supersingular curve and 0 on an ordinary one."""
+
+    __slots__ = ("src", "dst", "e", "degree", "insep")
+    maps = _no_maps
+
+    def __init__(self, frob: _FrobStep):
+        self.src = frob.dst
+        self.dst = frob.src
+        self.e = frob.e
+        self.degree = frob.degree
+        self.insep = frob.e if is_supersingular(frob.src) else 0
+
+    def apply(self, P, dstK):
+        K = dstK.field
+        k = -self.e % K.r
+        Q = dstK.point(K.frobenius(P.x, k), K.frobenius(P.y, k))
+        return scalar_mul(self.degree, Q)
+
+    def dual(self):
+        return (_FrobStep(self.dst, self.e),)
 
 
 class _MulStep:
-    """Multiplication by m on a fixed curve (src == dst)."""
+    """Multiplication by m on a fixed curve (src == dst), m coprime to p."""
 
-    __slots__ = ("src", "dst", "m")
+    __slots__ = ("src", "dst", "m", "degree")
+    insep = 0
+    maps = _no_maps
 
     def __init__(self, src, m):
-        self.src = src
-        self.dst = src
+        self.src = self.dst = src
         self.m = m
+        self.degree = m * m
+
+    def apply(self, P, dstK):
+        return scalar_mul(self.m, P)
+
+    def dual(self):
+        return (self,)
 
 
 @lru_cache(maxsize=None)
@@ -150,30 +260,9 @@ def _lift_poly(f: Poly, K: Field) -> Poly:
 
 
 def _apply_step(step, P: Point) -> Point:
-    K = P.curve.field
-    s = K.r // step.src.field.r
-    dstK = base_change(step.dst, s)
-    if not P:
-        return dstK.infinity()
-    x, y = P.x, P.y
-    if isinstance(step, _VeluStep):
-        Fx = _lift_poly(step.F, K).eval(x)
-        if not Fx:
-            return dstK.infinity()
-        N, Yn = step.maps
-        Fx2 = Fx * Fx
-        X = _lift_poly(N, K).eval(x) / Fx2
-        Y = y * _lift_poly(Yn, K).eval(x) / (Fx2 * Fx)
-        return dstK.point(X, Y)
-    if isinstance(step, _IsoStep):
-        u = embed_element(step.u, K)
-        return dstK.point(u * u * x, u * u * u * y)
-    if isinstance(step, _FrobStep):
-        k = step.e % K.r
-        return dstK.point(K.frobenius(x, k), K.frobenius(y, k))
-    if isinstance(step, _MulStep):
-        return scalar_mul(step.m, P)
-    raise AssertionError(f"unknown step {step!r}")
+    """step(P) for P on any base change of step.src."""
+    dstK = base_change(step.dst, P.curve.field.r // step.src.field.r)
+    return step.apply(P, dstK) if P else dstK.infinity()
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +274,8 @@ class Isogeny:
 
     `source`/`target` are isomorphism classes; `source_curve` and
     `target_curve` are the concrete models the maps act on.  `degree` is the
-    full degree and `insep_exp` the exponent e of the inseparable part p^e.
+    full degree and `insep_exp` the exponent e of the inseparable part p^e,
+    the product of the step degrees and the sum of their exponents.
     """
 
     __slots__ = (
@@ -202,17 +292,19 @@ class Isogeny:
         "_frozen",
     )
 
-    def __init__(self, steps, src, dst, degree, insep_exp, kernel_gen):
+    def __init__(self, steps, source, kernel_gen):
         object.__setattr__(self, "_frozen", False)
         steps = tuple(steps)
-        cur = src
+        cur, degree, insep_exp = source, 1, 0
         for st in steps:
-            assert st.src == cur, "step chain is not contiguous"
+            if st.src != cur:
+                raise ValueError("step chain is not contiguous")
             cur = st.dst
-        assert cur == dst, "step chain does not end at the target"
+            degree *= st.degree
+            insep_exp += st.insep
         self._steps = steps
-        self.source_curve = src
-        self.target_curve = dst
+        self.source_curve = source
+        self.target_curve = cur
         self.degree = degree
         self.insep_exp = insep_exp
         self._kernel_gen = kernel_gen
@@ -256,7 +348,8 @@ class Isogeny:
         """A generator of the kernel if cyclic, else the full subgroup list.
 
         None for a trivial (separable part of the) kernel.  `velu` and
-        `cyclic_isogenies` store it; other isogenies scan E[n] for it.
+        `cyclic_isogenies` store it; other isogenies scan E[b] for it, b
+        the kernel's exponent.
         """
         if self._kernel_gen is None and self.separable_degree > 1:
             pts = self._kernel_points()
@@ -271,20 +364,35 @@ class Isogeny:
     # -- kernel -------------------------------------------------------------
 
     def _kernel_points(self) -> list[Point]:
-        """All nonzero geometric kernel points (of the separable part)."""
+        """All nonzero geometric kernel points (of the separable part).
+
+        A kernel Z/a x Z/b (a | b, ab = n) lies in E[b], and n | b^2, so the
+        scan tries E[d] for the divisors d of n with n | d^2 in increasing
+        order; the first that holds n kernel points is E[b].  An E[d] beyond
+        the caps is skipped, since it need not lie inside E[b].
+        """
         n = self.separable_degree
-        if n == 1:
-            return []
-        P1, Q1, _ = torsion_basis(self.source_curve, n)
-        cols = point_progression(P1.curve.infinity(), Q1, n)
-        pts = [
-            T
-            for R in point_progression(P1.curve.infinity(), P1, n)
-            for C in cols
-            if (T := point_add(R, C)) and not evaluate(self, T)
-        ]
-        assert len(pts) == n - 1, "kernel size must equal the separable degree"
-        return pts
+        refused = None
+        for d in range(isqrt(n), n + 1):
+            if n % d or d * d % n:
+                continue
+            try:
+                P1, Q1, _ = torsion_basis(self.source_curve, d)
+            except BoundExceeded as exc:
+                refused = exc
+                continue
+            cols = point_progression(P1.curve.infinity(), Q1, d)
+            pts = [
+                T
+                for R in point_progression(P1.curve.infinity(), P1, d)
+                for C in cols
+                if (T := point_add(R, C)) and not evaluate(self, T)
+            ]
+            if len(pts) == n - 1:
+                return pts
+        if refused is not None:
+            raise refused
+        raise AssertionError("kernel size must equal the separable degree")
 
     def kernel_polynomial(self) -> Poly:
         """Monic polynomial over the base field vanishing exactly on the
@@ -356,7 +464,7 @@ class Isogeny:
         one = Poly.from_ints(F, [1])
         xn, xd, yn, yd = Poly.x(F), one, one, one
         for step in self._steps:
-            sn, sd, tn, td = _step_maps(step)
+            sn, sd, tn, td = step.maps()
             dx = max(sn.degree(), sd.degree())
             dy = max(tn.degree(), td.degree())
             new_xn = _subst_hom(sn, xn, xd, dx)
@@ -374,28 +482,6 @@ class Isogeny:
         yn, yd = yn * c, yd * c
         object.__setattr__(self, "_maps", (xn, xd, yn, yd))
         return self._maps
-
-
-def _step_maps(step):
-    F = step.src.field
-    one = Poly.from_ints(F, [1])
-    if isinstance(step, _VeluStep):
-        N, Yn = step.maps
-        return N, step.F * step.F, Yn, step.F * step.F * step.F
-    if isinstance(step, _IsoStep):
-        u = step.u
-        return Poly(F, [F.zero, u * u]), one, Poly.const(F, u * u * u), one
-    if isinstance(step, _FrobStep) and step.e > 0:
-        q = F.p ** step.e
-        if q > FROBENIUS_MAP_MAX:
-            raise BoundExceeded(
-                "rational maps of this Frobenius power are huge",
-                cap="FROBENIUS_MAP_MAX", limit=FROBENIUS_MAP_MAX, requested=q,
-            )
-        xmap = Poly(F, [F.zero] * q + [F.one])
-        f = Poly(F, [step.src.B, step.src.A, F.zero, F.one])
-        return xmap, one, f ** ((q - 1) // 2), one
-    raise ValueError("rational maps are not available for this isogeny")
 
 
 def _subst_hom(p: Poly, Xn: Poly, Xd: Poly, deg: int) -> Poly:
@@ -426,10 +512,6 @@ def _kernel_poly(pts: list[Point], base: Field) -> Poly:
 # construction
 
 
-def _identity(E: Curve) -> Isogeny:
-    return Isogeny((), E, E, 1, 0, None)
-
-
 def velu(E: Curve, kernel_gen, order: int) -> Isogeny:
     """The separable isogeny with kernel generated by `kernel_gen`.
 
@@ -444,7 +526,7 @@ def velu(E: Curve, kernel_gen, order: int) -> Isogeny:
     if order == 1:
         if kernel_gen is not None and kernel_gen:
             raise WrongOrder("order 1 demands a trivial generator")
-        return _identity(E)
+        return Isogeny((), E, None)
     if order % E.field.p == 0:
         raise ValueError("kernel order must be coprime to the characteristic")
     if order > M_MAX:
@@ -483,7 +565,7 @@ def _velu_from_kernel_poly(E, F, n, gen):
     w = 5 * p3 + 3 * A * p1 + 2 * (n - 1) * B
     target = Curve(base, A - 5 * v, B - 7 * w)
     share_count(E, target)
-    return Isogeny((_VeluStep(E, target, n, F, p1),), E, target, n, 0, gen)
+    return Isogeny((_VeluStep(E, target, n, F, p1),), E, gen)
 
 
 def frobenius_isogeny(E: Curve, e: int) -> Isogeny:
@@ -495,9 +577,8 @@ def frobenius_isogeny(E: Curve, e: int) -> Isogeny:
     if not isinstance(e, int) or e < 0:
         raise ValueError("Frobenius exponent must be a nonnegative integer")
     if e == 0:
-        return _identity(E)
-    step = _FrobStep(E, e)
-    return Isogeny((step,), E, step.dst, E.field.p**e, e, None)
+        return Isogeny((), E, None)
+    return Isogeny((_FrobStep(E, e),), E, None)
 
 
 def multiplication_isogeny(E: Curve, m: int) -> Isogeny:
@@ -507,22 +588,17 @@ def multiplication_isogeny(E: Curve, m: int) -> Isogeny:
         raise ValueError("multiplier must be a positive integer")
     if m % E.field.p == 0:
         raise ValueError("multiplier must be coprime to the characteristic")
-    return Isogeny((_MulStep(E, m),), E, E, m * m, 0, None)
+    return Isogeny((_MulStep(E, m),), E, None)
 
 
 def evaluate(phi: Isogeny, P: Point) -> Point:
     """phi(P).  P must lie on phi's source model or a base change of it."""
     if not isinstance(P, Point):
         raise TypeError("evaluate wants a Point")
-    s = base_change_degree(phi.source_curve, P.curve)
-    cur = P
+    base_change_degree(phi.source_curve, P.curve)
     for step in phi._steps:
-        if not cur:
-            break
-        cur = _apply_step(step, cur)
-    if not cur:
-        return base_change(phi.target_curve, s).infinity()
-    return cur
+        P = _apply_step(step, P)
+    return P
 
 
 def compose(psi: Isogeny, phi: Isogeny) -> Isogeny:
@@ -545,107 +621,23 @@ def compose(psi: Isogeny, phi: Isogeny) -> Isogeny:
     if mid_out != mid_in:
         u = isomorphism_scale(mid_out, mid_in)
         glue = (_IsoStep(mid_out, mid_in, u),)
-    return Isogeny(
-        phi._steps + glue + psi._steps,
-        phi.source_curve,
-        psi.target_curve,
-        phi.degree * psi.degree,
-        phi.insep_exp + psi.insep_exp,
-        None,
-    )
+    return Isogeny(phi._steps + glue + psi._steps, phi.source_curve, None)
 
 
 # ---------------------------------------------------------------------------
 # duals
 
 
-def _generator_of_image(st: _VeluStep) -> Point:
-    """A generator of phi(E[n]), the kernel of the dual of a Velu step."""
-    n = st.order
-    P1, Q1, _ = torsion_basis(st.src, n)
-    R1 = _apply_step(st, P1)
-    R2 = _apply_step(st, Q1)
-    if point_order(R1, n) == n:
-        return R1
-    if point_order(R2, n) == n:
-        return R2
-    W = R1
-    for _ in range(1, n):
-        W = point_add(W, R2)
-        if point_order(W, n) == n:
-            return W
-    raise AssertionError("image of the n-torsion must be cyclic of order n")
-
-
-def _dual_velu_step(st: _VeluStep):
-    """[tau, scaling by 1/n]: the dual of one Velu step of order n.
-
-    tau is the Velu quotient by phi(E[n]), so tau o phi has kernel E[n].
-    Velu's maps pull the invariant differential back to itself, so
-    tau o phi = [n] followed by (x, y) -> (n^2 x, n^3 y), and tau lands on
-    the model (n^4 A, n^6 B); the step back to E scales by 1/n.
-    """
-    n = st.order
-    E = st.src
-    F = E.field
-    tau = velu(st.dst, _generator_of_image(st), n)
-    T = tau.target_curve
-    if T != Curve(F, n**4 * E.A, n**6 * E.B):
-        raise AssertionError("Velu dual does not land on the n-scaled source model")
-    return [tau._steps[0], _IsoStep(T, E, F.from_int(n).inverse())]
-
-
-def _insep_of_steps(steps, supersingular: bool) -> int:
-    total = 0
-    for st in steps:
-        if isinstance(st, _FrobStep):
-            if st.e > 0:
-                total += st.e
-            elif supersingular:
-                total += -st.e
-    return total
-
-
 def dual(phi: Isogeny) -> Isogeny:
     """The dual isogeny: dual(phi) o phi = [deg phi] on the source model.
 
-    Built step by step in reverse and drawing no random points: a Velu
-    step of order n dualises to the Velu quotient by the image of E[n]
+    The reversed chain of the steps' duals, drawing no random points: a
+    Velu step of order n dualises to the Velu quotient by the image of E[n]
     followed by scaling by 1/n, a scaling to its inverse, a Frobenius power
-    to its Verschiebung, and [m] to itself.
+    to its Verschiebung and back, and [m] to itself.
     """
-    E, E2 = phi.source_curve, phi.target_curve
-    p = E.field.p
-    out = []
-    i = len(phi._steps) - 1
-    while i >= 0:
-        st = phi._steps[i]
-        prev = phi._steps[i - 1] if i > 0 else None
-        if (
-            isinstance(st, _MulStep)
-            and isinstance(prev, _FrobStep)
-            and prev.e < 0
-            and p ** (-prev.e) == st.m
-        ):
-            # dual of a Verschiebung pair [pi^-e, mul p^e] is Frobenius^e
-            out.append(_FrobStep(st.dst, -prev.e))
-            i -= 2
-            continue
-        if isinstance(st, _VeluStep):
-            out.extend(_dual_velu_step(st))
-        elif isinstance(st, _IsoStep):
-            out.append(_IsoStep(st.dst, st.src, st.u.inverse()))
-        elif isinstance(st, _FrobStep):
-            assert st.e > 0, "stray inverse Frobenius outside a Verschiebung pair"
-            out.append(_FrobStep(st.dst, -st.e))
-            out.append(_MulStep(st.src, p**st.e))
-        elif isinstance(st, _MulStep):
-            out.append(st)
-        else:
-            raise AssertionError(f"unknown step {st!r}")
-        i -= 1
-    insep = _insep_of_steps(out, is_supersingular(E))
-    return Isogeny(tuple(out), E2, E, phi.degree, insep, None)
+    steps = [d for st in reversed(phi._steps) for d in st.dual()]
+    return Isogeny(steps, phi.target_curve, None)
 
 
 # ---------------------------------------------------------------------------
@@ -724,7 +716,7 @@ def cyclic_isogenies(E: Curve, n: int) -> tuple[Isogeny, ...]:
     if not isinstance(n, int) or n < 1:
         raise ValueError("n must be a positive integer")
     if n == 1:
-        return (_identity(E),)
+        return (Isogeny((), E, None),)
     if n % E.field.p == 0:
         raise ValueError("n must be coprime to the characteristic")
     if n > M_MAX:
@@ -743,7 +735,7 @@ def cyclic_isogenies(E: Curve, n: int) -> tuple[Isogeny, ...]:
                 gen = _apply_step(st, gen)
             steps.append(velu(cur, gen, ell**e)._steps[0])
             cur = steps[-1].dst
-        out.append(Isogeny(steps, E, cur, n, 0, K))
+        out.append(Isogeny(steps, E, K))
     return tuple(out)
 
 

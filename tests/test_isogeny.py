@@ -497,6 +497,33 @@ class TestDual:
             assert evaluate(pi, evaluate(V, P)) == scalar_mul(41, P)
         assert dual(V) == pi
 
+    @pytest.mark.parametrize("p, r, A, B, supersingular", [
+        (11, 1, 1, 0, True),
+        (7, 2, 1, 0, True),
+        (13, 1, 0, 1, False),
+    ])
+    @pytest.mark.parametrize("e", [1, 2])
+    def test_verschiebung_is_inseparable_on_supersingular_curves(
+        self, p, r, A, B, supersingular, e
+    ):
+        """The dual of the p^e-power Frobenius has degree p^e and
+        inseparable exponent e on y^2 = x^3 + x over GF(11) and GF(7^2)
+        (supersingular), 0 on y^2 = x^3 + 1 over GF(13) (ordinary)."""
+        E = Curve(field_create(p, r), A, B)
+        pi = frobenius_isogeny(E, e)
+        V = dual(pi)
+        assert V.degree == p**e
+        assert V.insep_exp == (e if supersingular else 0)
+        assert V.source_curve == pi.target_curve and V.target_curve == E
+        rng = random.Random(p * r + e)
+        for s in (1, 2):
+            for _ in range(5):
+                P = base_change(E, s).random_point(rng)
+                assert evaluate(V, evaluate(pi, P)) == scalar_mul(p**e, P)
+                Q = base_change(pi.target_curve, s).random_point(rng)
+                assert evaluate(pi, evaluate(V, Q)) == scalar_mul(p**e, Q)
+        assert dual(V) == pi
+
     @pytest.mark.parametrize("p, r", [(37, 1), (7, 2), (7, 1)])
     @pytest.mark.parametrize("j", [0, 1728])
     def test_dual_closes_to_multiplication_with_extra_automorphisms(self, p, r, j):
@@ -646,6 +673,16 @@ class TestMultiplicationIsogeny:
         F = e29.field
         assert two.kernel_polynomial() == Poly(F, [e29.B, e29.A, F.zero, F.one])
         assert dual(two) == two
+
+    @pytest.mark.parametrize("j", [29, 13, 5])
+    def test_kernel_scan_stays_inside_the_exponent(self, j):
+        """The kernel of [8] is E[8], exponent 8: the scan needs E[8] only
+        (over GF(41^4) or GF(41^8) on this volcano), not E[64], which lies
+        beyond the extension-degree cap for j = 29 and 13."""
+        E = curve_from_j(F41, F41.from_int(j), 6)
+        pts = multiplication_isogeny(E, 8).kernel_gen
+        assert isinstance(pts, list) and len(set(pts)) == 63
+        assert all(T and not scalar_mul(8, T) for T in pts)
 
     @pytest.mark.parametrize("m", [0, -2, 2.0, 41, 82])
     def test_rejects_bad_multipliers(self, e29, m):
@@ -829,7 +866,7 @@ class TestCyclicIsogenies:
         F = field_create(7, 2)
         E = curve_from_j(F, F.zero, -11)
         chains = cyclic_isogenies(E, 15)
-        assert {st.order for phi in chains for st in phi._steps} == {3, 5}
+        assert {st.degree for phi in chains for st in phi._steps} == {3, 5}
         for phi in chains:
             K = phi.kernel_gen
             assert K.curve.field.r == 8 and K.curve.is_on(K.x, K.y)
@@ -844,7 +881,7 @@ class TestCyclicIsogenies:
             for n in (6, 10, 12, 24):
                 for phi in cyclic_isogenies(E, n):
                     parts = [
-                        Isogeny((st,), st.src, st.dst, st.order, 0, None)
+                        Isogeny((st,), st.src, None)
                         for st in phi._steps
                     ]
                     whole = parts[0]

@@ -23,7 +23,6 @@ from isogenion.isogeny import (
 )
 from isogenion.minimal_degree import _degree_candidates, md_between
 from isogenion.quadratic_order import (
-    QuadIdeal,
     class_group,
     enumerate_ideals,
     quad_order,
@@ -90,11 +89,6 @@ CASES = {
         ("M_MAX", 64, 65),
         "kernel order cap is 64",
     ),
-    "kernel_of_ideal-norm": (
-        lambda: kernel_of_ideal(curve41(5), QuadIdeal(quad_order(-8), 65, 1, 0)),
-        ("M_MAX", 4096, 4225),
-        "ideal norm cap is 4096",
-    ),
     "kernel_of_ideal-torsion": (
         ideal_kernel_beyond_the_torsion_cap,
         ("M_MAX", 64, 67),
@@ -110,7 +104,7 @@ CASES = {
         ("DISC_MAX", 10**6, 41**4),
         "ideal norm cap is 1000000",
     ),
-    "_step_maps": (
+    "_FrobStep.maps": (
         lambda: frobenius_isogeny(curve41(29), 3).rational_maps,
         ("FROBENIUS_MAP_MAX", 2**12, 41**3),
         "rational maps of this Frobenius power are huge",
