@@ -44,7 +44,7 @@ from .errors import (
 from .finite_field import R_MAX, Field, FieldElement, field_create
 from .finite_field import sqrt as field_sqrt
 from .intmath import factorize, is_prime, multiplicative_order, split_discriminant, valuation
-from .polyring import subfield_embedding
+from .polyring import Poly, roots, subfield_embedding
 
 EXHAUSTIVE_COUNT_MAX = 2**20
 M_MAX = 64
@@ -607,8 +607,6 @@ def _isomorphic_over_k(E1: Curve, E2: Curve) -> bool:
 def isomorphism_scale(E1: Curve, E2: Curve) -> FieldElement:
     """The lex-least u with (x, y) -> (u^2 x, u^3 y) mapping E1 onto E2,
     i.e. A2 = u^4 A1 and B2 = u^6 B1.  ValueError if none exists."""
-    from .polyring import Poly, roots  # local import; polyring has no curves
-
     F = E1.field
     if E1.field is not E2.field:
         raise CurveMismatch("isomorphism search needs a common field")

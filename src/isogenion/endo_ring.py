@@ -51,10 +51,11 @@ class EndoDescriptor:
     """Where End(E) sits between Z[pi] and the maximal order.
 
     `f` is the conductor of End(E), `f0` that of Z[pi], and `levels` maps
-    each prime dividing f0 to the exponent it carries in f.
+    each prime dividing f0 to the exponent it carries in f.  In End(E) =
+    Z + Z*f*gamma the Frobenius is pi = u0 + (f0/f)*f*gamma.
     """
 
-    __slots__ = ("curve_class", "D0", "f", "f0", "levels")
+    __slots__ = ("curve_class", "D0", "f", "f0", "levels", "u0")
 
     def __init__(self, cls: CurveClass, D0: int, f: int, f0: int, levels: dict):
         self.curve_class = cls
@@ -62,10 +63,7 @@ class EndoDescriptor:
         self.f = f
         self.f0 = f0
         self.levels = dict(levels)
-
-    @property
-    def discriminant(self) -> int:
-        return self.f * self.f * self.D0
+        self.u0 = (cls.trace - f0 * (D0 % 2)) // 2
 
     def order(self) -> QuadOrder:
         """End(E) as an abstract quadratic order."""
@@ -92,21 +90,15 @@ class FrobeniusMatrix:
         self.basis = basis
         self.matrix = matrix
 
-    def apply(self, x: int, y: int) -> tuple[int, int]:
-        (a, b), (c, d) = self.matrix
-        if self.m == 1:
-            return (0, 0)
-        return ((a * x + b * y) % self.m, (c * x + d * y) % self.m)
-
     @property
     def det(self) -> int:
         (a, b), (c, d) = self.matrix
-        return (a * d - b * c) % self.m if self.m > 1 else 0
+        return (a * d - b * c) % self.m
 
     @property
     def tr(self) -> int:
         (a, b), (c, d) = self.matrix
-        return (a + d) % self.m if self.m > 1 else 0
+        return (a + d) % self.m
 
     def __repr__(self):
         return f"FrobeniusMatrix(m={self.m}, matrix={self.matrix})"
@@ -238,8 +230,7 @@ def gamma_matrix(E: Curve, m: int):
     against the minimal polynomial of f*gamma before being returned.
     """
     desc = compute_endo_conductor(E)
-    u0 = (E.trace - desc.f0 * (desc.D0 % 2)) // 2
-    w = desc.f0 // desc.f
+    u0, w = desc.u0, desc.f0 // desc.f
     if m * w > M_MAX:
         raise BoundExceeded(
             f"f*gamma on E[{m}] needs the {m * w}-torsion; cap is {M_MAX}",

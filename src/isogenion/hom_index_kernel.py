@@ -57,10 +57,6 @@ from .quadratic_order import (
     unit_ideal,
 )
 
-#: isogenies are never verified beyond this degree (torsion bases for the
-#: annihilator computation must stay within M_MAX)
-VERIFY_DEGREE_MAX = 36
-
 
 def rho(e: int) -> int:
     """Clip a signed conductor exponent: e if e > 0, else 0."""
@@ -77,13 +73,15 @@ def conductor_ratio(E2: Curve, E1: Curve) -> dict[int, int]:
     """Signed exponents e_ell with [End(E2):End(E1)] = prod ell^{e_ell}.
 
     Positive entries mean End(E1) is smaller (E1 deeper); the map is empty
-    exactly when the two rings coincide.
+    exactly when the two rings coincide.  Curves over different fields are
+    NotIsogenous, and curves of different traces a TraceMismatch.
     """
     if (E2.field.p, E2.field.r) != (E1.field.p, E1.field.r):
         raise NotIsogenous("curves live over different fields")
     if E2.trace != E1.trace:
-        raise NotIsogenous(
-            f"traces {E2.trace} and {E1.trace} differ; no k-isogeny exists"
+        raise TraceMismatch(
+            f"traces {E2.trace} and {E1.trace} differ; the curves are not "
+            "k-isogenous"
         )
     f2 = compute_endo_conductor(E2).f
     f1 = compute_endo_conductor(E1).f
@@ -101,11 +99,6 @@ def corresponds_to_kernel_ideal(E2: Curve, E1: Curve) -> bool:
     True iff no conductor exponent is positive; a property of the pair,
     independent of which isogeny connects it.
     """
-    if E2.trace != E1.trace:
-        raise TraceMismatch(
-            f"traces {E2.trace} and {E1.trace} differ; the curves are not "
-            "k-isogenous"
-        )
     return all(e <= 0 for e in conductor_ratio(E2, E1).values())
 
 
@@ -428,9 +421,8 @@ def p_part_ideal(E: Curve, e1: int, e: int) -> QuadIdeal:
         )
     above = primes_above(order, p)
     assert len(above) == 2, "p must split in the CM order of an ordinary curve"
-    u0 = (E.trace - desc.f0 * (desc.D0 % 2)) // 2
     ypi = desc.f0 // desc.f
-    hits = [Pr for Pr in above if (u0 - ypi * Pr.b) % p == 0]
+    hits = [Pr for Pr in above if (desc.u0 - ypi * Pr.b) % p == 0]
     assert len(hits) == 1, "pi lies in exactly one prime above p"
     P1 = hits[0]
     P2 = above[0] if P1 is above[1] else above[1]

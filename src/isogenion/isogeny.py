@@ -142,11 +142,10 @@ class _VeluStep:
         )
         if gen is None:
             raise AssertionError("image of the n-torsion must be cyclic of order n")
-        tau = velu(self.dst, gen, n)
-        T = tau.target_curve
-        if T != Curve(F, n**4 * E.A, n**6 * E.B):
+        tau = _velu_step(self.dst, gen, n)
+        if tau.dst != Curve(F, n**4 * E.A, n**6 * E.B):
             raise AssertionError("Velu dual does not land on the n-scaled source model")
-        return tau._steps + (_IsoStep(T, E, F.from_int(n).inverse()),)
+        return tau, _IsoStep(tau.dst, E, F.from_int(n).inverse())
 
 
 class _IsoStep:
@@ -369,7 +368,9 @@ class Isogeny:
         A kernel Z/a x Z/b (a | b, ab = n) lies in E[b], and n | b^2, so the
         scan tries E[d] for the divisors d of n with n | d^2 in increasing
         order; the first that holds n kernel points is E[b].  An E[d] beyond
-        the caps is skipped, since it need not lie inside E[b].
+        the caps is skipped, since it need not lie inside E[b].  The isogeny
+        is a homomorphism, so i*P1 + j*Q1 is in the kernel exactly when
+        i*phi(P1) = j*phi(-Q1): two walks over the images and a lookup.
         """
         n = self.separable_degree
         refused = None
@@ -381,12 +382,17 @@ class Isogeny:
             except BoundExceeded as exc:
                 refused = exc
                 continue
-            cols = point_progression(P1.curve.infinity(), Q1, d)
+            O, A = P1.curve.infinity(), evaluate(self, P1)
+            Z = A.curve.infinity()
+            cols: dict[Point, list[int]] = {}
+            for j, W in enumerate(point_progression(Z, -evaluate(self, Q1), d)):
+                cols.setdefault(W, []).append(j)
+            jQ = point_progression(O, Q1, d)
             pts = [
                 T
-                for R in point_progression(P1.curve.infinity(), P1, d)
-                for C in cols
-                if (T := point_add(R, C)) and not evaluate(self, T)
+                for R, V in zip(point_progression(O, P1, d), point_progression(Z, A, d))
+                for j in cols.get(V, ())
+                if (T := point_add(R, jQ[j]))
             ]
             if len(pts) == n - 1:
                 return pts
@@ -546,14 +552,21 @@ def velu(E: Curve, kernel_gen, order: int) -> Isogeny:
         raise NotRational("kernel is not stable under the base-field Frobenius")
 
     try:
-        F = _kernel_poly(point_progression(P, P, order - 1), E.field)
+        step = _velu_step(E, P, order)
     except ValueError:
         raise NotRational("kernel polynomial does not descend to the base field")
-    return _velu_from_kernel_poly(E, F, order, P)
+    return Isogeny((step,), E, P)
 
 
-def _velu_from_kernel_poly(E, F, n, gen):
+def _velu_step(E: Curve, gen: Point, n: int) -> _VeluStep:
+    """The Velu quotient of E by <gen>, for gen of exact order n coprime to
+    p with a Frobenius-stable span; the one constructor of Velu steps.
+
+    The target comes from the power sums of the kernel polynomial, which
+    must descend to E's field (ValueError otherwise).
+    """
     base = E.field
+    F = _kernel_poly(point_progression(gen, gen, n - 1), base)
     A, B = E.A, E.B
     e1 = -F[n - 2] if n >= 2 else base.zero
     e2 = F[n - 3] if n >= 3 else base.zero
@@ -565,7 +578,7 @@ def _velu_from_kernel_poly(E, F, n, gen):
     w = 5 * p3 + 3 * A * p1 + 2 * (n - 1) * B
     target = Curve(base, A - 5 * v, B - 7 * w)
     share_count(E, target)
-    return Isogeny((_VeluStep(E, target, n, F, p1),), E, gen)
+    return _VeluStep(E, target, n, F, p1)
 
 
 def frobenius_isogeny(E: Curve, e: int) -> Isogeny:
@@ -733,7 +746,7 @@ def cyclic_isogenies(E: Curve, n: int) -> tuple[Isogeny, ...]:
             K = point_add(K, embed_point(gen, EK))
             for st in steps:
                 gen = _apply_step(st, gen)
-            steps.append(velu(cur, gen, ell**e)._steps[0])
+            steps.append(_velu_step(cur, gen, ell**e))
             cur = steps[-1].dst
         out.append(Isogeny(steps, E, K))
     return tuple(out)

@@ -30,11 +30,11 @@ from __future__ import annotations
 import json
 from collections import Counter
 
-from .elliptic_curve import CurveClass, classes_with_trace
+from .elliptic_curve import classes_with_trace, discriminant_frobenius_order
 from .endo_ring import conductor_level
-from .errors import NoCurveWithTrace, NotImaginaryQuadratic, NotOnSurface
+from .errors import NoCurveWithTrace, NotOnSurface
 from .finite_field import Field, element_to_json
-from .intmath import divisors, is_prime, kronecker, split_discriminant, valuation
+from .intmath import divisors, is_prime, kronecker, valuation
 from .isogeny import cyclic_isogenies, modular_polynomial
 from .polyring import multiplicity
 from .quadratic_order import class_group, class_order, primes_above, quad_order
@@ -62,7 +62,6 @@ class IsogenyGraph:
         "disc0",
         "cond0",
         "_adj",
-        "_index",
     )
 
     def __init__(
@@ -83,12 +82,6 @@ class IsogenyGraph:
         for u, v, m in self.edges:
             adj.setdefault(u, {})[v] = m
         self._adj = adj
-        self._index = {cls: i for i, cls in enumerate(self.vertices)}
-
-    def vertex_index(self, cls: CurveClass) -> int:
-        if cls not in self._index:
-            raise ValueError(f"{cls!r} is not a vertex of this graph")
-        return self._index[cls]
 
     def multiplicity(self, u: int, v: int) -> int:
         """Number of k-rational kernels on curves in class u whose
@@ -98,11 +91,6 @@ class IsogenyGraph:
     def degree(self, v: int) -> int:
         """Kernel count at v (a self-loop counts once per kernel)."""
         return sum(self._adj.get(v, {}).values())
-
-    def neighbor_count(self, v: int) -> int:
-        """Distinct classes adjacent to v (the drawn-vertex degree; at
-        j = 0 or 1728 this can be smaller than the kernel count)."""
-        return len(self._adj.get(v, {}))
 
     def __repr__(self):
         return (
@@ -138,15 +126,12 @@ def build_graph(field: Field, trace: int, ell: int) -> IsogenyGraph:
         )
     index = {cls: i for i, cls in enumerate(classes)}
 
-    q = field.order
-    disc = trace * trace - 4 * q
-    assert disc <= 0, "Hasse bound violated by a realised trace"
-    if disc == 0:
+    if trace * trace == 4 * field.order:
         disc0 = cond0 = None
         depth = 0
         levels = (0,) * len(classes)
     else:
-        disc0, cond0 = split_discriminant(disc)
+        disc0, cond0 = discriminant_frobenius_order(field.order, trace)
         depth = valuation(cond0, ell)
         levels = tuple(conductor_level(c.representative, ell) for c in classes)
 
@@ -302,10 +287,7 @@ def count_components(q: int, t: int, ell: int) -> int:
     """
     if type(ell) is not int or not is_prime(ell) or q % ell == 0:
         raise ValueError(f"ell must be a prime not dividing q = {q}, got {ell!r}")
-    disc = t * t - 4 * q
-    if disc >= 0:
-        raise NotImaginaryQuadratic(f"t^2 >= 4q for t={t}, q={q}")
-    disc0, cond0 = split_discriminant(disc)
+    disc0, cond0 = discriminant_frobenius_order(q, t)
     total = 0
     for f in divisors(cond0 // ell ** valuation(cond0, ell)):
         order = quad_order(disc0, f)

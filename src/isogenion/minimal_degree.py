@@ -12,9 +12,9 @@ imaginary quadratic orders contain elements of norm 2 or 3, each pinned to
 a single rational j-invariant.  CM_TABLE carries those six rows; the
 classifier reads off the reduction type from p's residue class.
 
-The search itself enumerates cyclic kernels degree by degree (composites
-of p are handled by splicing in Frobenius steps), so every returned
-minimum is exact, with the found isogeny as witness.
+The search itself enumerates cyclic kernels degree by degree (degree p is
+the p-power Frobenius), so every returned minimum is exact, with the found
+isogeny as witness.
 """
 
 from .elliptic_curve import (
@@ -31,7 +31,6 @@ from .errors import BoundExceeded, NoCurveWithTrace, NotIsogenous, SearchExhaust
 from .finite_field import Field, field_create
 from .intmath import floor_two_over_pi_sqrt
 from .isogeny import (
-    compose,
     cyclic_isogenies,
     frobenius_isogeny,
     modular_polynomial,
@@ -196,19 +195,14 @@ def _lands_on(phi, target, over_k: bool) -> bool:
 def _degree_candidates(E: Curve, m: int, over_k: bool):
     """All candidate degree-m isogenies from E, as an iterator.
 
-    Degrees divisible by p go through Frobenius powers.  Over GF(p) such
-    degrees are never reached (the bounds sit below p); over GF(p^2) the
-    inverse-Frobenius curve coincides with the Frobenius one (x^(1/p) is
-    x^p there), so routing the inseparable part through Frobenius loses
-    no target class.  Deeper ordinary extensions would need the dual
-    direction too, so they are refused rather than searched incompletely.
+    md_between asks only for m below 2p (eB(q, t) <= 4 sqrt(q)/pi < 2p for
+    q <= p^2, p for supersingular pairs over GF(p^2), 3 within one class,
+    and ordinary curves beyond GF(p^2) are refused here at m = p), so the
+    one degree divisible by p is p itself: the p-power Frobenius.  Over
+    GF(p^2) the inverse-Frobenius curve coincides with the Frobenius one
+    (x^(1/p) is x^p there), so it loses no target class.
     """
-    p = E.field.p
-    e, sep = 0, m
-    while sep % p == 0:
-        sep //= p
-        e += 1
-    if e == 0:
+    if m % E.field.p:
         yield from cyclic_isogenies(E, m) if over_k else _cyclic_closure(E, m)
         return
     if E.field.r > SEARCH_R_MAX and not is_supersingular(E):
@@ -216,18 +210,7 @@ def _degree_candidates(E: Curve, m: int, over_k: bool):
             "degrees divisible by p are only searched over GF(p) and GF(p^2)",
             cap="SEARCH_R_MAX", limit=SEARCH_R_MAX, requested=E.field.r,
         )
-    frob = frobenius_isogeny(E, e)
-    if sep == 1:
-        yield frob
-        return
-    if over_k:
-        for phi in cyclic_isogenies(frob.target_curve, sep):
-            yield compose(phi, frob)
-        return
-    for phi in _cyclic_closure(frob.target_curve, sep):
-        steps = phi.source_curve.field.r // E.field.r
-        lifted = frobenius_isogeny(base_change(E, steps), e)
-        yield compose(phi, lifted)
+    yield frobenius_isogeny(E, 1)
 
 
 def md_between(E2: Curve, E1: Curve, over_k: bool = True) -> MdResult:
@@ -312,22 +295,15 @@ def rB(field: Field, t: int) -> tuple:
     return best.md, best.pair
 
 
-def _supersingular_j_invariants(F2: Field) -> list:
+def _supersingular_j_invariants(F2: Field, seed) -> list:
     """All supersingular j-invariants in GF(p^2), cheaply.
 
-    Seeded from any trace-0 curve over the prime field (one always exists
-    for p >= 5) and closed under degree-2 adjacency: the supersingular
-    locus is connected under 2-isogenies and lies entirely inside GF(p^2),
-    so the walk never point-counts more than the seed scan.
+    Seeded from the j-invariant of a trace-0 class over the prime field and
+    closed under degree-2 adjacency: the supersingular locus is connected
+    under 2-isogenies and lies entirely inside GF(p^2), so the walk counts
+    no points.
     """
-    p = F2.p
-    Fp = field_create(p)
-    seed = None
-    for j in Fp.elements():
-        if any(c.trace == 0 for c in twist_classes(Fp, j)):
-            seed = F2.from_int(j.lift_int())
-            break
-    assert seed is not None, "every prime field carries a trace-0 curve"
+    seed = F2.from_int(seed.lift_int())
     phi2 = modular_polynomial(2)
     seen = {seed}
     frontier = [seed]
@@ -377,7 +353,7 @@ def md_supersingular_bounds(p: int) -> dict:
 
     F2 = field_create(p, 2)
     by_trace: dict = {}
-    for j in _supersingular_j_invariants(F2):
+    for j in _supersingular_j_invariants(F2, trace0[0].j):
         for c in twist_classes(F2, j):
             if c.trace % p == 0:
                 by_trace.setdefault(c.trace, {})[c.key()] = c

@@ -76,9 +76,6 @@ class QuadOrder:
         """Norm of x + y*f*gamma."""
         return x * x + self.Tw * x * y + self.Nw * y * y
 
-    def element_trace(self, x: int, y: int) -> int:
-        return 2 * x + self.Tw * y
-
     def __eq__(self, other):
         if not isinstance(other, QuadOrder):
             return NotImplemented

@@ -370,7 +370,7 @@ def order_generator_element(E):
     w = desc.f0 // desc.f
     u, v = -u0, 1
     ring = desc.order()
-    if 2 * u + v * t != w * ring.element_trace(0, 1):
+    if 2 * u + v * t != w * ring.Tw:  # the trace of f*gamma
         raise AssertionError("generator has the wrong trace")
     if u * u + u * v * t + v * v * q != w * w * ring.element_norm(0, 1):
         raise AssertionError("generator has the wrong norm")

@@ -178,8 +178,11 @@ class TestKernelIdealCorrespondence:
                 assert corresponds_to_kernel_ideal(volcano[a], volcano[b]) == expected
 
     def test_trace_mismatch(self, volcano):
-        with pytest.raises(TraceMismatch):
-            corresponds_to_kernel_ideal(volcano[5], curve_from_j(F41, 5, -6))
+        """conductor_ratio owns the refusal, so both refuse alike."""
+        twisted = curve_from_j(F41, 5, -6)
+        for refuse in (conductor_ratio, corresponds_to_kernel_ideal):
+            with pytest.raises(TraceMismatch, match="traces 6 and -6 differ; the curves"):
+                refuse(volcano[5], twisted)
 
 
 class TestIndexAnchors:

@@ -965,6 +965,39 @@ class TestRationalMaps:
             assert img.x == xn.eval(P.x) / xd.eval(P.x)
             assert img.y == P.y * yn.eval(P.x) / yd.eval(P.x)
 
+    @pytest.mark.parametrize(
+        "make, n",
+        [
+            (lambda: curve_from_j(F41, F41.from_int(29), 6), 3),
+            (lambda: Curve(field_create(7, 2), 3, 3), 2),
+        ],
+        ids=["GF(41)", "GF(7^2)"],
+    )
+    def test_maps_of_chains_with_a_scaling_step(self, make, n):
+        """dual(phi) is a Velu quotient followed by the 1/n scaling, and
+        compose glues two models of the middle class with a scaling; the
+        maps of both chains evaluate like the chains over an extension."""
+        E = make()
+        F = E.field
+        phi = cyclic_isogenies(E, n)[0]
+        mid = phi.target_curve
+        u = F.from_coeffs([3] + [1] * (F.r - 1))
+        psi = cyclic_isogenies(Curve(F, u**4 * mid.A, u**6 * mid.B), 2)[0]
+        K = field_create(F.p, 2 * F.r)
+        rng = random.Random(23)
+        for chain in (dual(phi), compose(psi, phi)):
+            assert any(st.degree == 1 for st in chain._steps)
+            xn, xd, yn, yd = (subfield_embedding(F, K).map_poly(f) for f in chain.rational_maps)
+            EK = base_change(chain.source_curve, 2)
+            for _ in range(30):
+                P = EK.random_point(rng)
+                img = chain(P)
+                if not xd.eval(P.x):
+                    assert not img
+                    continue
+                assert img.x == xn.eval(P.x) / xd.eval(P.x)
+                assert img.y == P.y * yn.eval(P.x) / yd.eval(P.x)
+
     def test_verschiebung_has_no_polynomial_maps(self, e29):
         V = dual(frobenius_isogeny(e29, 1))
         with pytest.raises(ValueError):

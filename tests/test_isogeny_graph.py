@@ -135,7 +135,7 @@ class TestTraceSixVolcano:
         i5 = vdx(g41_2, 5)
         assert g41_2.degree(i5) == 3
         assert g41_2.degree(i5) + g41_2.multiplicity(i5, i5) == 4  # loops doubled
-        assert g41_2.neighbor_count(i5) == 3  # itself, 22, 29
+        assert len({v for u, v, _ in g41_2.edges if u == i5}) == 3  # itself, 22, 29
 
     def test_directed_symmetry(self, g41_2):
         for u, v, m in g41_2.edges:
@@ -309,7 +309,7 @@ class TestTwoPrimeConductor:
         ).matrix
         assert y % 2 == 0 and z % 2 == 0 and (x - w) % 2 == 0
         assert g31_2.degree(i0) == 3
-        assert g31_2.neighbor_count(i0) == 1
+        assert len({v for u, v, _ in g31_2.edges if u == i0}) == 1
         (peer,) = [
             v for v in range(len(g31_2.vertices)) if g31_2.multiplicity(i0, v)
         ]
@@ -637,11 +637,6 @@ class TestValidation:
         monkeypatch.setattr(isogenion.isogeny_graph, "primes_above", no_class_groups)
         with pytest.raises(ValueError, match="prime not dividing"):
             count_components(41, 6, ell)
-
-    def test_vertex_index_rejects_foreign_class(self, g41_2, g31_2):
-        with pytest.raises(ValueError):
-            g41_2.vertex_index(g31_2.vertices[0])
-        assert g41_2.vertex_index(g41_2.vertices[3]) == 3
 
     def test_traces_all_match(self, g41_2, g53_2):
         assert all(c.trace == g41_2.trace for c in g41_2.vertices)

@@ -4,11 +4,13 @@ Every top-level import must be used by its module (the `from __future__`
 feature `annotations` and names re-exported through `__all__` excepted),
 no module reaches into another's private names with
 `from .module import _name`, every private top-level function or class
-is referenced somewhere in its module outside its own body, only
-`isogeny.py` calls `velu`, only `elliptic_curve.py` builds raw points, and
-`isogeny_graph.py` never factors (no `roots`).  Every public function and
-class has a caller outside the tests, no module reads the environment, and
-the test oracles check with explicit raises rather than `assert`.
+is referenced somewhere in its module outside its own body, no module
+calls `velu`, only `elliptic_curve.py` builds raw points, and
+`isogeny_graph.py` never factors (no `roots`).  Every public function,
+class, method and property has a caller outside the tests, a function
+imports only what a top-level import would turn into a cycle, no module
+reads the environment, and the test oracles check with explicit raises
+rather than `assert`.
 """
 
 import ast
@@ -113,15 +115,16 @@ def calls_to(tree, name):
 
 
 def test_only_isogeny_calls_velu():
-    """Other modules take their isogenies from cyclic_isogenies, the one
-    enumerator, instead of building Velu quotients themselves."""
+    """velu is the validating public entry point, and the package calls it
+    nowhere: isogeny.py builds every Velu step with its one step
+    constructor, and other modules take their isogenies from
+    cyclic_isogenies, the one enumerator."""
     callers = [
         f"{path.name} (line {line})"
         for path in SOURCES
-        if path.name != "isogeny.py"
         for line in calls_to(parse(path), "velu")
     ]
-    assert not callers, f"velu is called outside isogeny.py: {', '.join(callers)}"
+    assert not callers, f"velu is called inside the package: {', '.join(callers)}"
 
 
 def test_only_elliptic_curve_builds_raw_points():
@@ -169,10 +172,12 @@ def names_in(node):
 
 
 def test_every_public_name_has_a_caller_outside_the_tests():
-    """A public function or class is used by library code outside its own
-    definition, by the benchmark (`bench/*.py`), by `tools/` or by the
-    README; an operation that only tests call is a second spelling of one
-    the package already has, or belongs in `tests/oracles.py`."""
+    """A public function, class, method or property is used by library code
+    outside its own definition, by the benchmark (`bench/*.py`), by `tools/`
+    or by the README; an operation that only tests call is a second
+    spelling of one the package already has, or belongs in
+    `tests/oracles.py`.  Members are matched by name, so a member that
+    shares its name with a used one (every step's `apply`) escapes."""
     consumers = [
         *(ROOT / "bench").glob("*.py"), *(ROOT / "tools").glob("*.py"), ROOT / "README.md"
     ]
@@ -180,15 +185,57 @@ def test_every_public_name_has_a_caller_outside_the_tests():
     mentioned = set(re.findall(r"\w+", text))
     tops = [(path, node) for path in SOURCES for node in parse(path).body]
     uses = [names_in(node) for _, node in tops]
+    defs = []  # (label, name, the name sets of the library code outside it)
+    for i, (path, node) in enumerate(tops):
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        outside = [names for k, names in enumerate(uses) if k != i]
+        defs.append((f"{path.stem}.{node.name}", node.name, outside))
+        for m in node.body if isinstance(node, ast.ClassDef) else ():
+            if isinstance(m, ast.FunctionDef):
+                inside = [names_in(o) for o in node.body if o is not m]
+                defs.append((f"{path.stem}.{node.name}.{m.name}", m.name, outside + inside))
     unused = [
-        f"{path.stem}.{node.name}"
-        for i, (path, node) in enumerate(tops)
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and not node.name.startswith("_")
-        and node.name not in mentioned
-        and not any(node.name in names for k, names in enumerate(uses) if k != i)
+        label
+        for label, name, rest in defs
+        if not name.startswith("_")
+        and name not in mentioned
+        and not any(name in names for names in rest)
     ]
     assert not unused, f"public names that only tests use: {', '.join(unused)}"
+
+
+def test_function_level_imports_break_a_cycle():
+    """An import inside a function names a package module that imports this
+    one back, directly or through others, at its top level; anything else
+    belongs at the top of the module."""
+    trees = {path.stem: parse(path) for path in SOURCES}
+    graph = {
+        stem: {n.module for n in tree.body if isinstance(n, ast.ImportFrom) and n.level == 1}
+        for stem, tree in trees.items()
+    }
+
+    def reaches(start, goal):
+        seen, todo = set(), [start]
+        while todo:
+            mod = todo.pop()
+            if mod == goal:
+                return True
+            if mod not in seen:
+                seen.add(mod)
+                todo.extend(graph.get(mod, ()))
+        return False
+
+    stray = [
+        f"{stem}.py (line {node.lineno})"
+        for stem, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and node not in tree.body
+        and not (isinstance(node, ast.ImportFrom) and node.level == 1
+                 and reaches(node.module, stem))
+    ]
+    assert not stray, f"function-level imports that form no cycle: {', '.join(stray)}"
 
 
 def test_no_module_reads_the_environment():
