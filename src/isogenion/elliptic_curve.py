@@ -851,6 +851,22 @@ def _divide_in_field(P: Point, n: int) -> Point | None:
     return None
 
 
+def check_torsion_order(E: Curve, m: int) -> None:
+    """The one gate for a torsion or kernel order m on E: ValueError unless
+    m is an int >= 1 (a bool is refused) coprime to p, then BoundExceeded
+    past M_MAX, so invalid input is refused before a valid one that is too
+    large."""
+    if type(m) is not int or m < 1:
+        raise ValueError(f"order must be a positive int, got {m!r}")
+    if m % E.field.p == 0:
+        raise ValueError(f"order {m} must be coprime to the characteristic")
+    if m > M_MAX:
+        raise BoundExceeded(
+            f"torsion and kernel orders are capped at {M_MAX}",
+            cap="M_MAX", limit=M_MAX, requested=m,
+        )
+
+
 @lru_cache(maxsize=None, typed=True)
 def torsion_basis(E: Curve, m: int) -> tuple[Point, Point, Field]:
     """A basis (P, Q) of E[m] over the smallest extension containing it.
@@ -878,9 +894,9 @@ def torsion_basis(E: Curve, m: int) -> tuple[Point, Point, Field]:
 def torsion_degree(E: Curve, m: int) -> int:
     """The least s with E[m] in E(GF(q^s)), q = #k, on every field k.
     Integer arithmetic only, apart from one Sylow exponent of E(k) per
-    prime of gcd(m, f0) and, rarely, one conductor_level.  ValueError
-    unless m is an int >= 1 coprime to p; BoundExceeded past M_MAX, or when
-    GF(q^s) is beyond the R_MAX tower.
+    prime of gcd(m, f0) and, rarely, one conductor_level.  m passes
+    check_torsion_order; BoundExceeded also when GF(q^s) is beyond the
+    R_MAX tower, so the refusal comes before any field is built.
 
     If End_k(E) = O is quadratic, E(GF(q^s)) = O/(pi^s - 1) (Lenstra 1996,
     "Complex multiplication structure of elliptic curves"), so E[m] is
@@ -902,16 +918,9 @@ def torsion_degree(E: Curve, m: int) -> int:
     0.  When pi is an integer, E(GF(q^s)) = (Z/(pi^s - 1))^2 and
     m | pi^s - 1 is exact.
     """
-    if not isinstance(m, int) or m < 1:
-        raise ValueError("m must be a positive integer")
+    check_torsion_order(E, m)
     if m == 1:
         return 1
-    if m > M_MAX:
-        raise BoundExceeded(
-            f"torsion cap is m <= {M_MAX}", cap="M_MAX", limit=M_MAX, requested=m
-        )
-    if m % E.field.p == 0:
-        raise ValueError("m must be coprime to the characteristic")
     q, t, r0 = E.field.order, E.trace, E.field.r
     cap = R_MAX // r0
     if t * t == 4 * q:

@@ -19,16 +19,15 @@ from __future__ import annotations
 from functools import lru_cache
 from math import lcm
 
-from .errors import BoundExceeded, OrdinaryOnly, WrongOrder
-from .finite_field import R_MAX
-from .intmath import factorize, is_prime, valuation
+from .errors import OrdinaryOnly, WrongOrder
+from .intmath import factorize, hnf2, is_prime, valuation
 from .elliptic_curve import (
-    M_MAX,
     Curve,
     CurveClass,
     Point,
     base_change,
     base_change_degree,
+    check_torsion_order,
     curve_class,
     discriminant_frobenius_order,
     embed_point,
@@ -175,15 +174,11 @@ def compute_endo_conductor(E: Curve) -> EndoDescriptor:
 def frobenius_matrix(E: Curve, m: int) -> FrobeniusMatrix:
     """Matrix of the base-field Frobenius on a basis of E[m].
 
-    Entries are found by two-dimensional discrete logarithm; the result is
-    checked against x^2 - t*x + q before being returned.
+    m must pass check_torsion_order.  Entries are found by two-dimensional
+    discrete logarithm; the result is checked against x^2 - t*x + q before
+    being returned.
     """
-    if not isinstance(m, int) or m < 1:
-        raise ValueError("modulus must be a positive integer")
-    if m > M_MAX:
-        raise BoundExceeded(
-            f"torsion cap is m <= {M_MAX}", cap="M_MAX", limit=M_MAX, requested=m
-        )
+    check_torsion_order(E, m)
     if m == 1:
         return FrobeniusMatrix(1, (E.infinity(), E.infinity()), ((0, 0), (0, 0)))
     P, Q, _ = torsion_basis(E, m)
@@ -206,13 +201,9 @@ def frobenius_matrix(E: Curve, m: int) -> FrobeniusMatrix:
 
 
 def coords_in_basis(T: Point, P: Point, Q: Point, m: int) -> tuple[int, int]:
-    """(x, y) with T = x*P + y*Q, embedding all three into a common field."""
+    """(x, y) with T = x*P + y*Q, embedding all three into a common field
+    (base_change refuses one past R_MAX)."""
     r_common = lcm(T.curve.field.r, P.curve.field.r)
-    if r_common > R_MAX:
-        raise BoundExceeded(
-            f"no common field for the point and the basis within degree {R_MAX}",
-            cap="R_MAX", limit=R_MAX, requested=r_common,
-        )
     EK = base_change(P.curve, r_common // P.curve.field.r)
     Pm, Qm, Tm = (embed_point(R, EK) for R in (P, Q, T))
     dl = two_dim_dlog(Tm, Pm, Qm, m, m)
@@ -227,15 +218,11 @@ def gamma_matrix(E: Curve, m: int):
     End_k(E) = Z + Z*f*gamma.  f*gamma lifts to the integral pi - u0 on
     E[m*w] (w the denominator f0/f), so the matrix comes from one Frobenius
     matrix there, divided by w and read mod m.  The result is checked
-    against the minimal polynomial of f*gamma before being returned.
+    against the minimal polynomial of f*gamma before being returned.  m*w
+    must pass check_torsion_order, which frobenius_matrix applies.
     """
     desc = compute_endo_conductor(E)
     u0, w = desc.u0, desc.f0 // desc.f
-    if m * w > M_MAX:
-        raise BoundExceeded(
-            f"f*gamma on E[{m}] needs the {m * w}-torsion; cap is {M_MAX}",
-            cap="M_MAX", limit=M_MAX, requested=m * w,
-        )
     fm = frobenius_matrix(E, m * w)
     (a, b), (c, d) = fm.matrix
     mw = m * w
@@ -254,27 +241,49 @@ def gamma_matrix(E: Curve, m: int):
     return W, P, Q
 
 
+def annihilator_lattice(E: Curve, pts: list[Point], n: int) -> tuple[int, int, int]:
+    """Hermite form ((A, 0), (c, d)) of {x + y*f*gamma : kills every point}.
+
+    n must be a multiple of the exponent of the subgroup the points
+    generate; the lattice contains n*Z^2, so residues mod n determine it.
+    Its index in End(E) is A*d.
+    """
+    W, P, Q = gamma_matrix(E, n)
+    images = []
+    for T in pts:
+        k0, k1 = coords_in_basis(T, P, Q, n)
+        g0 = (W[0] * k0 + W[1] * k1) % n
+        g1 = (W[2] * k0 + W[3] * k1) % n
+        images.append((k0, k1, g0, g1))
+    members = [
+        (x, y)
+        for x in range(n)
+        for y in range(n)
+        if all(
+            (x * k0 + y * g0) % n == 0 and (x * k1 + y * g1) % n == 0
+            for k0, k1, g0, g1 in images
+        )
+    ]
+    A, c, d = hnf2(members + [(n, 0), (0, n)])
+    assert A * d * len(members) == n * n, "annihilators must form a subgroup"
+    return A, c, d
+
+
 def annihilator_index(E: Curve, kernel_gen, m: int) -> int:
     """[End(E) : I(<kernel_gen>)] for a point of exact order m.
 
-    Brute force: End(E)/m*End(E) has m^2 residues x + y*f*gamma when
-    End_k(E) is quadratic (ordinary curves, supersingular ones over GF(p))
-    or m^4 matrix residues (supersingular beyond the prime field, where End
-    tensor Z/m is the full 2x2 matrix ring); the index is the residue count
-    divided by the number of residues annihilating the generator.
+    Brute force: when End_k(E) is quadratic (ordinary curves, supersingular
+    ones over GF(p)) it is A*d for the annihilator_lattice of the
+    generator, read off its m^2 residues x + y*f*gamma; beyond the prime
+    field a supersingular End tensor Z/m is the full 2x2 matrix ring, and
+    the index is m^4 divided by the number of matrix residues annihilating
+    the generator.  m must pass check_torsion_order.
     """
-    if not isinstance(m, int) or m < 1:
-        raise ValueError("order must be a positive integer")
-    if m > M_MAX:
-        raise BoundExceeded(
-            f"kernel order cap is {M_MAX}", cap="M_MAX", limit=M_MAX, requested=m
-        )
+    check_torsion_order(E, m)
     if m == 1:
         if isinstance(kernel_gen, Point) and kernel_gen:
             raise WrongOrder("order 1 demands a trivial generator")
         return 1
-    if m % E.field.p == 0:
-        raise ValueError("order must be coprime to the characteristic")
     if not isinstance(kernel_gen, Point) or not kernel_gen:
         raise WrongOrder("kernel generator must be a finite point")
     base_change_degree(E, kernel_gen.curve)
@@ -294,15 +303,5 @@ def annihilator_index(E: Curve, kernel_gen, m: int) -> int:
         assert (m**4) % count == 0
         return m**4 // count
 
-    W, Pm, Qm = gamma_matrix(E, m)
-    k0, k1 = coords_in_basis(kernel_gen, Pm, Qm, m)
-    g0 = (W[0] * k0 + W[1] * k1) % m
-    g1 = (W[2] * k0 + W[3] * k1) % m
-    count = sum(
-        1
-        for x in range(m)
-        for y in range(m)
-        if (x * k0 + y * g0) % m == 0 and (x * k1 + y * g1) % m == 0
-    )
-    assert (m * m) % count == 0
-    return m * m // count
+    A, _, d = annihilator_lattice(E, [kernel_gen], m)
+    return A * d

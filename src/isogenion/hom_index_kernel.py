@@ -22,9 +22,9 @@ import json
 from math import lcm, prod
 
 from .elliptic_curve import (
-    M_MAX,
     Curve,
     Point,
+    check_torsion_order,
     curve_class,
     is_supersingular,
     point_add,
@@ -33,8 +33,8 @@ from .elliptic_curve import (
 )
 from .endo_ring import (
     annihilator_index,
+    annihilator_lattice,
     compute_endo_conductor,
-    coords_in_basis,
     gamma_matrix,
 )
 from .errors import (
@@ -47,7 +47,7 @@ from .errors import (
     TraceMismatch,
 )
 from .finite_field import element_to_json
-from .intmath import hnf2, prime_factors, valuation
+from .intmath import prime_factors, valuation
 from .isogeny import Isogeny, cyclic_isogenies
 from .quadratic_order import (
     DISC_MAX,
@@ -100,37 +100,6 @@ def corresponds_to_kernel_ideal(E2: Curve, E1: Curve) -> bool:
     independent of which isogeny connects it.
     """
     return all(e <= 0 for e in conductor_ratio(E2, E1).values())
-
-
-# ---------------------------------------------------------------------------
-# the annihilator lattice
-
-
-def _annihilator_lattice(E: Curve, pts: list[Point], n: int) -> tuple[int, int, int]:
-    """Hermite form ((A, 0), (c, d)) of {x + y*f*gamma : kills every point}.
-
-    n must be a multiple of the exponent of the subgroup the points
-    generate; the lattice contains n*Z^2, so residues mod n determine it.
-    """
-    W, P, Q = gamma_matrix(E, n)
-    images = []
-    for T in pts:
-        k0, k1 = coords_in_basis(T, P, Q, n)
-        g0 = (W[0] * k0 + W[1] * k1) % n
-        g1 = (W[2] * k0 + W[3] * k1) % n
-        images.append((k0, k1, g0, g1))
-    members = [
-        (x, y)
-        for x in range(n)
-        for y in range(n)
-        if all(
-            (x * k0 + y * g0) % n == 0 and (x * k1 + y * g1) % n == 0
-            for k0, k1, g0, g1 in images
-        )
-    ]
-    A, c, d = hnf2(members + [(n, 0), (0, n)])
-    assert A * d * len(members) == n * n, "annihilators must form a subgroup"
-    return A, c, d
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +215,7 @@ def hom_index(E2: Curve, E1: Curve, beta: Isogeny) -> HomIdealDescription:
             assert deg_prime == 1 and outer == 1 and corr == 1
             basis = (back, (mult, 0, corr))
         else:
-            A, c, d = _annihilator_lattice(E2, pts, n)
+            A, c, d = annihilator_lattice(E2, pts, n)
             assert A * d == index, (
                 "annihilator lattice disagrees with the index formula"
             )
@@ -333,10 +302,10 @@ def hom_lattice_basis(E2: Curve, E1: Curve, beta: Isogeny) -> HomBasis:
 def kernel_of_ideal(E: Curve, I: QuadIdeal) -> list[Point]:
     """All points of H(I), the subgroup annihilated by every element of I.
 
-    I must be an ideal of End(E) with norm coprime to p (the etale case)
-    and a*t at most M_MAX.  H(I) sits inside E[a*t] and is cut out there by
-    the single generator t*(b + f*gamma); the identity is included, so an
-    invertible I returns exactly norm(I) points.
+    I must be an ideal of End(E) with norm coprime to p (the etale case),
+    and a*t must pass check_torsion_order.  H(I) sits inside E[a*t] and is
+    cut out there by the single generator t*(b + f*gamma); the identity is
+    included, so an invertible I returns exactly norm(I) points.
     """
     if not isinstance(I, QuadIdeal):
         raise TypeError("expected a QuadIdeal")
@@ -351,11 +320,7 @@ def kernel_of_ideal(E: Curve, I: QuadIdeal) -> list[Point]:
             "the p-part of an ideal kernel is not an etale subgroup"
         )
     n = I.a * I.t
-    if n > M_MAX:
-        raise BoundExceeded(
-            f"H(I) lives in E[{n}]; torsion cap is {M_MAX}",
-            cap="M_MAX", limit=M_MAX, requested=n,
-        )
+    check_torsion_order(E, n)
     W, P, Q = gamma_matrix(E, n)
     m00 = (I.t * (I.b + W[0])) % n
     m01 = (I.t * W[1]) % n
@@ -376,7 +341,8 @@ def annihilator_ideal(E: Curve, points) -> QuadIdeal:
     any point set (the order is commutative), so this computes I(H) for H
     the End(E)-saturation of the subgroup the points generate; when the
     points span a Frobenius-stable subgroup, that saturation is the
-    subgroup itself.  Point orders must be coprime to p.
+    subgroup itself.  Point orders must be coprime to p, and their lcm
+    must pass check_torsion_order.
     """
     pts = [T for T in points if T]
     order = compute_endo_conductor(E).order()
@@ -387,11 +353,8 @@ def annihilator_ideal(E: Curve, points) -> QuadIdeal:
         n = lcm(n, point_order(T))
     if n % E.field.p == 0:
         raise PPartUnsupported("point orders must be coprime to p")
-    if n > M_MAX:
-        raise BoundExceeded(
-            f"subgroup exponent cap is {M_MAX}", cap="M_MAX", limit=M_MAX, requested=n
-        )
-    A, c, d = _annihilator_lattice(E, pts, n)
+    check_torsion_order(E, n)
+    A, c, d = annihilator_lattice(E, pts, n)
     assert A % d == 0 and c % d == 0, "annihilators always form an ideal"
     return QuadIdeal(order, d, A // d, (c // d) % (A // d))
 

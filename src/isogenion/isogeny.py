@@ -33,7 +33,7 @@ from .errors import (
     UnsupportedLevel,
     WrongOrder,
 )
-from .finite_field import Field, FieldElement, R_MAX
+from .finite_field import Field, FieldElement
 from .polyring import Poly, poly_gcd, subfield_embedding, embed_element
 from .elliptic_curve import (
     M_MAX,
@@ -42,6 +42,7 @@ from .elliptic_curve import (
     Point,
     base_change,
     base_change_degree,
+    check_torsion_order,
     curve_class,
     embed_point,
     frobenius_endo,
@@ -521,24 +522,17 @@ def _kernel_poly(pts: list[Point], base: Field) -> Poly:
 def velu(E: Curve, kernel_gen, order: int) -> Isogeny:
     """The separable isogeny with kernel generated by `kernel_gen`.
 
-    `kernel_gen` must have exact order `order` (WrongOrder otherwise), with
-    gcd(order, p) = 1, and generate a subgroup stable under the base-field
-    Frobenius (NotRational otherwise).  It may live on any base change of E;
-    the returned maps are defined over E's own field.  order = 1 gives the
-    identity.
+    `order` must pass check_torsion_order, and `kernel_gen` must have exact
+    order `order` (WrongOrder otherwise) and generate a subgroup stable
+    under the base-field Frobenius (NotRational otherwise).  It may live on
+    any base change of E; the returned maps are defined over E's own field.
+    order = 1 gives the identity.
     """
-    if not isinstance(order, int) or order < 1:
-        raise ValueError("order must be a positive integer")
+    check_torsion_order(E, order)
     if order == 1:
         if kernel_gen is not None and kernel_gen:
             raise WrongOrder("order 1 demands a trivial generator")
         return Isogeny((), E, None)
-    if order % E.field.p == 0:
-        raise ValueError("kernel order must be coprime to the characteristic")
-    if order > M_MAX:
-        raise BoundExceeded(
-            f"kernel order cap is {M_MAX}", cap="M_MAX", limit=M_MAX, requested=order
-        )
     P = kernel_gen
     if not isinstance(P, Point) or not P:
         raise WrongOrder("kernel generator must be a finite point")
@@ -597,6 +591,7 @@ def frobenius_isogeny(E: Curve, e: int) -> Isogeny:
 def multiplication_isogeny(E: Curve, m: int) -> Isogeny:
     """[m] on E, a separable endomorphism of degree m^2; m must be a
     positive integer coprime to the characteristic."""
+    # not check_torsion_order: [m] needs no torsion basis, so no cap applies
     if not isinstance(m, int) or m < 1:
         raise ValueError("multiplier must be a positive integer")
     if m % E.field.p == 0:
@@ -624,6 +619,8 @@ def compose(psi: Isogeny, phi: Isogeny) -> Isogeny:
         raise ClassMismatch("composition endpoints lie over different fields")
     if curve_class(mid_out) != curve_class(mid_in):
         raise ClassMismatch("target class of phi differs from source class of psi")
+    # not check_torsion_order: the separable degree is capped, and the
+    # composite's full degree may carry p^e from a Verschiebung
     sep = phi.separable_degree * psi.separable_degree
     if sep > M_MAX:
         raise BoundExceeded(
@@ -667,19 +664,16 @@ def stable_cyclic_subgroups(E: Curve, ell: int, e: int = 1) -> list[Point]:
     extension degrees in increasing order finds each subgroup once.
     Only roots c = 1 mod ell^b can be eigenvalues, since the Frobenius fixes
     E[ell^b], b the second ell-Sylow exponent of E(k) capped at e.  ell must
-    be a prime int and e a positive int (ValueError otherwise).
+    be a prime int and e a positive int (ValueError otherwise), and ell^e
+    must pass check_torsion_order; an extension past R_MAX is refused by
+    base_change before any point work on it.
     """
     if type(ell) is not int or not is_prime(ell):
         raise ValueError(f"ell must be a prime int, got {ell!r}")
     if type(e) is not int or e < 1:
         raise ValueError(f"e must be a positive int, got {e!r}")
     m = ell**e
-    if m % E.field.p == 0:
-        raise ValueError("subgroup order must be coprime to the characteristic")
-    if m > M_MAX:
-        raise BoundExceeded(
-            f"kernel order cap is {M_MAX}", cap="M_MAX", limit=M_MAX, requested=m
-        )
+    check_torsion_order(E, m)
     q = E.field.order
     t = E.trace
     fixed = ell ** min(sylow_basis(E, ell)[3], e)
@@ -687,13 +681,6 @@ def stable_cyclic_subgroups(E: Curve, ell: int, e: int = 1) -> list[Point]:
     out = []
     r0 = E.field.r
     for s in sorted({multiplicative_order(c, m) for c in eigen}):
-        if s * r0 > R_MAX:
-            raise BoundExceeded(
-                f"order-{m} kernels need extension degree {s} (cap {R_MAX // r0})",
-                cap="R_MAX",
-                limit=R_MAX,
-                requested=s * r0,
-            )
         EK = base_change(E, s)
         S1, S2, a, b = sylow_basis(EK, ell)
         if a < e:
@@ -726,16 +713,9 @@ def cyclic_isogenies(E: Curve, n: int) -> tuple[Isogeny, ...]:
     Cached per (curve, n): callers share the returned tuple and its
     write-once isogenies, with their memoised target classes.
     """
-    if not isinstance(n, int) or n < 1:
-        raise ValueError("n must be a positive integer")
+    check_torsion_order(E, n)
     if n == 1:
         return (Isogeny((), E, None),)
-    if n % E.field.p == 0:
-        raise ValueError("n must be coprime to the characteristic")
-    if n > M_MAX:
-        raise BoundExceeded(
-            f"kernel order cap is {M_MAX}", cap="M_MAX", limit=M_MAX, requested=n
-        )
     fac = factorize(n)
     per_prime = [stable_cyclic_subgroups(E, ell, e) for ell, e in fac]
     out = []

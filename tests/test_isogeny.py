@@ -1072,6 +1072,21 @@ class TestConsistency:
         assert phi == psi
         assert psi == phi
 
+    def test_isogenies_from_different_classes_differ(self, e29):
+        e25 = curve_from_j(F41, F41.from_int(25), 6)
+        assert cyclic_isogenies(e29, 2)[0] != cyclic_isogenies(e25, 2)[0]
+
+    def test_isogenies_from_distinct_models_at_j_1728_differ(self):
+        """y^2 = x^3 + x and y^2 = x^3 + 16x are isomorphic over GF(41), and
+        x is the kernel polynomial of the quotient by (0, 0) on both, even
+        after rescaling; the extra automorphisms keep them apart."""
+        E, other = Curve(F41, 1, 0), Curve(F41, 16, 0)
+        assert curve_class(E) == curve_class(other)
+        phi = velu(E, E.point(0, 0), 2)
+        psi = velu(other, other.point(0, 0), 2)
+        assert phi.kernel_polynomial() == psi.kernel_polynomial()
+        assert phi != psi
+
 
 # ---------------------------------------------------------------------------
 # Velu maps are built on demand, and equal those built eagerly

@@ -2,18 +2,36 @@
 
 Each case trips one raise site and checks the refusal's `cap`, `limit`
 and `requested`, and its message, so a caller can tell which cap tripped
-and by how much without reading the text.
+and by how much without reading the text.  The functions behind the one
+torsion gate refuse an order that is no order at all with ValueError, even
+past the cap, and an order past the cap with the same triple.
 """
 
 import random
 
 import pytest
 
-from isogenion.elliptic_curve import Curve, base_change, curve_from_j, torsion_basis
-from isogenion.endo_ring import annihilator_index, coords_in_basis, gamma_matrix
+from isogenion.elliptic_curve import (
+    Curve,
+    base_change,
+    curve_from_j,
+    torsion_basis,
+    torsion_degree,
+)
+from isogenion.endo_ring import (
+    annihilator_index,
+    coords_in_basis,
+    frobenius_matrix,
+    gamma_matrix,
+)
 from isogenion.errors import BoundExceeded
 from isogenion.finite_field import field_create
-from isogenion.hom_index_kernel import annihilator_ideal, kernel_of_ideal, p_part_ideal
+from isogenion.hom_index_kernel import (
+    annihilator_ideal,
+    kernel_of_ideal,
+    p_part_ideal,
+    stable_cyclic_kernels,
+)
 from isogenion.isogeny import (
     compose,
     cyclic_isogenies,
@@ -77,27 +95,27 @@ CASES = {
     "coords_in_basis": (
         coords_beyond_the_tower,
         ("R_MAX", 24, 40),
-        "no common field for the point and the basis within degree 24",
+        "caps are p <= 65536, r <= 24",
     ),
     "gamma_matrix": (
         lambda: gamma_matrix(curve41(29), 64),
         ("M_MAX", 64, 128),
-        "f*gamma on E[64] needs the 128-torsion; cap is 64",
+        "torsion and kernel orders are capped at 64",
     ),
     "annihilator_index": (
         lambda: annihilator_index(curve41(5), None, 65),
         ("M_MAX", 64, 65),
-        "kernel order cap is 64",
+        "torsion and kernel orders are capped at 64",
     ),
     "kernel_of_ideal-torsion": (
         ideal_kernel_beyond_the_torsion_cap,
         ("M_MAX", 64, 67),
-        "H(I) lives in E[67]; torsion cap is 64",
+        "torsion and kernel orders are capped at 64",
     ),
     "annihilator_ideal": (
         annihilator_of_orders_eight_and_nine,
         ("M_MAX", 64, 72),
-        "subgroup exponent cap is 64",
+        "torsion and kernel orders are capped at 64",
     ),
     "p_part_ideal": (
         lambda: p_part_ideal(curve41(5), 2, 4),
@@ -112,7 +130,7 @@ CASES = {
     "velu": (
         lambda: velu(curve41(29), stable_cyclic_subgroups(curve41(29), 2)[0], 128),
         ("M_MAX", 64, 128),
-        "kernel order cap is 64",
+        "torsion and kernel orders are capped at 64",
     ),
     "compose": (
         compose_past_the_degree_cap,
@@ -150,3 +168,35 @@ def test_refusal_names_its_cap(site):
     err = refusal.value
     assert (err.cap, err.limit, err.requested) == named
     assert str(err) == message
+
+
+GATED = {
+    "torsion_basis": torsion_basis,
+    "torsion_degree": torsion_degree,
+    "frobenius_matrix": frobenius_matrix,
+    "cyclic_isogenies": cyclic_isogenies,
+    "velu": lambda E, n: velu(E, None, n),
+    "annihilator_index": lambda E, n: annihilator_index(E, None, n),
+    "stable_cyclic_kernels": stable_cyclic_kernels,
+}
+
+
+@pytest.mark.parametrize("site", sorted(GATED))
+@pytest.mark.parametrize(
+    "E, n",
+    [(Curve(field_create(7), 1, 1), 70), (curve41(29), True)],
+    ids=["multiple-of-p-past-the-cap", "bool"],
+)
+def test_an_invalid_order_is_refused_before_the_cap(site, E, n):
+    """check_torsion_order refuses an order that is no order at all (a
+    multiple of p, a bool) with ValueError, even when it is past M_MAX."""
+    with pytest.raises(ValueError):
+        GATED[site](E, n)
+
+
+@pytest.mark.parametrize("site", sorted(GATED))
+def test_an_order_past_the_cap_is_refused_by_the_gate(site):
+    with pytest.raises(BoundExceeded) as refusal:
+        GATED[site](curve41(29), 65)
+    err = refusal.value
+    assert (err.cap, err.limit, err.requested) == ("M_MAX", 64, 65)

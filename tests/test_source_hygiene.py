@@ -171,18 +171,29 @@ def names_in(node):
     return out
 
 
+def readme_code_names():
+    """Words of the README's inline code spans and names of its python
+    block; its prose does not count."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    fence = re.compile(r"^```(\w*)\n(.*?)^```$", re.M | re.S)
+    out = set()
+    for lang, body in fence.findall(text):
+        if lang == "python":
+            out |= names_in(ast.parse(body))
+    for span in re.findall(r"`([^`]+)`", fence.sub("", text)):
+        out.update(re.findall(r"\w+", span))
+    return out
+
+
 def test_every_public_name_has_a_caller_outside_the_tests():
     """A public function, class, method or property is used by library code
     outside its own definition, by the benchmark (`bench/*.py`), by `tools/`
-    or by the README; an operation that only tests call is a second
+    or by the README's code; an operation that only tests call is a second
     spelling of one the package already has, or belongs in
     `tests/oracles.py`.  Members are matched by name, so a member that
     shares its name with a used one (every step's `apply`) escapes."""
-    consumers = [
-        *(ROOT / "bench").glob("*.py"), *(ROOT / "tools").glob("*.py"), ROOT / "README.md"
-    ]
-    text = " ".join(path.read_text(encoding="utf-8") for path in consumers)
-    mentioned = set(re.findall(r"\w+", text))
+    scripts = [*(ROOT / "bench").glob("*.py"), *(ROOT / "tools").glob("*.py")]
+    mentioned = readme_code_names().union(*(names_in(parse(path)) for path in scripts))
     tops = [(path, node) for path in SOURCES for node in parse(path).body]
     uses = [names_in(node) for _, node in tops]
     defs = []  # (label, name, the name sets of the library code outside it)
@@ -279,3 +290,37 @@ def test_every_refusal_names_its_cap():
         and not {"cap", "limit", "requested"} <= {kw.arg for kw in node.keywords}
     ]
     assert not bare, f"BoundExceeded without cap, limit or requested: {', '.join(bare)}"
+
+
+def owners(test):
+    """`module.function` for each top-level function or method with a node
+    that passes `test`."""
+    out = set()
+    for path in SOURCES:
+        for node in parse(path).body:
+            scopes = node.body if isinstance(node, ast.ClassDef) else [node]
+            out.update(
+                f"{path.stem}.{scope.name}"
+                for scope in scopes
+                if isinstance(scope, ast.FunctionDef)
+                and any(test(n) for n in ast.walk(scope))
+            )
+    return out
+
+
+def test_each_cap_has_one_owner():
+    """check_torsion_order is the one gate for torsion and kernel orders,
+    and compose keeps its own cap on the separable degree; field_create
+    refuses every extension past R_MAX, except where torsion_degree refuses
+    before any field is built and divide_point ends its scan."""
+    compares_m_max = owners(
+        lambda n: isinstance(n, ast.Compare)
+        and any(isinstance(x, ast.Name) and x.id == "M_MAX" for x in ast.walk(n))
+    )
+    assert compares_m_max == {"elliptic_curve.check_torsion_order", "isogeny.compose"}
+    names_r_max = owners(lambda n: isinstance(n, ast.Constant) and n.value == "R_MAX")
+    assert names_r_max == {
+        "finite_field.field_create",
+        "elliptic_curve.torsion_degree",
+        "elliptic_curve.divide_point",
+    }
