@@ -144,7 +144,7 @@ def conductor_level(E: Curve, ell: int) -> int:
 @lru_cache(maxsize=None)
 def compute_endo_conductor(E: Curve) -> EndoDescriptor:
     """Determine End_k(E) for an ordinary curve or a supersingular curve
-    over the prime field, the curves whose End_k(E) is quadratic.
+    over the prime field; End_k(E) is then an imaginary quadratic order.
 
     Probes one prime of f0 at a time with `conductor_level`; raises
     OrdinaryOnly for supersingular curves beyond the prime field and
@@ -152,8 +152,8 @@ def compute_endo_conductor(E: Curve) -> EndoDescriptor:
     """
     if is_supersingular(E) and E.field.r > 1:
         raise OrdinaryOnly(
-            "End_k(E) is not an imaginary quadratic order for supersingular "
-            "curves beyond the prime field"
+            "End_k(E) is not computed for supersingular curves beyond the "
+            "prime field"
         )
     q = E.field.order
     D0, f0 = discriminant_frobenius_order(q, E.trace)
@@ -272,12 +272,13 @@ def annihilator_lattice(E: Curve, pts: list[Point], n: int) -> tuple[int, int, i
 def annihilator_index(E: Curve, kernel_gen, m: int) -> int:
     """[End(E) : I(<kernel_gen>)] for a point of exact order m.
 
-    Brute force: when End_k(E) is quadratic (ordinary curves, supersingular
-    ones over GF(p)) it is A*d for the annihilator_lattice of the
-    generator, read off its m^2 residues x + y*f*gamma; beyond the prime
-    field a supersingular End tensor Z/m is the full 2x2 matrix ring, and
-    the index is m^4 divided by the number of matrix residues annihilating
-    the generator.  m must pass check_torsion_order.
+    When t^2 = 4q the Frobenius is an integer, End_k(E) is a maximal
+    quaternion order and End_k(E)/m the full ring M_2(Z/m); a point of
+    exact order m extends to a basis of E[m], so its annihilator has index
+    m^2.  When End_k(E) is quadratic (ordinary curves, supersingular ones
+    over GF(p)) the index is A*d for the annihilator_lattice of the
+    generator; any other supersingular curve is refused with OrdinaryOnly
+    by compute_endo_conductor.  m must pass check_torsion_order.
     """
     check_torsion_order(E, m)
     if m == 1:
@@ -290,18 +291,8 @@ def annihilator_index(E: Curve, kernel_gen, m: int) -> int:
     if point_order(kernel_gen) != m:
         raise WrongOrder(f"generator does not have exact order {m}")
 
-    if is_supersingular(E) and E.field.r > 1:
-        P, Q, _ = torsion_basis(E, m)
-        k0, k1 = coords_in_basis(kernel_gen, P, Q, m)
-        rows = sum(
-            1
-            for r0 in range(m)
-            for r1 in range(m)
-            if (r0 * k0 + r1 * k1) % m == 0
-        )
-        count = rows * rows
-        assert (m**4) % count == 0
-        return m**4 // count
+    if E.trace * E.trace == 4 * E.field.order:
+        return m * m
 
     A, _, d = annihilator_lattice(E, [kernel_gen], m)
     return A * d

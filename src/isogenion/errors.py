@@ -18,7 +18,7 @@ class BoundExceeded(IsogenionError):
     would be exceeded.
 
     Every raise site sets `cap` (its name, such as "M_MAX" or "R_MAX"),
-    `limit` (its value; M_MAX**2 where M_MAX bounds an ideal norm) and
+    `limit` (its value) and
     `requested` (the value the call needed: an extension degree over GF(p)
     for R_MAX, at least that degree where only a lower bound is known, and
     None where the value is not known).

@@ -96,10 +96,6 @@ def valuation(n: int, p: int) -> int:
     return v
 
 
-def is_square(n: int) -> bool:
-    return n >= 0 and isqrt(n) ** 2 == n
-
-
 def kronecker(D: int, m: int) -> int:
     """The Kronecker symbol (D/m) for m >= 0, fully multiplicative in m."""
     if m < 0:

@@ -28,7 +28,6 @@ from math import isqrt, lcm
 from .errors import (
     BoundExceeded,
     ClassMismatch,
-    FieldMismatch,
     NotRational,
     UnsupportedLevel,
     WrongOrder,
@@ -744,21 +743,6 @@ class ModularPolynomial:
     def __init__(self, level: int, coeffs: dict):
         self.level = level
         self.coeffs = coeffs
-
-    def evaluate(self, j1: FieldElement, j2: FieldElement) -> FieldElement:
-        F = j1.field
-        if j2.field is not F:
-            raise FieldMismatch("j-invariants over different fields")
-        d = self.level + 1
-        p1 = [F.one]
-        p2 = [F.one]
-        for _ in range(d):
-            p1.append(p1[-1] * j1)
-            p2.append(p2[-1] * j2)
-        acc = F.zero
-        for (i, j), c in self.coeffs.items():
-            acc = acc + p1[i] * p2[j] * c
-        return acc
 
     def univariate(self, j0: FieldElement) -> Poly:
         """Phi_level(j0, Y) as a polynomial in Y over j0's field."""

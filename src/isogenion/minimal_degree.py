@@ -9,8 +9,10 @@ answer is 2, 3 or 4 (4 always attained by [2], an endomorphism over the
 base field) and is decided by pure congruence data: a degree-2 or
 degree-3 endomorphism lifts to characteristic zero, where only six
 imaginary quadratic orders contain elements of norm 2 or 3, each pinned to
-a single rational j-invariant.  CM_TABLE carries those six rows; the
-classifier reads off the reduction type from p's residue class.
+a single rational j-invariant.  CM_TABLE carries those six rows; by
+Deuring's reduction theorem the Kronecker symbol (D/p) of a row's
+discriminant D tells whether its j-invariant reduces to an ordinary or a
+supersingular curve.
 
 The search itself enumerates cyclic kernels degree by degree (degree p is
 the p-power Frobenius), so every returned minimum is exact, with the found
@@ -29,7 +31,7 @@ from .elliptic_curve import (
 )
 from .errors import BoundExceeded, NoCurveWithTrace, NotIsogenous, SearchExhausted
 from .finite_field import Field, field_create
-from .intmath import floor_two_over_pi_sqrt
+from .intmath import floor_two_over_pi_sqrt, kronecker
 from .isogeny import (
     cyclic_isogenies,
     frobenius_isogeny,
@@ -59,85 +61,31 @@ def eB(q: int, t: int) -> int:
     return floor_two_over_pi_sqrt(4 * q - t * t)
 
 
-class CMTableEntry:
-    """One of the six quadratic orders with an element of norm 2 or 3.
-
-    `congruence_conditions` and `excluded_primes` are keyed by reduction
-    type: the same j-invariant reduces to an ordinary curve when p splits
-    in the CM field and to a supersingular one when it does not, and the
-    allowed residues differ accordingly.  Excluded primes mark collisions
-    where the same residue of j also carries a norm-2 endomorphism, which
-    wins.
-    """
-
-    __slots__ = ("tau_label", "j_value", "md_value", "congruence_conditions", "excluded_primes")
-
-    def __init__(self, tau_label, j_value, md_value, congruence_conditions, excluded_primes):
-        self.tau_label = tau_label
-        self.j_value = j_value
-        self.md_value = md_value
-        self.congruence_conditions = congruence_conditions
-        self.excluded_primes = excluded_primes
-
-    def __repr__(self):
-        return f"CMTableEntry({self.tau_label}, j={self.j_value}, md={self.md_value})"
-
-
+# The six orders Z[tau] with an element of norm 2 or 3, as (tau, j(tau),
+# Md, disc Z[tau]); the norm-2 rows come first and win where two rows share
+# a residue of j.
 CM_TABLE = (
-    CMTableEntry(
-        "sqrt(-1)",
-        1728,
-        2,
-        {"ordinary": [(4, (1,))], "supersingular": [(4, (3,))]},
-        {"ordinary": (), "supersingular": ()},
-    ),
-    CMTableEntry(
-        "sqrt(-2)",
-        8000,
-        2,
-        {"ordinary": [(8, (1, 3))], "supersingular": [(8, (5, 7))]},
-        {"ordinary": (), "supersingular": ()},
-    ),
-    CMTableEntry(
-        "(1+sqrt(-7))/2",
-        -3375,
-        2,
-        {"ordinary": [(7, (1, 2, 4))], "supersingular": [(7, (3, 5, 6))]},
-        {"ordinary": (), "supersingular": ()},
-    ),
-    CMTableEntry(
-        "(1+sqrt(-3))/2",
-        0,
-        3,
-        {"ordinary": [(3, (1,))], "supersingular": [(3, (2,))]},
-        {"ordinary": (), "supersingular": (2, 5)},
-    ),
-    CMTableEntry(
-        "sqrt(-3)",
-        54000,
-        3,
-        {"ordinary": [(3, (1,))], "supersingular": [(3, (2,))]},
-        {"ordinary": (), "supersingular": (2, 5, 11, 17, 23)},
-    ),
-    CMTableEntry(
-        "(1+sqrt(-11))/2",
-        -32768,
-        3,
-        {"ordinary": [(11, (1, 3, 4, 5, 9))], "supersingular": [(11, (2, 6, 7, 8, 10))]},
-        {"ordinary": (), "supersingular": (2, 7, 13, 17, 19)},
-    ),
+    ("sqrt(-1)", 1728, 2, -4),
+    ("sqrt(-2)", 8000, 2, -8),
+    ("(1+sqrt(-7))/2", -3375, 2, -7),
+    ("(1+sqrt(-3))/2", 0, 3, -3),
+    ("sqrt(-3)", 54000, 3, -12),
+    ("(1+sqrt(-11))/2", -32768, 3, -11),
 )
 
 
 def md_classifier(E: Curve) -> int:
-    """Md(E) over the algebraic closure, from congruence data alone.
+    """Md(E) over the algebraic closure, from Deuring's reduction theorem.
 
-    Returns 2 or 3 when j(E) is the reduction of one of the CM_TABLE
-    j-invariants under that row's residue conditions, else 4 (the doubling
-    map).  A j-invariant outside the prime field matches no row.  p = 2, 3
-    are refused: their towers of extra automorphisms need separate
-    bookkeeping (over those fields only j = 0 = 1728 is supersingular,
-    with Md = 2).
+    j(tau) reduces mod p to an ordinary curve when p splits in Z[tau],
+    (D/p) = 1, and to a supersingular one when p is inert, (D/p) = -1;
+    either way the reduction keeps the endomorphism of norm Md.  Returns
+    the Md of the first CM_TABLE row whose j-invariant and Kronecker
+    symbol match E, else 4 (the doubling map).  Where p divides D (p = 7,
+    11) j(tau) reduces to 1728, which the first row already decides.  A
+    j-invariant outside the prime field matches no row.  p = 2, 3 are
+    refused: their towers of extra automorphisms need separate bookkeeping
+    (over those fields only j = 0 = 1728 is supersingular, with Md = 2).
     """
     p = E.field.p
     if p <= 3:
@@ -146,15 +94,10 @@ def md_classifier(E: Curve) -> int:
         j_int = j_invariant(E).lift_int()
     except ValueError:
         return 4
-    regime = "supersingular" if is_supersingular(E) else "ordinary"
-    for row in CM_TABLE:
-        if (j_int - row.j_value) % p:
-            continue
-        if p in row.excluded_primes[regime]:
-            continue
-        for modulus, residues in row.congruence_conditions[regime]:
-            if p % modulus in residues:
-                return row.md_value
+    symbol = -1 if is_supersingular(E) else 1
+    for _, j_tau, md, D in CM_TABLE:
+        if (j_int - j_tau) % p == 0 and kronecker(D, p) == symbol:
+            return md
     return 4
 
 

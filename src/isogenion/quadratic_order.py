@@ -121,10 +121,6 @@ class QuadIdeal:
     def norm(self) -> int:
         return self.t * self.t * self.a
 
-    def basis(self):
-        """Row basis ((a*t, 0), (t*b, t)) in coordinates over (1, f*gamma)."""
-        return (self.a * self.t, 0), (self.t * self.b, self.t)
-
     def __eq__(self, other):
         if not isinstance(other, QuadIdeal):
             return NotImplemented

@@ -426,3 +426,36 @@ def evaluate_order_element(E, elem, P):
     if scalar_mul(w, R) != direct:
         raise AssertionError("image depends on the choice of lift")
     return _descend_point(R, P.curve)
+
+
+# ---------------------------------------------------------------------------
+# the hand-written CM residue table md_classifier kept before it read
+# Kronecker symbols: per row j(tau), Md, a modulus, the residues of p that
+# give an ordinary and a supersingular reduction, and the primes where a
+# supersingular match is skipped because a norm-2 row shares the residue.
+
+RESIDUE_TABLE = (
+    (1728, 2, 4, (1,), (3,), ()),
+    (8000, 2, 8, (1, 3), (5, 7), ()),
+    (-3375, 2, 7, (1, 2, 4), (3, 5, 6), ()),
+    (0, 3, 3, (1,), (2,), (2, 5)),
+    (54000, 3, 3, (1,), (2,), (2, 5, 11, 17, 23)),
+    (-32768, 3, 11, (1, 3, 4, 5, 9), (2, 6, 7, 8, 10), (2, 7, 13, 17, 19)),
+)
+
+
+def residue_table_md(p, j, supersingular):
+    """Md over the closure of a curve with integer j-invariant j over a
+    field of characteristic p > 3, read off RESIDUE_TABLE: the first row
+    with j = j(tau) mod p and p's residue listed for the reduction type,
+    outside the row's excluded primes; 4 when no row matches."""
+    if p <= 3:
+        raise ValueError("the residue table starts at p = 5")
+    for j_tau, md, modulus, ordinary, ss, excluded in RESIDUE_TABLE:
+        if (j - j_tau) % p:
+            continue
+        if supersingular and p in excluded:
+            continue
+        if p % modulus in (ss if supersingular else ordinary):
+            return md
+    return 4

@@ -588,11 +588,32 @@ class TestAnnihilatorIndex:
             e5, scalar_mul(3, K), 4
         )
 
-    @pytest.mark.parametrize("m", [2, 3])
-    def test_supersingular_index_is_degree_squared(self, e49, m):
-        P, Q, _ = torsion_basis(e49, m)
-        assert annihilator_index(e49, P, m) == m * m
-        assert annihilator_index(e49, point_add(P, Q), m) == m * m
+    @pytest.mark.parametrize("p,m", [(7, 2), (7, 3), (11, 3)], ids=["2", "3", "11-3"])
+    def test_supersingular_index_is_degree_squared(self, e49, p, m):
+        """t^2 = 4q: over GF(7^2) t = -14; over GF(11^2) t = 22, where the
+        Frobenius is 11 and E[3] is rational only over GF(11^4)."""
+        E = e49 if p == 7 else curve_from_j(field_create(11, 2), 0, 22)
+        P, Q, _ = torsion_basis(E, m)
+        assert annihilator_index(E, P, m) == m * m
+        assert annihilator_index(E, point_add(P, Q), m) == m * m
+
+    @pytest.mark.parametrize(
+        "p,r,j,t,m",
+        [(7, 2, 6, 0, 2), (11, 2, 0, 11, 3), (11, 2, 0, -11, 3), (5, 3, 0, 0, 2), (5, 3, 0, 0, 3)],
+    )
+    def test_supersingular_with_frobenius_outside_z_is_refused(self, p, r, j, t, m):
+        """t^2 != 4q beyond GF(p): End_k(E) is commutative and its index over
+        Z[pi] divides f0, so a stable kernel's index is not m^2 (over GF(7^2)
+        a stable 2-kernel has index 2, not 4).  annihilator_index refuses as
+        compute_endo_conductor does."""
+        E = curve_from_j(field_create(p, r), j, t)
+        with pytest.raises(OrdinaryOnly):
+            compute_endo_conductor(E)
+        gens = stable_cyclic_subgroups(E, m)
+        assert gens
+        for gen in gens:
+            with pytest.raises(OrdinaryOnly):
+                annihilator_index(E, gen, m)
 
     def test_trivial_subgroup(self, e5):
         assert annihilator_index(e5, e5.infinity(), 1) == 1

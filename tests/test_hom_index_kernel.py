@@ -343,9 +343,8 @@ class TestLiftedLatticeOracle:
 class TestPrimeFieldSupersingular:
     """Trace zero over GF(53), where f*gamma is the Frobenius itself.
 
-    annihilator_index would count quaternionic residues for these curves,
-    so the independent meter is direct: apply x + y*pi with frobenius_endo
-    and point arithmetic.
+    End_k(E) = Z[pi] is quadratic here, and the independent meter is
+    direct: apply x + y*pi with frobenius_endo and point arithmetic.
     """
 
     def test_matching_edge(self, e0_53):
@@ -410,7 +409,7 @@ class TestQuaternionicIndex:
                     assert d.conductor_ratio == {}
 
     def test_mixed_supersingular_is_rejected(self):
-        # trace p over GF(p^2): End_k is neither quadratic nor everything
+        # trace p over GF(p^2): pi is no integer, and End_k is not computed
         F121 = field_create(11, 2)
         E = next(
             c.representative

@@ -22,7 +22,6 @@ from isogenion.intmath import (
     floor_two_over_pi_sqrt,
     hnf2,
     is_prime,
-    is_square,
     kronecker,
     row_reduce,
     split_discriminant,
@@ -148,12 +147,6 @@ def test_valuation_refuses_a_base_below_two(p):
         valuation(48, p)
 
 
-def test_is_square():
-    squares = {n * n for n in range(200)}
-    for n in range(-5, 40000):
-        assert is_square(n) == (n in squares)
-
-
 # ---------------------------------------------------------------------------
 # kronecker symbol
 
@@ -214,7 +207,7 @@ def test_squarefree_part():
     for _ in range(100):
         n = rng.randrange(1, 10**6)
         s = squarefree_part(n)
-        assert is_square(n // s) and n % s == 0
+        assert math.isqrt(n // s) ** 2 == n // s and n % s == 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,16 @@
 """Minimal isogeny degrees: the CM classifier and the supersingular survey.
 
-md_classifier reads Md(E) over the closure off congruence data alone; the
+md_classifier reads Md(E) over the closure off Kronecker symbols alone; the
 search in md_between enumerates kernels degree by degree, so the two are
-independent and must agree on every class of a small prime field.
+independent and must agree on every class of a small prime field.  The
+Kronecker rule also agrees with the residue table it replaced.
 """
 
 import random
+from types import SimpleNamespace
 
 import pytest
+import sympy
 
 from isogenion.elliptic_curve import (
     classes_with_trace,
@@ -18,14 +21,16 @@ from isogenion.elliptic_curve import (
 )
 from isogenion.finite_field import field_create
 from isogenion.isogeny import compose, cyclic_isogenies, dual, velu
+import isogenion.minimal_degree
 from isogenion.minimal_degree import (
+    CM_TABLE,
     _cyclic_closure,
     md_between,
     md_classifier,
     md_supersingular_bounds,
     rB,
 )
-from oracles import cyclic_lines
+from oracles import cyclic_lines, residue_table_md
 
 
 def _all_classes(p):
@@ -33,11 +38,25 @@ def _all_classes(p):
     return [c for j in F.elements() for c in twist_classes(F, j)]
 
 
-@pytest.mark.parametrize("p", [5, 7, 11, 13])
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 17, 19, 23])
 def test_md_classifier_matches_closure_search(p):
     for cls in _all_classes(p):
         E = cls.representative
         assert md_classifier(E) == md_between(E, E, over_k=False).md, cls
+
+
+@pytest.mark.parametrize("supersingular", [False, True])
+def test_md_classifier_matches_the_residue_table(monkeypatch, supersingular):
+    """Both rules depend on p only through p mod |D| <= 12 and the excluded
+    primes, all below 24, so primes below 3000 cover every case.  The curve
+    is a stand-in carrying p; j(E) and the reduction type are patched in."""
+    mod = isogenion.minimal_degree
+    monkeypatch.setattr(mod, "is_supersingular", lambda E: supersingular)
+    for p in sympy.primerange(5, 3000):
+        E = SimpleNamespace(field=SimpleNamespace(p=p))
+        for j in sorted({row[1] % p for row in CM_TABLE}):
+            monkeypatch.setattr(mod, "j_invariant", lambda E: SimpleNamespace(lift_int=lambda: j))
+            assert md_classifier(E) == residue_table_md(p, j, supersingular), (p, j)
 
 
 def _line_scan_closure(E, m):

@@ -185,34 +185,73 @@ def readme_code_names():
     return out
 
 
+def uses_in(node):
+    """(bare names, (module stem, name) imports, attributes, attributes
+    called) under `node`."""
+    bare, imported, attrs, called = set(), set(), set(), set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            bare.add(n.id)
+        elif isinstance(n, ast.ImportFrom) and n.module:
+            imported.update((n.module.split(".")[-1], a.name) for a in n.names)
+        elif isinstance(n, ast.Attribute):
+            attrs.add(n.attr)
+        elif isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute):
+            called.add(n.func.attr)
+    return bare, imported, attrs, called
+
+
+def slot_names(tree):
+    """Every name listed in a class's `__slots__`."""
+    return {
+        ast.literal_eval(elt)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "__slots__" for t in node.targets)
+        for elt in node.value.elts
+    }
+
+
 def test_every_public_name_has_a_caller_outside_the_tests():
     """A public function, class, method or property is used by library code
     outside its own definition, by the benchmark (`bench/*.py`), by `tools/`
     or by the README's code; an operation that only tests call is a second
     spelling of one the package already has, or belongs in
-    `tests/oracles.py`.  Members are matched by name, so a member that
-    shares its name with a used one (every step's `apply`) escapes."""
-    scripts = [*(ROOT / "bench").glob("*.py"), *(ROOT / "tools").glob("*.py")]
-    mentioned = readme_code_names().union(*(names_in(parse(path)) for path in scripts))
-    tops = [(path, node) for path in SOURCES for node in parse(path).body]
-    uses = [names_in(node) for _, node in tops]
-    defs = []  # (label, name, the name sets of the library code outside it)
-    for i, (path, node) in enumerate(tops):
+    `tests/oracles.py`.  A top-level function or class counts as a bare name
+    in its own module or an import from that module (the scripts also reach
+    it as a module attribute), so `FieldElement.is_square` cannot hide an
+    unused `intmath.is_square`.  A method or property counts as an
+    attribute, except that a method (not a property) named like a slot of
+    a library class counts only as a call: `fm.basis` reads a slot and is
+    no use of `QuadIdeal.basis`."""
+    paths = [*(ROOT / "bench").glob("*.py"), *(ROOT / "tools").glob("*.py")]
+    scripts = [uses_in(parse(path)) for path in paths]
+    trees = {path.stem: parse(path) for path in SOURCES}
+    tops = [(stem, node, uses_in(node)) for stem, tree in trees.items() for node in tree.body]
+    readme = readme_code_names()
+    script_attrs = set().union(*(u[2] for u in scripts))
+    imported = set().union(*(u[1] for u in scripts), *(u[1] for _, _, u in tops))
+    slots = set().union(*map(slot_names, trees.values()))
+    unused = []
+    for i, (stem, node, _) in enumerate(tops):
         if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             continue
-        outside = [names for k, names in enumerate(uses) if k != i]
-        defs.append((f"{path.stem}.{node.name}", node.name, outside))
+        own_module = set().union(*(u[0] for k, (s, _, u) in enumerate(tops) if s == stem and k != i))
+        if not (
+            node.name.startswith("_")
+            or node.name in readme | script_attrs | own_module
+            or (stem, node.name) in imported
+        ):
+            unused.append(f"{stem}.{node.name}")
         for m in node.body if isinstance(node, ast.ClassDef) else ():
-            if isinstance(m, ast.FunctionDef):
-                inside = [names_in(o) for o in node.body if o is not m]
-                defs.append((f"{path.stem}.{node.name}.{m.name}", m.name, outside + inside))
-    unused = [
-        label
-        for label, name, rest in defs
-        if not name.startswith("_")
-        and name not in mentioned
-        and not any(name in names for names in rest)
-    ]
+            if not isinstance(m, ast.FunctionDef) or m.name.startswith("_"):
+                continue
+            prop = any(isinstance(d, ast.Name) and d.id == "property" for d in m.decorator_list)
+            kind = 3 if m.name in slots and not prop else 2  # called, else any attribute
+            rest = [u for k, (_, _, u) in enumerate(tops) if k != i]
+            rest += [uses_in(o) for o in node.body if o is not m] + scripts
+            if m.name not in readme and not any(m.name in u[kind] for u in rest):
+                unused.append(f"{stem}.{node.name}.{m.name}")
     assert not unused, f"public names that only tests use: {', '.join(unused)}"
 
 

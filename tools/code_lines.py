@@ -1,0 +1,58 @@
+"""Count the code lines of each module of the package and their total.
+
+    python tools/code_lines.py [PACKAGE_DIR]
+
+PACKAGE_DIR defaults to src/isogenion beside this script's directory.  A
+code line is a line of a .py file that carries a token other than a
+comment: blank lines, comment-only lines and the lines of docstrings
+(module, class and function) are not counted.
+"""
+
+import ast
+import io
+import sys
+import tokenize
+from pathlib import Path
+
+NOT_CODE = {
+    tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+    tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER,
+}
+
+
+def docstring_lines(tree):
+    """Line numbers spanned by the docstrings of `tree`."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            first = node.body[0] if node.body else None
+            if (
+                isinstance(first, ast.Expr)
+                and isinstance(first.value, ast.Constant)
+                and isinstance(first.value.value, str)
+            ):
+                out.update(range(first.lineno, first.end_lineno + 1))
+    return out
+
+
+def code_lines(path):
+    text = path.read_text(encoding="utf-8")
+    lines = set()
+    for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+        if tok.type not in NOT_CODE:
+            lines.update(range(tok.start[0], tok.end[0] + 1))
+    return len(lines - docstring_lines(ast.parse(text)))
+
+
+def main(argv):
+    root = Path(argv[1]) if len(argv) > 1 else Path(__file__).resolve().parent.parent / "src" / "isogenion"
+    total = 0
+    for path in sorted(root.glob("*.py")):
+        n = code_lines(path)
+        total += n
+        print(f"{n:6d}  {path.name}")
+    print(f"{total:6d}  total")
+
+
+if __name__ == "__main__":
+    main(sys.argv)
