@@ -26,6 +26,13 @@ images over the same field (equal #E(k)), quadratic twists (2q + 2 - #E(k)),
 the other member of a generic-j twist-scan pair, and the scan member
 isomorphic to a counted curve.  Only curves made from bare coefficients are
 swept.
+
+Three decisions have their one owner here.  Two models with one
+j-invariant are isomorphic over k when a ratio of their coefficients is a
+2nd, 4th or 6th power (_iso_ratio), the one rule the twist scan,
+curve_class and isomorphism_scale read; check_isogenous is Tate's
+criterion (same field, same trace); and check_kernel_generator, beside
+check_torsion_order, admits a kernel generator of exact order n.
 """
 
 from __future__ import annotations
@@ -39,7 +46,10 @@ from .errors import (
     CurveMismatch,
     NoSuchTwist,
     NotImaginaryQuadratic,
+    NotIsogenous,
     SingularCurve,
+    TraceMismatch,
+    WrongOrder,
 )
 from .finite_field import R_MAX, Field, FieldElement, field_create
 from .finite_field import sqrt as field_sqrt
@@ -322,7 +332,7 @@ def point_progression(start: Point, step: Point, count: int) -> list[Point]:
 def point_order(P: Point, multiple: int | None = None) -> int:
     """The exact order of P; `multiple` may supply a known annihilator
     (ValueError if it is not a positive int or does not kill P)."""
-    if multiple is not None and (not isinstance(multiple, int) or multiple < 1):
+    if multiple is not None and (type(multiple) is not int or multiple < 1):
         raise ValueError(f"multiple must be a positive integer, got {multiple!r}")
     n = multiple if multiple is not None else P.curve.order
     if scalar_mul(n, P):
@@ -509,11 +519,26 @@ def quadratic_twist(E: Curve) -> Curve:
     return T
 
 
-def _sixth_power_test(c: FieldElement, k: int) -> bool:
-    """Is c a k-th power in the multiplicative group (k in {4, 6})?"""
+def _iso_ratio(E1: Curve, E2: Curve, j: FieldElement) -> tuple[FieldElement, int]:
+    """(c, k) with E2 = (u^4 A1, u^6 B1) exactly when u^k = c, for two
+    models over one field with j-invariant j: k = 6 at j = 0 (A = 0), k = 4
+    at j = 1728 (B = 0), else k = 2 (u^4 = A2/A1 and u^6 = B2/B1 follow
+    from c = B2 A1/(B1 A2), since A^3/B^2 is fixed by j)."""
+    if not j:
+        return E2.B / E1.B, 6
+    if j == E1.field.from_int(1728):
+        return E2.A / E1.A, 4
+    return E2.B * E1.A / (E1.B * E2.A), 2
+
+
+def _isomorphic(E1: Curve, E2: Curve, j: FieldElement) -> bool:
+    """Are two models with j-invariant j isomorphic over their field, i.e.
+    is the c of _iso_ratio a k-th power?"""
+    c, k = _iso_ratio(E1, E2, j)
+    if k == 2:
+        return c.is_square()
     q = c.field.order
-    g = gcd(k, q - 1)
-    return c ** ((q - 1) // g) == c.field.one
+    return c ** ((q - 1) // gcd(k, q - 1)) == c.field.one
 
 
 @lru_cache(maxsize=None)
@@ -526,26 +551,20 @@ def _twist_scan(field: Field, j: FieldElement) -> tuple[tuple[int, Curve], ...]:
     curves y^2 = x^3 + Ax, parameters ascending in lex order.
     """
     F = field
-    if not j:
-        power, count = 6, gcd(6, F.order - 1)
-        make = lambda b: Curve(F, F.zero, b)
-        param = lambda E: E.B
-    elif j == F.from_int(1728):
-        power, count = 4, gcd(4, F.order - 1)
-        make = lambda a: Curve(F, a, F.zero)
-        param = lambda E: E.A
-    else:
+    if j and j != F.from_int(1728):
         c = j * (F.from_int(1728) - j)
         base = Curve(F, 3 * c, 2 * c * (F.from_int(1728) - j))
         assert j_invariant(base) == j
         return ((0, base), (1, quadratic_twist(base)))
+    count = gcd(4 if j else 6, F.order - 1)
     classes: list[tuple[int, Curve]] = []
     for pos, el in enumerate(F.elements()):
         if not el:
             continue
-        if any(_sixth_power_test(el / param(E), power) for _, E in classes):
+        E = Curve(F, el, F.zero) if j else Curve(F, F.zero, el)
+        if any(_isomorphic(C, E, j) for _, C in classes):
             continue
-        classes.append((pos - 1, make(el)))  # pos-1: zero was scanned first
+        classes.append((pos - 1, E))  # pos-1: zero was scanned first
         if len(classes) == count:
             break
     return tuple(classes)
@@ -593,38 +612,19 @@ def curve_from_j(field: Field, j, trace: int) -> Curve:
     raise NoSuchTwist(f"no curve over {field!r} with j={j!r} and trace {trace}")
 
 
-def _isomorphic_over_k(E1: Curve, E2: Curve) -> bool:
-    """Same field, same j: are they isomorphic over that field (not just
-    over its closure)?"""
-    j = j_invariant(E1)
-    if not j:
-        return _sixth_power_test(E2.B / E1.B, 6)
-    if j == E1.field.from_int(1728):
-        return _sixth_power_test(E2.A / E1.A, 4)
-    return (E2.B * E1.A / (E1.B * E2.A)).is_square()
-
-
 def isomorphism_scale(E1: Curve, E2: Curve) -> FieldElement:
     """The lex-least u with (x, y) -> (u^2 x, u^3 y) mapping E1 onto E2,
-    i.e. A2 = u^4 A1 and B2 = u^6 B1.  ValueError if none exists."""
+    i.e. A2 = u^4 A1 and B2 = u^6 B1: the first root of x^k - c for the
+    (c, k) of _iso_ratio.  ValueError if none exists."""
     F = E1.field
     if E1.field is not E2.field:
         raise CurveMismatch("isomorphism search needs a common field")
     j = j_invariant(E1)
     if j != j_invariant(E2):
         raise ValueError("different j-invariants: not isomorphic")
-    if not j:
-        candidates = roots(Poly(F, [-(E2.B / E1.B), F.zero, F.zero, F.zero,
-                                    F.zero, F.zero, F.one]))
-    elif j == F.from_int(1728):
-        candidates = roots(Poly(F, [-(E2.A / E1.A), F.zero, F.zero, F.zero,
-                                    F.one]))
-    else:
-        pair = field_sqrt(E2.B * E1.A / (E1.B * E2.A))
-        candidates = [] if pair is None else [(pair[0], 1), (pair[1], 1)]
-    for u, _ in candidates:
-        if u and E2.A == u**4 * E1.A and E2.B == u**6 * E1.B:
-            return u
+    c, k = _iso_ratio(E1, E2, j)
+    for u, _ in roots(Poly(F, [-c, *[F.zero] * (k - 1), F.one])):
+        return u
     raise ValueError("not isomorphic over the base field")
 
 
@@ -633,7 +633,7 @@ def curve_class(E: Curve) -> CurveClass:
     j = j_invariant(E)
     scan = _twist_scan(E.field, j)
     for k, (idx, C) in enumerate(scan):
-        if _isomorphic_over_k(C, E):
+        if _isomorphic(C, E, j):
             share_count(E, C)
             return CurveClass(j, _scan_trace(scan, k), C, idx)
     raise AssertionError("twist scan must contain every class")
@@ -864,6 +864,39 @@ def check_torsion_order(E: Curve, m: int) -> None:
         raise BoundExceeded(
             f"torsion and kernel orders are capped at {M_MAX}",
             cap="M_MAX", limit=M_MAX, requested=m,
+        )
+
+
+def check_kernel_generator(E: Curve, P, n: int) -> None:
+    """The one gate for a kernel generator P of order n on E: n passes
+    check_torsion_order; for n = 1, P is None or O; otherwise P is a finite
+    point on a base change of E (CurveMismatch otherwise) of exact order n,
+    i.e. n*P = O and (n/ell)*P != O for each prime ell | n (WrongOrder
+    otherwise)."""
+    check_torsion_order(E, n)
+    if n == 1:
+        if P is not None and not (isinstance(P, Point) and not P):
+            raise WrongOrder("order 1 demands a trivial generator")
+        return
+    if not isinstance(P, Point) or not P:
+        raise WrongOrder("kernel generator must be a finite point")
+    base_change_degree(E, P.curve)
+    if scalar_mul(n, P):
+        raise WrongOrder(f"generator is not annihilated by {n}")
+    for ell, _ in factorize(n):
+        if not scalar_mul(n // ell, P):
+            raise WrongOrder(f"generator order strictly divides {n}")
+
+
+def check_isogenous(E2: Curve, E1: Curve) -> None:
+    """The one owner of Tate's criterion (1966): curves over one field are
+    k-isogenous exactly when their traces agree.  NotIsogenous for curves
+    over different fields, then TraceMismatch for different traces."""
+    if (E2.field.p, E2.field.r) != (E1.field.p, E1.field.r):
+        raise NotIsogenous("curves live over different fields")
+    if E2.trace != E1.trace:
+        raise TraceMismatch(
+            f"traces {E2.trace} and {E1.trace} differ; the curves are not k-isogenous"
         )
 
 

@@ -19,21 +19,20 @@ from __future__ import annotations
 from functools import lru_cache
 from math import lcm
 
-from .errors import OrdinaryOnly, WrongOrder
-from .intmath import factorize, hnf2, is_prime, valuation
+from .errors import OrdinaryOnly
+from .intmath import factorize, hnf2, is_prime, solutions_mod, valuation
 from .elliptic_curve import (
     Curve,
     CurveClass,
     Point,
     base_change,
-    base_change_degree,
+    check_kernel_generator,
     check_torsion_order,
     curve_class,
     discriminant_frobenius_order,
     embed_point,
     frobenius_endo,
     is_supersingular,
-    point_order,
     scalar_mul,
     torsion_basis,
     two_dim_dlog,
@@ -249,21 +248,11 @@ def annihilator_lattice(E: Curve, pts: list[Point], n: int) -> tuple[int, int, i
     Its index in End(E) is A*d.
     """
     W, P, Q = gamma_matrix(E, n)
-    images = []
+    rows = []  # x*T + y*f*gamma(T) = O, read on each coordinate of the basis
     for T in pts:
         k0, k1 = coords_in_basis(T, P, Q, n)
-        g0 = (W[0] * k0 + W[1] * k1) % n
-        g1 = (W[2] * k0 + W[3] * k1) % n
-        images.append((k0, k1, g0, g1))
-    members = [
-        (x, y)
-        for x in range(n)
-        for y in range(n)
-        if all(
-            (x * k0 + y * g0) % n == 0 and (x * k1 + y * g1) % n == 0
-            for k0, k1, g0, g1 in images
-        )
-    ]
+        rows += [(k0, W[0] * k0 + W[1] * k1), (k1, W[2] * k0 + W[3] * k1)]
+    members = solutions_mod(rows, n)
     A, c, d = hnf2(members + [(n, 0), (0, n)])
     assert A * d * len(members) == n * n, "annihilators must form a subgroup"
     return A, c, d
@@ -278,19 +267,12 @@ def annihilator_index(E: Curve, kernel_gen, m: int) -> int:
     m^2.  When End_k(E) is quadratic (ordinary curves, supersingular ones
     over GF(p)) the index is A*d for the annihilator_lattice of the
     generator; any other supersingular curve is refused with OrdinaryOnly
-    by compute_endo_conductor.  m must pass check_torsion_order.
+    by compute_endo_conductor.  kernel_gen and m must pass
+    check_kernel_generator.
     """
-    check_torsion_order(E, m)
+    check_kernel_generator(E, kernel_gen, m)
     if m == 1:
-        if isinstance(kernel_gen, Point) and kernel_gen:
-            raise WrongOrder("order 1 demands a trivial generator")
         return 1
-    if not isinstance(kernel_gen, Point) or not kernel_gen:
-        raise WrongOrder("kernel generator must be a finite point")
-    base_change_degree(E, kernel_gen.curve)
-    if point_order(kernel_gen) != m:
-        raise WrongOrder(f"generator does not have exact order {m}")
-
     if E.trace * E.trace == 4 * E.field.order:
         return m * m
 

@@ -24,6 +24,7 @@ from math import lcm, prod
 from .elliptic_curve import (
     Curve,
     Point,
+    check_isogenous,
     check_torsion_order,
     curve_class,
     is_supersingular,
@@ -40,14 +41,12 @@ from .endo_ring import (
 from .errors import (
     BoundExceeded,
     CurveMismatch,
-    NotIsogenous,
     OrderMismatch,
     PPartUnsupported,
     SupersingularUnsupported,
-    TraceMismatch,
 )
 from .finite_field import element_to_json
-from .intmath import prime_factors, valuation
+from .intmath import prime_factors, solutions_mod, valuation
 from .isogeny import Isogeny, cyclic_isogenies
 from .quadratic_order import (
     DISC_MAX,
@@ -73,16 +72,10 @@ def conductor_ratio(E2: Curve, E1: Curve) -> dict[int, int]:
     """Signed exponents e_ell with [End(E2):End(E1)] = prod ell^{e_ell}.
 
     Positive entries mean End(E1) is smaller (E1 deeper); the map is empty
-    exactly when the two rings coincide.  Curves over different fields are
-    NotIsogenous, and curves of different traces a TraceMismatch.
+    exactly when the two rings coincide.  The pair must pass
+    check_isogenous (same field, same trace).
     """
-    if (E2.field.p, E2.field.r) != (E1.field.p, E1.field.r):
-        raise NotIsogenous("curves live over different fields")
-    if E2.trace != E1.trace:
-        raise TraceMismatch(
-            f"traces {E2.trace} and {E1.trace} differ; the curves are not "
-            "k-isogenous"
-        )
+    check_isogenous(E2, E1)
     f2 = compute_endo_conductor(E2).f
     f1 = compute_endo_conductor(E1).f
     out = {}
@@ -174,14 +167,11 @@ def hom_index(E2: Curve, E1: Curve, beta: Isogeny) -> HomIdealDescription:
     presentation; every other supported curve goes through the conductor
     formula, and for separable beta the witness b is solved from the
     annihilator lattice of the kernel and checked against the formula.
+    The pair must pass check_isogenous, which comes first.
     """
     if not isinstance(beta, Isogeny):
         raise TypeError("expected an isogeny")
-    if E2.trace != E1.trace:
-        raise TraceMismatch(
-            f"traces {E2.trace} and {E1.trace} differ; the curves are not "
-            "k-isogenous"
-        )
+    check_isogenous(E2, E1)
     if beta.source_curve != E2:
         raise CurveMismatch("beta does not start at the first curve")
     cls2, cls1 = curve_class(E2), curve_class(E1)
@@ -322,16 +312,9 @@ def kernel_of_ideal(E: Curve, I: QuadIdeal) -> list[Point]:
     n = I.a * I.t
     check_torsion_order(E, n)
     W, P, Q = gamma_matrix(E, n)
-    m00 = (I.t * (I.b + W[0])) % n
-    m01 = (I.t * W[1]) % n
-    m10 = (I.t * W[2]) % n
-    m11 = (I.t * (I.b + W[3])) % n
-    out = []
-    for s in range(n):
-        for u in range(n):
-            if (m00 * s + m01 * u) % n == 0 and (m10 * s + m11 * u) % n == 0:
-                out.append(point_add(scalar_mul(s, P), scalar_mul(u, Q)))
-    return out
+    t, b = I.t, I.b
+    rows = ((t * (b + W[0]), t * W[1]), (t * W[2], t * (b + W[3])))
+    return [point_add(scalar_mul(s, P), scalar_mul(u, Q)) for s, u in solutions_mod(rows, n)]
 
 
 def annihilator_ideal(E: Curve, points) -> QuadIdeal:

@@ -225,6 +225,17 @@ def hnf2(rows) -> tuple[int, int, int]:
     return d1, x1 % d1, y1
 
 
+def solutions_mod(rows, n: int) -> list[tuple[int, int]]:
+    """Every (x, y) mod n, in lex order, with a*x + b*y = 0 (mod n) for each
+    row (a, b): a full scan of (Z/n)^2."""
+    return [
+        (x, y)
+        for x in range(n)
+        for y in range(n)
+        if not any((a * x + b * y) % n for a, b in rows)
+    ]
+
+
 def multiplicative_order(a: int, m: int) -> int:
     """Order of a in (Z/m)*.  ValueError unless gcd(a, m) = 1."""
     if m < 1:

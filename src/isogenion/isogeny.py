@@ -28,9 +28,9 @@ from math import isqrt, lcm
 from .errors import (
     BoundExceeded,
     ClassMismatch,
+    CurveMismatch,
     NotRational,
     UnsupportedLevel,
-    WrongOrder,
 )
 from .finite_field import Field, FieldElement
 from .polyring import Poly, poly_gcd, subfield_embedding, embed_element
@@ -41,6 +41,7 @@ from .elliptic_curve import (
     Point,
     base_change,
     base_change_degree,
+    check_kernel_generator,
     check_torsion_order,
     curve_class,
     embed_point,
@@ -57,7 +58,7 @@ from .elliptic_curve import (
     sylow_basis,
     torsion_basis,
 )
-from .intmath import factorize, is_prime, multiplicative_order, prime_factors
+from .intmath import factorize, is_prime, multiplicative_order
 
 # the largest q whose q-power Frobenius gets explicit rational maps (x^q, ...)
 FROBENIUS_MAP_MAX = 2**12
@@ -521,26 +522,15 @@ def _kernel_poly(pts: list[Point], base: Field) -> Poly:
 def velu(E: Curve, kernel_gen, order: int) -> Isogeny:
     """The separable isogeny with kernel generated by `kernel_gen`.
 
-    `order` must pass check_torsion_order, and `kernel_gen` must have exact
-    order `order` (WrongOrder otherwise) and generate a subgroup stable
-    under the base-field Frobenius (NotRational otherwise).  It may live on
-    any base change of E; the returned maps are defined over E's own field.
-    order = 1 gives the identity.
+    `kernel_gen` and `order` must pass check_kernel_generator (exact order
+    `order`, on any base change of E), and the subgroup must be stable
+    under the base-field Frobenius (NotRational otherwise).  The returned
+    maps are defined over E's own field.  order = 1 gives the identity.
     """
-    check_torsion_order(E, order)
+    check_kernel_generator(E, kernel_gen, order)
     if order == 1:
-        if kernel_gen is not None and kernel_gen:
-            raise WrongOrder("order 1 demands a trivial generator")
         return Isogeny((), E, None)
     P = kernel_gen
-    if not isinstance(P, Point) or not P:
-        raise WrongOrder("kernel generator must be a finite point")
-    base_change_degree(E, P.curve)
-    if scalar_mul(order, P):
-        raise WrongOrder(f"generator is not annihilated by {order}")
-    for ell in prime_factors(order):
-        if not scalar_mul(order // ell, P):
-            raise WrongOrder(f"generator order strictly divides {order}")
     if _frobenius_eigenvalue(P, order, E.field.r) is None:
         raise NotRational("kernel is not stable under the base-field Frobenius")
 
@@ -580,8 +570,8 @@ def frobenius_isogeny(E: Curve, e: int) -> Isogeny:
     e = 0 is the identity; when e equals the field degree r this is the
     Frobenius endomorphism of E.
     """
-    if not isinstance(e, int) or e < 0:
-        raise ValueError("Frobenius exponent must be a nonnegative integer")
+    if type(e) is not int or e < 0:
+        raise ValueError(f"Frobenius exponent must be a nonnegative int, got {e!r}")
     if e == 0:
         return Isogeny((), E, None)
     return Isogeny((_FrobStep(E, e),), E, None)
@@ -591,8 +581,8 @@ def multiplication_isogeny(E: Curve, m: int) -> Isogeny:
     """[m] on E, a separable endomorphism of degree m^2; m must be a
     positive integer coprime to the characteristic."""
     # not check_torsion_order: [m] needs no torsion basis, so no cap applies
-    if not isinstance(m, int) or m < 1:
-        raise ValueError("multiplier must be a positive integer")
+    if type(m) is not int or m < 1:
+        raise ValueError(f"multiplier must be a positive int, got {m!r}")
     if m % E.field.p == 0:
         raise ValueError("multiplier must be coprime to the characteristic")
     return Isogeny((_MulStep(E, m),), E, None)
@@ -609,15 +599,20 @@ def evaluate(phi: Isogeny, P: Point) -> Point:
 
 
 def compose(psi: Isogeny, phi: Isogeny) -> Isogeny:
-    """psi after phi.  The target class of phi must equal the source class
-    of psi (ClassMismatch otherwise); a scaling isomorphism is inserted when
-    the concrete models differ."""
+    """psi after phi.  The target model of phi must be isomorphic over the
+    base field to the source model of psi, as isomorphism_scale decides
+    (ClassMismatch otherwise, before the separable-degree cap); the scaling
+    isomorphism is inserted when the concrete models differ."""
     mid_out = phi.target_curve
     mid_in = psi.source_curve
-    if mid_out.field is not mid_in.field:
-        raise ClassMismatch("composition endpoints lie over different fields")
-    if curve_class(mid_out) != curve_class(mid_in):
-        raise ClassMismatch("target class of phi differs from source class of psi")
+    glue = ()
+    if mid_out != mid_in:
+        try:
+            u = isomorphism_scale(mid_out, mid_in)
+        except (ValueError, CurveMismatch):
+            msg = "target class of phi differs from source class of psi"
+            raise ClassMismatch(msg) from None
+        glue = (_IsoStep(mid_out, mid_in, u),)
     # not check_torsion_order: the separable degree is capped, and the
     # composite's full degree may carry p^e from a Verschiebung
     sep = phi.separable_degree * psi.separable_degree
@@ -626,10 +621,6 @@ def compose(psi: Isogeny, phi: Isogeny) -> Isogeny:
             f"composite separable degree cap is {M_MAX}",
             cap="M_MAX", limit=M_MAX, requested=sep,
         )
-    glue = ()
-    if mid_out != mid_in:
-        u = isomorphism_scale(mid_out, mid_in)
-        glue = (_IsoStep(mid_out, mid_in, u),)
     return Isogeny(phi._steps + glue + psi._steps, phi.source_curve, None)
 
 

@@ -22,6 +22,7 @@ isogeny as witness.
 from .elliptic_curve import (
     Curve,
     base_change,
+    check_isogenous,
     classes_with_trace,
     curve_class,
     is_supersingular,
@@ -159,26 +160,28 @@ def _degree_candidates(E: Curve, m: int, over_k: bool):
 def md_between(E2: Curve, E1: Curve, over_k: bool = True) -> MdResult:
     """The least degree > 1 of an isogeny E2 -> E1, with witness.
 
-    over_k=True restricts to isogenies rational over the base field; False
-    searches the closure, where classes merge by j-invariant.  The degree
-    loop is capped by eB (ordinary, distinct classes), by 4 (same class:
-    the witness is then [2] on E2, defined over the base field), or by p
-    (supersingular beyond the prime field).  Kernel enumerations that
-    overflow the extension caps propagate BoundExceeded rather than
-    silently skipping a degree, so a returned minimum is always exact.
+    over_k=True restricts to isogenies rational over the base field, for a
+    pair that passes check_isogenous; False searches the closure, where
+    classes merge by j-invariant, and refuses with NotIsogenous curves over
+    different fields, an ordinary and a supersingular curve, or ordinary
+    traces other than +-t.  The degree loop is capped by eB (ordinary,
+    distinct classes), by 4 (same class: the witness is then [2] on E2,
+    defined over the base field), or by p (supersingular beyond the prime
+    field).  Kernel enumerations that overflow the extension caps
+    propagate BoundExceeded rather than silently skipping a degree, so a
+    returned minimum is always exact.
     """
     if not isinstance(E2, Curve) or not isinstance(E1, Curve):
         raise TypeError("md_between expects two curves")
-    if E2.field != E1.field:
-        raise NotIsogenous("the curves live over different fields")
-    ss = is_supersingular(E2)
-    if is_supersingular(E1) != ss:
-        raise NotIsogenous("ordinary and supersingular curves are never isogenous")
     if over_k:
-        if E2.trace != E1.trace:
-            raise NotIsogenous(f"traces {E2.trace} and {E1.trace} differ")
-    elif not ss and E2.trace not in (E1.trace, -E1.trace):
+        check_isogenous(E2, E1)
+    elif E2.field != E1.field:
+        raise NotIsogenous("the curves live over different fields")
+    elif is_supersingular(E1) != is_supersingular(E2):
+        raise NotIsogenous("ordinary and supersingular curves are never isogenous")
+    elif not is_supersingular(E2) and E2.trace not in (E1.trace, -E1.trace):
         raise NotIsogenous("not isogenous even over the closure")
+    ss = is_supersingular(E2)
 
     q, p, t = E2.field.order, E2.field.p, E2.trace
     c2, c1 = curve_class(E2), curve_class(E1)

@@ -509,6 +509,32 @@ def test_isomorphism_scale():
         assert E2.A == w**4 * E1.A and E2.B == w**6 * E1.B
 
 
+@pytest.mark.parametrize(
+    "p, r, j", [(13, 1, 0), (13, 1, 1728), (13, 1, 5), (7, 2, 0), (7, 2, 1728), (7, 2, 3)]
+)
+def test_isomorphism_scale_agrees_with_curve_class(p, r, j):
+    """The one ratio-and-power rule serves both: isomorphism_scale finds a u
+    exactly when curve_class puts the two models in one class, and its u
+    maps one onto the other.  The models are every twist-scan class of j
+    and two scaled copies (u^4 A, u^6 B) of each."""
+    F = field_create(p, r)
+    reps = [c.representative for c in twist_classes(F, j)]
+    scales = [F.from_int(2), F.from_coeffs([1] * r)]
+    models = reps + [Curve(F, u**4 * E.A, u**6 * E.B) for E in reps for u in scales]
+    agreed = 0
+    for E1 in models:
+        for E2 in models:
+            same = curve_class(E1) == curve_class(E2)
+            try:
+                u = isomorphism_scale(E1, E2)
+            except ValueError:
+                assert not same, (E1, E2)
+                continue
+            assert same and E2.A == u**4 * E1.A and E2.B == u**6 * E1.B, (E1, E2)
+            agreed += 1
+    assert len(reps) < agreed < len(models) ** 2
+
+
 def test_discriminant_frobenius_order():
     assert discriminant_frobenius_order(41, 6) == (-8, 4)
     assert discriminant_frobenius_order(53, 0) == (-212, 1)

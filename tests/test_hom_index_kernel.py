@@ -1,14 +1,16 @@
-"""Hom-module indices cross-examined by three independent meters.
+"""Hom-module indices cross-examined by other meters.
 
 The index formula under test never enumerates endomorphisms: it reads
 conductor valuations off the two endomorphism rings and multiplies by the
-degree.  Each claim below is re-measured by at least one of: the brute
-residue count of endo_ring.annihilator_index, a lifted-division lattice
+degree.  Two meters are independent of it: a lifted-division lattice
 built from the oracles' order_generator_element (evaluate_order_element
 applies (u + v*pi)/w through point division, a completely separate code
-path), or — over a prime field
-with trace zero, where f*gamma is the Frobenius itself — direct point
-arithmetic with frobenius_endo.
+path), and, over a prime field with trace zero, where f*gamma is the
+Frobenius itself, direct point arithmetic with frobenius_endo.  The
+comparisons with endo_ring.annihilator_index are not: it reads the same
+annihilator_lattice that hom_index checks its formula against.  The
+quaternionic index (t^2 = 4q) is checked only against the literal n^2,
+since hom_index and annihilator_index both return n^2 from the same test.
 """
 
 import json

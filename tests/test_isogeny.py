@@ -50,6 +50,7 @@ from isogenion.elliptic_curve import (
     scalar_mul,
     sylow_basis,
     torsion_basis,
+    torsion_degree,
     twist_classes,
     two_dim_dlog,
 )
@@ -686,6 +687,19 @@ class TestMultiplicationIsogeny:
         pts = multiplication_isogeny(E, 8).kernel_gen
         assert isinstance(pts, list) and len(set(pts)) == 63
         assert all(T and not scalar_mul(8, T) for T in pts)
+
+    def test_kernel_scan_re_raises_when_every_torsion_group_is_refused(self):
+        """On the floor curve j = 13, E[32] lies past the R_MAX tower and
+        every E[d] with d > 64 past M_MAX.  The scan for the kernel of [32]
+        skips each refused E[d] (d = 32, 64, ..., 1024) and, since none
+        held the kernel, re-raises the last refusal, not the first."""
+        E = curve_from_j(F41, F41.from_int(13), 6)
+        with pytest.raises(BoundExceeded) as first:
+            torsion_degree(E, 32)
+        assert (first.value.cap, first.value.requested) == ("R_MAX", 32)
+        with pytest.raises(BoundExceeded) as last:
+            multiplication_isogeny(E, 32).kernel_gen
+        assert (last.value.cap, last.value.limit, last.value.requested) == ("M_MAX", 64, 1024)
 
     @pytest.mark.parametrize("m", [0, -2, 2.0, 41, 82])
     def test_rejects_bad_multipliers(self, e29, m):

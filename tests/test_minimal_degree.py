@@ -13,12 +13,15 @@ import pytest
 import sympy
 
 from isogenion.elliptic_curve import (
+    Curve,
     classes_with_trace,
+    curve_from_j,
     point_add,
     scalar_mul,
     torsion_basis,
     twist_classes,
 )
+from isogenion.errors import NotIsogenous, TraceMismatch
 from isogenion.finite_field import field_create
 from isogenion.isogeny import compose, cyclic_isogenies, dual, velu
 import isogenion.minimal_degree
@@ -43,6 +46,25 @@ def test_md_classifier_matches_closure_search(p):
     for cls in _all_classes(p):
         E = cls.representative
         assert md_classifier(E) == md_between(E, E, over_k=False).md, cls
+
+
+def test_md_between_over_k_refuses_through_check_isogenous():
+    """Over the base field, curves of different traces get the shared
+    TraceMismatch, an ordinary and a supersingular one included; over the
+    closure the trace pair +-t is searched and the others keep their own
+    refusals."""
+    F = field_create(41)
+    E, twist = curve_from_j(F, 5, 6), curve_from_j(F, 5, -6)
+    with pytest.raises(TraceMismatch, match="traces 6 and -6 differ; the curves are not k-isogenous"):
+        md_between(E, twist)
+    supersingular = Curve(F, 0, 1)  # j = 0 and 41 = 2 mod 3: supersingular
+    with pytest.raises(TraceMismatch):
+        md_between(E, supersingular)
+    assert md_between(E, twist, over_k=False).md >= 2
+    with pytest.raises(NotIsogenous, match="ordinary and supersingular"):
+        md_between(E, supersingular, over_k=False)
+    with pytest.raises(NotIsogenous, match="different fields"):
+        md_between(E, Curve(field_create(43), 1, 1), over_k=False)
 
 
 @pytest.mark.parametrize("supersingular", [False, True])

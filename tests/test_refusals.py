@@ -15,6 +15,7 @@ from isogenion.elliptic_curve import (
     Curve,
     base_change,
     curve_from_j,
+    point_order,
     torsion_basis,
     torsion_degree,
 )
@@ -36,6 +37,7 @@ from isogenion.isogeny import (
     compose,
     cyclic_isogenies,
     frobenius_isogeny,
+    multiplication_isogeny,
     stable_cyclic_subgroups,
     velu,
 )
@@ -200,3 +202,19 @@ def test_an_order_past_the_cap_is_refused_by_the_gate(site):
         GATED[site](curve41(29), 65)
     err = refusal.value
     assert (err.cap, err.limit, err.requested) == ("M_MAX", 64, 65)
+
+
+BOOL_REFUSED = {
+    "multiplication_isogeny": lambda E: multiplication_isogeny(E, True),
+    "frobenius_isogeny": lambda E: frobenius_isogeny(E, True),
+    "point_order": lambda E: point_order(E.infinity(), multiple=True),
+}
+
+
+@pytest.mark.parametrize("site", sorted(BOOL_REFUSED))
+def test_a_bool_is_refused_where_an_int_is_asked(site):
+    """A multiplier, a Frobenius exponent or a known multiple that is a
+    bool is refused with ValueError, as check_torsion_order refuses a bool
+    order, rather than read as 1."""
+    with pytest.raises(ValueError):
+        BOOL_REFUSED[site](curve41(29))

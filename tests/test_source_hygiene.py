@@ -363,3 +363,21 @@ def test_each_cap_has_one_owner():
         "elliptic_curve.torsion_degree",
         "elliptic_curve.divide_point",
     }
+
+
+def builds(name):
+    """`module.function` for each function that calls `name` by its bare
+    name (for an exception class, each function that builds one)."""
+    return owners(
+        lambda n: isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == name
+    )
+
+
+def test_each_decision_has_one_owner():
+    """check_isogenous owns the same-trace refusal and check_kernel_generator
+    the exact-order one; compose decides whether its middle models are
+    isomorphic by isomorphism_scale, not by computing two classes."""
+    assert builds("TraceMismatch") == {"elliptic_curve.check_isogenous"}
+    assert builds("WrongOrder") == {"elliptic_curve.check_kernel_generator"}
+    assert "isogeny.compose" not in builds("curve_class")
+    assert "isogeny.compose" in builds("isomorphism_scale")

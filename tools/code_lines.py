@@ -5,7 +5,9 @@
 PACKAGE_DIR defaults to src/isogenion beside this script's directory.  A
 code line is a line of a .py file that carries a token other than a
 comment: blank lines, comment-only lines and the lines of docstrings
-(module, class and function) are not counted.
+(module, class and function) are not counted.  A last line gives how many
+code lines carry an `assert` statement or the name AssertionError, the
+checks that python -O strips or that a caller should never see.
 """
 
 import ast
@@ -36,22 +38,27 @@ def docstring_lines(tree):
 
 
 def code_lines(path):
+    """(code lines, lines using assert or AssertionError) of one file."""
     text = path.read_text(encoding="utf-8")
-    lines = set()
+    lines, asserts = set(), set()
     for tok in tokenize.generate_tokens(io.StringIO(text).readline):
         if tok.type not in NOT_CODE:
             lines.update(range(tok.start[0], tok.end[0] + 1))
-    return len(lines - docstring_lines(ast.parse(text)))
+        if tok.type == tokenize.NAME and tok.string in ("assert", "AssertionError"):
+            asserts.add(tok.start[0])
+    return len(lines - docstring_lines(ast.parse(text))), len(asserts)
 
 
 def main(argv):
     root = Path(argv[1]) if len(argv) > 1 else Path(__file__).resolve().parent.parent / "src" / "isogenion"
-    total = 0
+    total = total_asserts = 0
     for path in sorted(root.glob("*.py")):
-        n = code_lines(path)
+        n, asserts = code_lines(path)
         total += n
+        total_asserts += asserts
         print(f"{n:6d}  {path.name}")
     print(f"{total:6d}  total")
+    print(f"{total_asserts:6d}  lines using assert or AssertionError")
 
 
 if __name__ == "__main__":
