@@ -88,12 +88,11 @@ def _least_irreducible(p, r):
 class FieldElement:
     """An element of GF(p^r), stored as r residues (constant term first)."""
 
-    __slots__ = ("field", "coeffs", "_hash")
+    __slots__ = ("field", "coeffs")
 
     def __init__(self, field, coeffs):
         self.field = field
         self.coeffs = coeffs
-        self._hash = None
 
     # -- basic protocol ----------------------------------------------------
 
@@ -103,9 +102,7 @@ class FieldElement:
         return f"{list(self.coeffs)}@GF({self.field.p}^{self.field.r})"
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.field.p, self.field.r, self.coeffs))
-        return self._hash
+        return hash((self.field.p, self.field.r, self.coeffs))
 
     def __eq__(self, other):
         if isinstance(other, int):

@@ -19,9 +19,10 @@ a subgroup, and the split prime-square p-part) lives here too.
 from __future__ import annotations
 
 import json
-from math import lcm, prod
+from math import gcd, lcm, prod
 
 from .elliptic_curve import (
+    M_MAX,
     Curve,
     Point,
     check_isogenous,
@@ -59,7 +60,7 @@ from .quadratic_order import (
 
 def rho(e: int) -> int:
     """Clip a signed conductor exponent: e if e > 0, else 0."""
-    if not isinstance(e, int):
+    if type(e) is not int:
         raise TypeError("exponent must be an integer")
     return e if e > 0 else 0
 
@@ -151,7 +152,7 @@ def _kernel_data(beta: Isogeny) -> tuple[list[Point], int, int]:
     if isinstance(gen, Point):
         return [gen], beta.separable_degree, 1
     pts = list(gen)
-    n = max(point_order(T) for T in pts)
+    n = max(point_order(T, beta.separable_degree) for T in pts)
     back, rem = divmod(beta.separable_degree, n)
     assert rem == 0 and n % back == 0, "kernel is not of shape Z/m x Z/n"
     return pts, n, back
@@ -331,9 +332,15 @@ def annihilator_ideal(E: Curve, points) -> QuadIdeal:
     order = compute_endo_conductor(E).order()
     if not pts:
         return unit_ideal(order)
+    # every order check_torsion_order accepts divides lcm(1, ..., M_MAX), so
+    # #E(K) is not factored unless a point's order is refused anyway
+    L = lcm(*range(1, M_MAX + 1))
     n = 1
     for T in pts:
-        n = lcm(n, point_order(T))
+        try:
+            n = lcm(n, point_order(T, gcd(T.curve.order, L)))
+        except ValueError:
+            n = lcm(n, point_order(T))
     if n % E.field.p == 0:
         raise PPartUnsupported("point orders must be coprime to p")
     check_torsion_order(E, n)
@@ -349,7 +356,7 @@ def p_part_ideal(E: Curve, e1: int, e: int) -> QuadIdeal:
     ordered so that the Frobenius pi lies in P1: a degree-p^e isogeny whose
     inseparable exponent is e1 corresponds to this product.  P1*P2 = (p).
     """
-    if not isinstance(e1, int) or not isinstance(e, int):
+    if type(e1) is not int or type(e) is not int:
         raise TypeError("exponents must be integers")
     if not 0 <= e1 <= e:
         raise ValueError("exponents must satisfy 0 <= e1 <= e")
@@ -392,7 +399,7 @@ def stable_cyclic_kernels(E: Curve, n: int) -> list[Point]:
     n = 1 is rejected.  BoundExceeded means n > M_MAX or a subgroup needs an
     extension past R_MAX; E[n] itself may lie past that cap.
     """
-    if not isinstance(n, int) or n < 2:
+    if type(n) is not int or n < 2:
         raise ValueError("subgroup order must be an integer >= 2")
     return [phi.kernel_gen for phi in cyclic_isogenies(E, n)]
 

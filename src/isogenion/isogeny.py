@@ -115,14 +115,15 @@ class _VeluStep:
         return self._maps
 
     def apply(self, P, dstK):
-        K = dstK.field
-        Fx = _lift_poly(self.F, K).eval(P.x)
+        K, base = dstK.field, self.src.field
+        lift = (lambda f: f) if K is base else subfield_embedding(base, K).map_poly
+        Fx = lift(self.F).eval(P.x)
         if not Fx:
             return dstK.infinity()
         N, _, Yn, _ = self.maps()
         Fx2 = Fx * Fx
-        X = _lift_poly(N, K).eval(P.x) / Fx2
-        return dstK.point(X, P.y * _lift_poly(Yn, K).eval(P.x) / (Fx2 * Fx))
+        X = lift(N).eval(P.x) / Fx2
+        return dstK.point(X, P.y * lift(Yn).eval(P.x) / (Fx2 * Fx))
 
     def dual(self):
         """(tau, scaling by 1/n), drawing no random points.
@@ -252,13 +253,6 @@ class _MulStep:
         return (self,)
 
 
-@lru_cache(maxsize=None)
-def _lift_poly(f: Poly, K: Field) -> Poly:
-    if f.field is K:
-        return f
-    return subfield_embedding(f.field, K).map_poly(f)
-
-
 def _apply_step(step, P: Point) -> Point:
     """step(P) for P on any base change of step.src."""
     dstK = base_change(step.dst, P.curve.field.r // step.src.field.r)
@@ -272,8 +266,9 @@ def _apply_step(step, P: Point) -> Point:
 class Isogeny:
     """A morphism between chosen Weierstrass models, write-once.
 
-    `source`/`target` are isomorphism classes; `source_curve` and
-    `target_curve` are the concrete models the maps act on.  `degree` is the
+    `source_curve` and `target_curve` are the concrete models the maps act
+    on; `target` is the memoised isomorphism class of the target, and the
+    source class is curve_class(phi.source_curve).  `degree` is the
     full degree and `insep_exp` the exponent e of the inseparable part p^e,
     the product of the step degrees and the sum of their exponents.
     """
@@ -285,7 +280,6 @@ class Isogeny:
         "degree",
         "insep_exp",
         "_kernel_gen",
-        "_source_class",
         "_target_class",
         "_kernel_poly",
         "_maps",
@@ -308,7 +302,6 @@ class Isogeny:
         self.degree = degree
         self.insep_exp = insep_exp
         self._kernel_gen = kernel_gen
-        self._source_class = None
         self._target_class = None
         self._kernel_poly = None
         self._maps = None
@@ -326,12 +319,6 @@ class Isogeny:
         )
 
     # -- spec'd class fields, computed lazily --------------------------------
-
-    @property
-    def source(self) -> CurveClass:
-        if self._source_class is None:
-            object.__setattr__(self, "_source_class", curve_class(self.source_curve))
-        return self._source_class
 
     @property
     def target(self) -> CurveClass:
@@ -437,15 +424,18 @@ class Isogeny:
             return False
         if self.source_curve == other.source_curve:
             return self.kernel_polynomial() == other.kernel_polynomial()
-        if self.source != other.source:
-            return False
         j = j_invariant(self.source_curve)
         F = self.source_curve.field
         if not j or j == F.from_int(1728):
             # extra automorphisms: isogenies from distinct models are not
             # identified
             return False
-        u = isomorphism_scale(other.source_curve, self.source_curve)
+        # distinct models are compared through the scaling between them;
+        # isomorphism_scale's ValueError means they are not k-isomorphic
+        try:
+            u = isomorphism_scale(other.source_curve, self.source_curve)
+        except ValueError:
+            return False
         G = other.kernel_polynomial()
         d = G.degree()
         u2 = u * u

@@ -55,7 +55,7 @@ def eB(q: int, t: int) -> int:
     Exact flooring comes from the shared rational bracketing of pi in
     intmath; no floating point is involved.
     """
-    if not isinstance(q, int) or not isinstance(t, int):
+    if type(q) is not int or type(t) is not int:
         raise TypeError("q and t must be integers")
     if t * t >= 4 * q:
         raise ValueError("need t^2 < 4q for an imaginary quadratic bound")
@@ -222,7 +222,7 @@ def rB(field: Field, t: int) -> tuple:
     """
     if not isinstance(field, Field):
         raise TypeError("rB expects a Field")
-    if not isinstance(t, int):
+    if type(t) is not int:
         raise TypeError("the trace must be an integer")
     if field.order > CLASS_SWEEP_MAX:
         raise BoundExceeded(
@@ -273,7 +273,7 @@ def md_supersingular_bounds(p: int) -> dict:
     report rather than raised, and pairs whose kernel enumeration
     overflows a cap are listed as skipped.
     """
-    if not isinstance(p, int) or p < 5:
+    if type(p) is not int or p < 5:
         raise ValueError("p must be a prime >= 5")
     fp_bound = floor_two_over_pi_sqrt(4 * p)
     report = {

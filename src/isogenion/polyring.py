@@ -23,7 +23,7 @@ from .intmath import prime_factors, row_reduce
 class Poly:
     """Immutable polynomial; coeffs are FieldElements, constant term first."""
 
-    __slots__ = ("field", "coeffs", "_hash")
+    __slots__ = ("field", "coeffs")
 
     def __init__(self, field: Field, coeffs):
         cs = list(coeffs)
@@ -31,7 +31,6 @@ class Poly:
             cs.pop()
         self.field = field
         self.coeffs = tuple(cs)
-        self._hash = None
 
     # -- constructors --------------------------------------------------------
 
@@ -68,9 +67,7 @@ class Poly:
         return "Poly(" + " + ".join(terms) + ")"
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.field.p, self.field.r, self.coeffs))
-        return self._hash
+        return hash((self.field.p, self.field.r, self.coeffs))
 
     def __eq__(self, other):
         return (

@@ -49,7 +49,7 @@ class QuadOrder:
     __slots__ = ("D0", "f", "Tw", "Nw")
 
     def __init__(self, D0: int, f: int = 1):
-        if not isinstance(D0, int) or not isinstance(f, int):
+        if type(D0) is not int or type(f) is not int:
             raise TypeError("discriminant and conductor must be integers")
         if D0 >= 0:
             raise NotImaginaryQuadratic(f"D0 = {D0} is not negative")
@@ -101,7 +101,7 @@ class QuadIdeal:
         if not isinstance(order, QuadOrder):
             raise TypeError("expected a QuadOrder")
         for v in (t, a, b):
-            if not isinstance(v, int):
+            if type(v) is not int:
                 raise TypeError("ideal coordinates must be integers")
         if t < 1 or a < 1:
             raise ValueError("t and a must be positive")
@@ -197,7 +197,7 @@ def ideal_multiply(I: QuadIdeal, J: QuadIdeal) -> QuadIdeal:
 def primes_above(order: QuadOrder, ell: int) -> list[QuadIdeal]:
     """The invertible primes of norm ell: two, one, or none as the
     discriminant is a nonzero square, zero, or a non-square mod ell."""
-    if not is_prime(ell):
+    if type(ell) is not int or not is_prime(ell):
         raise ValueError(f"{ell} is not prime")
     if order.f % ell == 0:
         raise NotMaximalAtPrime(
@@ -318,7 +318,7 @@ def ideal_count_invertible(f: int, ell: int, n: int, D0: int) -> int:
     """
     if f < 1 or n < 0:
         raise ValueError("need f >= 1 and n >= 0")
-    if not is_prime(ell):
+    if type(ell) is not int or not is_prime(ell):
         raise ValueError(f"{ell} is not prime")
     v = valuation(f, ell)
     chi = kronecker(D0, ell)
@@ -356,7 +356,7 @@ def enumerate_ideals(order: QuadOrder, norm: int) -> list[QuadIdeal]:
     of b**2 + Tw*b + Nw mod a, scanned with an incremental update so the whole
     sweep is linear in a.
     """
-    if not isinstance(norm, int) or norm < 1:
+    if type(norm) is not int or norm < 1:
         raise ValueError("norm must be a positive integer")
     if norm > DISC_MAX:
         raise BoundExceeded(

@@ -1,7 +1,7 @@
 """The package's cross-call caches: one policy (functools.lru_cache, which
 reports hits, misses and size), cached answers equal to a cold recompute,
-one enumeration of isogenies per curve, and a README that names every
-per-curve table."""
+one enumeration of isogenies per curve, a README that names every table,
+and field elements and polynomials that keep no hash memo."""
 
 import importlib
 import inspect
@@ -19,10 +19,11 @@ from isogenion.elliptic_curve import (
     torsion_basis,
 )
 from isogenion.endo_ring import compute_endo_conductor, frobenius_matrix
-from isogenion.finite_field import field_create
+from isogenion.finite_field import FieldElement, field_create
 from isogenion.hom_index_kernel import pair_report
 from isogenion.isogeny import cyclic_isogenies
 from isogenion.isogeny_graph import build_graph
+from isogenion.polyring import Poly
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -34,20 +35,34 @@ def library_modules():
     ]
 
 
+def cache_tables():
+    """Every module-level lru_cache of the package."""
+    return [
+        value
+        for module in library_modules()
+        for value in vars(module).values()
+        if hasattr(value, "cache_info") and value.__module__ == module.__name__
+    ]
+
+
 def curve_caches():
     """Every module-level lru_cache whose first parameter is a Curve."""
     found = []
-    for module in library_modules():
-        for value in vars(module).values():
-            if not hasattr(value, "cache_info") or value.__module__ != module.__name__:
-                continue
-            first = next(iter(inspect.signature(value).parameters.values()), None)
-            if first is not None and first.annotation in ("Curve", Curve):
-                found.append(value)
+    for value in cache_tables():
+        first = next(iter(inspect.signature(value).parameters.values()), None)
+        if first is not None and first.annotation in ("Curve", Curve):
+            found.append(value)
     return found
 
 
 CURVE_CACHES = curve_caches()
+
+
+def readme_sentence(opening):
+    """The README's Caches sentence that starts with `opening`."""
+    section = README.read_text(encoding="utf-8").split("## Caches", 1)[1]
+    words = r"\s+".join(opening.split())
+    return re.search(words + r"\s(.*?)\.\s", section, re.DOTALL).group(1)
 
 
 @pytest.fixture(scope="module")
@@ -67,11 +82,38 @@ def test_no_module_level_containers():
 
 def test_readme_names_every_curve_cache():
     """The README's list of per-curve tables is the discovered one, both ways."""
-    section = README.read_text(encoding="utf-8").split("## Caches", 1)[1]
-    listed = re.search(r"The\s+per-curve\s+ones\s+are\s(.*?)\.\s", section, re.DOTALL)
-    names = set(re.findall(r"`(?:\w+\.)?(\w+)`", listed.group(1)))
+    listed = readme_sentence("The per-curve ones are")
+    names = set(re.findall(r"`(?:\w+\.)?(\w+)`", listed))
     assert names == {fn.__name__ for fn in CURVE_CACHES}
     assert "cyclic_isogenies" in names
+
+
+def test_readme_names_every_cache_table():
+    """The README's list of the other tables, given as `module.name`, is
+    every discovered module-level lru_cache that is not per-curve, both
+    ways; with the per-curve list it names every table."""
+    others = re.findall(r"`(\w+)\.(\w+)`", readme_sentence("The other tables are"))
+    discovered = {
+        (fn.__module__.rsplit(".", 1)[1], fn.__name__)
+        for fn in cache_tables()
+        if fn not in CURVE_CACHES
+    }
+    assert set(others) == discovered
+
+
+def test_elements_and_polynomials_keep_no_hash_memo():
+    assert FieldElement.__slots__ == Poly.__slots__ == ("field", "coeffs")
+
+
+@pytest.mark.parametrize("r", [1, 2, 6])
+def test_hashes_are_the_tuple_hash(r):
+    """Elements and polynomials hash as (p, r, coeffs), the values they had
+    when they kept a memo, so set and dict orders stay the same."""
+    F = field_create(41, r)
+    xs = [F.zero, F.one, F.from_int(40), F.from_coeffs(range(1, r + 1))]
+    polys = [Poly(F, []), Poly(F, xs), Poly.from_roots(F, xs[1:])]
+    for x in xs + polys:
+        assert hash(x) == hash((41, r, x.coeffs))
 
 
 def test_curve_caches_answer_cache_info(volcano):

@@ -54,16 +54,29 @@ from isogenion.hom_index_kernel import (
     rho,
     stable_cyclic_kernels,
 )
-from isogenion.isogeny import compose, cyclic_isogenies, dual, evaluate, velu
+from isogenion.isogeny import (
+    compose,
+    cyclic_isogenies,
+    dual,
+    evaluate,
+    multiplication_isogeny,
+    velu,
+)
 from isogenion.quadratic_order import (
     QuadIdeal,
     ideal_conjugate,
     ideal_multiply,
     is_invertible,
+    primes_above,
     quad_order,
     unit_ideal,
 )
-from oracles import cyclic_lines, evaluate_order_element, order_generator_element
+from oracles import (
+    cyclic_lines,
+    deadline,
+    evaluate_order_element,
+    order_generator_element,
+)
 
 F41 = field_create(41)
 F53 = field_create(53)
@@ -256,6 +269,15 @@ class TestIndexAnchors:
         assert d.index == 1
         assert d.basis == (1, (1, 0, 1))
         assert d.backtrack_factor == 1
+
+    def test_multiplication_by_seven_reads_orders_off_the_degree(self):
+        """On GF(23), j = 14, t = -6, E[7] lies over GF(23^21); the kernel
+        points' orders come from the separable degree 49, without
+        factoring #E(GF(23^21))."""
+        E = curve_from_j(field_create(23), 14, -6)
+        with deadline(2):
+            d = hom_index(E, E, multiplication_isogeny(E, 7))
+        assert (d.index, d.backtrack_factor, d.basis) == (49, 7, (7, (7, 0, 1)))
 
     def test_multiplication_by_two(self, volcano):
         """dual(phi) o phi = [2] has the non-cyclic kernel E[2].
@@ -562,6 +584,17 @@ class TestAnnihilatorIdeal:
         P, Q, _ = torsion_basis(volcano[5], 2)
         I = annihilator_ideal(volcano[5], [P, Q, point_add(P, Q)])
         assert I == QuadIdeal(quad_order(-8, 1), 2, 1, 0)
+
+    def test_orders_are_read_without_factoring_the_group_order(self):
+        """The ramified prime above 7 of the maximal order of discriminant
+        -56 (GF(23), j = 14, t = -6) cuts out a subgroup over an extension;
+        every accepted order divides lcm(1, ..., M_MAX), so #E(K) is not
+        factored."""
+        E = curve_from_j(field_create(23), 14, -6)
+        P7 = primes_above(quad_order(-56), 7)[0]
+        with deadline(2):
+            I = annihilator_ideal(E, kernel_of_ideal(E, P7))
+        assert I == P7
 
     def test_saturates_unstable_subgroups(self, volcano):
         """A lone 5-torsion point spans no stable line, so I is all of (5).

@@ -486,8 +486,8 @@ class TestDual:
     def test_dual_swaps_source_and_target_classes(self, e29):
         phi = velu(e29, stable_cyclic_subgroups(e29, 2)[0], 2)
         phihat = dual(phi)
-        assert phihat.source == phi.target
-        assert phihat.target == phi.source
+        assert curve_class(phihat.source_curve) == phi.target
+        assert phihat.target == curve_class(phi.source_curve)
 
     def test_verschiebung(self, e29):
         pi = frobenius_isogeny(e29, 1)
@@ -1088,6 +1088,30 @@ class TestConsistency:
         psi = velu(other, g_other, 2)
         assert phi == psi
         assert psi == phi
+
+    def test_equality_across_models_needs_no_class(self, e29, monkeypatch):
+        """On the model E' of E scaled by u = 8, each rational 2-isogeny
+        equals its own composite with the identity on E' and no other's; a
+        quadratic twist of E shares j but is not k-isomorphic.  Equality
+        decides the change of model by isomorphism_scale alone, so it
+        builds no class."""
+        u = F41.from_int(8)
+        other = Curve(F41, u**4 * e29.A, u**6 * e29.B)
+        twist = curve_from_j(F41, F41.from_int(29), -6)
+        phis = cyclic_isogenies(e29, 2)
+        twisted = cyclic_isogenies(twist, 2)
+        assert len(phis) == 3
+
+        def no_class(E):
+            raise AssertionError("isogeny equality built a curve class")
+
+        monkeypatch.setattr(isogenion.isogeny, "curve_class", no_class)
+        moved = [compose(phi, velu(other, None, 1)) for phi in phis]
+        for i, phi in enumerate(phis):
+            for k, psi in enumerate(moved):
+                assert (phi == psi) == (i == k)
+                assert (psi == phi) == (i == k)
+            assert all(phi != chi for chi in twisted)
 
     def test_isogenies_from_different_classes_differ(self, e29):
         e25 = curve_from_j(F41, F41.from_int(25), 6)

@@ -31,6 +31,7 @@ from isogenion.hom_index_kernel import (
     annihilator_ideal,
     kernel_of_ideal,
     p_part_ideal,
+    rho,
     stable_cyclic_kernels,
 )
 from isogenion.isogeny import (
@@ -41,10 +42,14 @@ from isogenion.isogeny import (
     stable_cyclic_subgroups,
     velu,
 )
-from isogenion.minimal_degree import _degree_candidates, md_between
+from isogenion.minimal_degree import _degree_candidates, eB, md_between, rB
 from isogenion.quadratic_order import (
+    QuadIdeal,
+    QuadOrder,
     class_group,
     enumerate_ideals,
+    ideal_count_invertible,
+    primes_above,
     quad_order,
 )
 
@@ -205,16 +210,29 @@ def test_an_order_past_the_cap_is_refused_by_the_gate(site):
 
 
 BOOL_REFUSED = {
-    "multiplication_isogeny": lambda E: multiplication_isogeny(E, True),
-    "frobenius_isogeny": lambda E: frobenius_isogeny(E, True),
-    "point_order": lambda E: point_order(E.infinity(), multiple=True),
+    "multiplication_isogeny": (lambda E: multiplication_isogeny(E, True), ValueError),
+    "frobenius_isogeny": (lambda E: frobenius_isogeny(E, True), ValueError),
+    "point_order": (lambda E: point_order(E.infinity(), multiple=True), ValueError),
+    "rho": (lambda E: rho(True), TypeError),
+    "p_part_ideal": (lambda E: p_part_ideal(E, True, 1), TypeError),
+    "eB": (lambda E: eB(True, 0), TypeError),
+    "rB": (lambda E: rB(field_create(31), True), TypeError),
+    "QuadOrder": (lambda E: QuadOrder(-4, True), TypeError),
+    "QuadIdeal": (lambda E: QuadIdeal(quad_order(-4), True, 1, 0), TypeError),
+    "enumerate_ideals": (lambda E: enumerate_ideals(quad_order(-4), True), ValueError),
+    "ideal_count_invertible-float": (
+        lambda E: ideal_count_invertible(1, 2.0, 1, -4), ValueError,
+    ),
+    "primes_above-float": (lambda E: primes_above(quad_order(-4), 2.0), ValueError),
 }
 
 
 @pytest.mark.parametrize("site", sorted(BOOL_REFUSED))
 def test_a_bool_is_refused_where_an_int_is_asked(site):
-    """A multiplier, a Frobenius exponent or a known multiple that is a
-    bool is refused with ValueError, as check_torsion_order refuses a bool
-    order, rather than read as 1."""
-    with pytest.raises(ValueError):
-        BOOL_REFUSED[site](curve41(29))
+    """A multiplier, exponent, multiple, trace, conductor, ideal coordinate
+    or norm that is a bool is refused, with the error each site raises for
+    any non-int, as check_torsion_order refuses a bool order, rather than
+    read as 1; a float prime ell is refused like any non-prime."""
+    call, error = BOOL_REFUSED[site]
+    with pytest.raises(error):
+        call(curve41(29))

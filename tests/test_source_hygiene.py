@@ -376,8 +376,10 @@ def builds(name):
 def test_each_decision_has_one_owner():
     """check_isogenous owns the same-trace refusal and check_kernel_generator
     the exact-order one; compose decides whether its middle models are
-    isomorphic by isomorphism_scale, not by computing two classes."""
+    isomorphic, and Isogeny.__eq__ whether its source models are, by
+    isomorphism_scale, not by computing two classes."""
     assert builds("TraceMismatch") == {"elliptic_curve.check_isogenous"}
     assert builds("WrongOrder") == {"elliptic_curve.check_kernel_generator"}
-    assert "isogeny.compose" not in builds("curve_class")
-    assert "isogeny.compose" in builds("isomorphism_scale")
+    for owner in ("isogeny.compose", "isogeny.__eq__"):
+        assert owner not in builds("curve_class")
+        assert owner in builds("isomorphism_scale")

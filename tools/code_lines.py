@@ -5,9 +5,11 @@
 PACKAGE_DIR defaults to src/isogenion beside this script's directory.  A
 code line is a line of a .py file that carries a token other than a
 comment: blank lines, comment-only lines and the lines of docstrings
-(module, class and function) are not counted.  A last line gives how many
+(module, class and function) are not counted.  Two last lines give how many
 code lines carry an `assert` statement or the name AssertionError, the
-checks that python -O strips or that a caller should never see.
+checks that python -O strips or that a caller should never see, and how
+many module-level functions are decorated with lru_cache, the package's
+cache tables.
 """
 
 import ast
@@ -37,8 +39,21 @@ def docstring_lines(tree):
     return out
 
 
+def cache_tables(tree):
+    """How many module-level functions of `tree` carry an lru_cache decorator
+    (`@lru_cache`, `@lru_cache(...)` or `@functools.lru_cache(...)`)."""
+    names = (
+        ast.unparse(d.func if isinstance(d, ast.Call) else d)
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+        for d in node.decorator_list
+    )
+    return sum(name.split(".")[-1] == "lru_cache" for name in names)
+
+
 def code_lines(path):
-    """(code lines, lines using assert or AssertionError) of one file."""
+    """(code lines, lines using assert or AssertionError, lru_cache tables)
+    of one file."""
     text = path.read_text(encoding="utf-8")
     lines, asserts = set(), set()
     for tok in tokenize.generate_tokens(io.StringIO(text).readline):
@@ -46,19 +61,22 @@ def code_lines(path):
             lines.update(range(tok.start[0], tok.end[0] + 1))
         if tok.type == tokenize.NAME and tok.string in ("assert", "AssertionError"):
             asserts.add(tok.start[0])
-    return len(lines - docstring_lines(ast.parse(text))), len(asserts)
+    tree = ast.parse(text)
+    return len(lines - docstring_lines(tree)), len(asserts), cache_tables(tree)
 
 
 def main(argv):
     root = Path(argv[1]) if len(argv) > 1 else Path(__file__).resolve().parent.parent / "src" / "isogenion"
-    total = total_asserts = 0
+    total = total_asserts = total_caches = 0
     for path in sorted(root.glob("*.py")):
-        n, asserts = code_lines(path)
+        n, asserts, caches = code_lines(path)
         total += n
         total_asserts += asserts
+        total_caches += caches
         print(f"{n:6d}  {path.name}")
     print(f"{total:6d}  total")
     print(f"{total_asserts:6d}  lines using assert or AssertionError")
+    print(f"{total_caches:6d}  module-level lru_cache tables")
 
 
 if __name__ == "__main__":
