@@ -34,7 +34,6 @@ from .elliptic_curve import (
     scalar_mul,
 )
 from .endo_ring import (
-    annihilator_index,
     annihilator_lattice,
     compute_endo_conductor,
     gamma_matrix,
@@ -47,7 +46,7 @@ from .errors import (
     SupersingularUnsupported,
 )
 from .finite_field import element_to_json
-from .intmath import prime_factors, solutions_mod, valuation
+from .intmath import factorize, prime_factors, solutions_mod, valuation
 from .isogeny import Isogeny, cyclic_isogenies
 from .quadratic_order import (
     DISC_MAX,
@@ -144,20 +143,6 @@ class HomIdealDescription:
         )
 
 
-def _kernel_data(beta: Isogeny) -> tuple[list[Point], int, int]:
-    """(points, exponent, backtrack) for the separable kernel of beta."""
-    gen = beta.kernel_gen
-    if gen is None:
-        return [], 1, 1
-    if isinstance(gen, Point):
-        return [gen], beta.separable_degree, 1
-    pts = list(gen)
-    n = max(point_order(T, beta.separable_degree) for T in pts)
-    back, rem = divmod(beta.separable_degree, n)
-    assert rem == 0 and n % back == 0, "kernel is not of shape Z/m x Z/n"
-    return pts, n, back
-
-
 def hom_index(E2: Curve, E1: Curve, beta: Isogeny) -> HomIdealDescription:
     """The index [End(E2) : Hom(E1, E2)*beta] with the ideal's presentation.
 
@@ -166,9 +151,15 @@ def hom_index(E2: Curve, E1: Curve, beta: Isogeny) -> HomIdealDescription:
     the module).  Curves with trace +-2*sqrt(q) carry the full quaternion
     endomorphism ring and get index (deg beta)^2 with no quadratic
     presentation; every other supported curve goes through the conductor
-    formula, and for separable beta the witness b is solved from the
-    annihilator lattice of the kernel and checked against the formula.
-    The pair must pass check_isogenous, which comes first.
+    formula.  beta's separable kernel Z/a x Z/m (a | m, a*m = sep) gives
+    its points and exponent m (a stored generator, or the E[m] scan behind
+    kernel_gen), and the backtrack factor is a = sep // m.  For separable
+    beta the witness b is solved from the annihilator lattice of the
+    kernel, whose Hermite form (A, c, d) is the basis and is checked
+    against the formula.  That lattice needs E2[m*w], w = f0/f; m is a
+    multiple of d0 = prod ell^ceil(e/2) over sep = prod ell^e, so
+    E2[d0*w] passes check_torsion_order before the kernel is scanned.  The
+    pair must pass check_isogenous, which comes first.
     """
     if not isinstance(beta, Isogeny):
         raise TypeError("expected an isogeny")
@@ -178,20 +169,25 @@ def hom_index(E2: Curve, E1: Curve, beta: Isogeny) -> HomIdealDescription:
     cls2, cls1 = curve_class(E2), curve_class(E1)
     if beta.target != cls1:
         raise CurveMismatch("beta does not land on the class of the second curve")
-    pts, n, back = _kernel_data(beta)
+    sep = beta.separable_degree
 
     if E2.trace * E2.trace == 4 * E2.field.order:
         # quaternionic End: the index doubles up in the exponent
+        back = sep // beta.kernel_exponent
         return HomIdealDescription(
             cls2, cls1, beta.degree, back, {}, beta.degree**2, None
         )
 
     ratio = conductor_ratio(E2, E1)
+    desc2 = compute_endo_conductor(E2)
+    if beta.insep_exp == 0 and sep > 1:
+        d0 = prod(ell ** ((e + 1) // 2) for ell, e in factorize(sep))
+        check_torsion_order(E2, d0 * desc2.f0 // desc2.f)
+    n = beta.kernel_exponent
+    back = sep // n
     outer = prod(ell ** rho(e) for ell, e in ratio.items())
     corr = prod(ell ** (rho(e) - e) for ell, e in ratio.items())
-    assert compute_endo_conductor(E2).f % corr == 0, (
-        "correction factor must divide the conductor"
-    )
+    assert desc2.f % corr == 0, "correction factor must divide the conductor"
     index = outer * beta.degree
     deg_prime = beta.degree // (back * back)
     assert deg_prime % (outer * corr) == 0, (
@@ -200,24 +196,25 @@ def hom_index(E2: Curve, E1: Curve, beta: Isogeny) -> HomIdealDescription:
 
     basis = None
     if beta.insep_exp == 0:
-        mult = back * outer
         if n == 1:
-            # beta is multiplication by `back` up to isomorphism
+            # beta is an isomorphism
             assert deg_prime == 1 and outer == 1 and corr == 1
-            basis = (back, (mult, 0, corr))
+            basis = (1, (1, 0, 1))
         else:
+            gen = beta.kernel_gen
+            pts = [gen] if isinstance(gen, Point) else gen
             A, c, d = annihilator_lattice(E2, pts, n)
             assert A * d == index, (
                 "annihilator lattice disagrees with the index formula"
             )
-            assert A == back * deg_prime and d == mult, (
+            assert A == back * deg_prime and d == back * outer, (
                 "annihilator lattice does not fit the two-generator shape"
             )
-            b, rem = divmod(c, mult * corr)
+            b, rem = divmod(c, d * corr)
             assert rem == 0, (
                 "annihilator lattice does not fit the two-generator shape"
             )
-            basis = (back * deg_prime, (mult, b, corr))
+            basis = (A, (d, b, corr))
     return HomIdealDescription(cls2, cls1, beta.degree, back, ratio, index, basis)
 
 
@@ -410,6 +407,10 @@ def pair_report(E2: Curve, E1: Curve, degrees=(2, 3, 4, 6, 8, 9, 12)) -> str:
     For each sample degree the first stable cyclic kernel on E2 whose
     quotient lands on the class of E1 is taken; degrees with no such
     isogeny (or beyond the torsion caps) are dropped from the report.
+    `formula_index` is hom_index's index, and `oracle_index` the index A*d
+    of the annihilator lattice that hom_index builds and checks against it
+    (deg^2 when there is no basis, t^2 = 4q), so one lattice is built per
+    sample; it is not an independent meter.
     """
     ratio = conductor_ratio(E2, E1)
     cls1 = curve_class(E1)
@@ -424,12 +425,11 @@ def pair_report(E2: Curve, E1: Curve, degrees=(2, 3, 4, 6, 8, 9, 12)) -> str:
                 continue
             try:
                 desc = hom_index(E2, E1, phi)
-                check = annihilator_index(E2, phi.kernel_gen, nd)
             except BoundExceeded:
                 continue
             sample.append(nd)
             formula.append(desc.index)
-            oracle.append(check)
+            oracle.append(desc.basis[0] * desc.basis[1][0] if desc.basis else desc.index)
             break
     doc = {
         "source_j": element_to_json(curve_class(E2).j),

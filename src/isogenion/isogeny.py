@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 from importlib import resources
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 
 from .errors import (
     BoundExceeded,
@@ -280,6 +280,7 @@ class Isogeny:
         "degree",
         "insep_exp",
         "_kernel_gen",
+        "_kernel_exponent",
         "_target_class",
         "_kernel_poly",
         "_maps",
@@ -302,6 +303,7 @@ class Isogeny:
         self.degree = degree
         self.insep_exp = insep_exp
         self._kernel_gen = kernel_gen
+        self._kernel_exponent = None
         self._target_class = None
         self._kernel_poly = None
         self._maps = None
@@ -336,29 +338,42 @@ class Isogeny:
 
         None for a trivial (separable part of the) kernel.  `velu` and
         `cyclic_isogenies` store it; other isogenies scan E[b] for it, b
-        the kernel's exponent.
+        the kernel's exponent, and take the first point whose coordinates
+        there give it order n.
         """
         if self._kernel_gen is None and self.separable_degree > 1:
-            pts = self._kernel_points()
-            n = self.separable_degree
-            gen = next((T for T in pts if point_order(T, n) == n), None)
-            object.__setattr__(self, "_kernel_gen", gen if gen else pts)
+            pts, orders, b = self._kernel_points()
+            gen = pts[orders.index(b)] if b == self.separable_degree else pts
+            object.__setattr__(self, "_kernel_gen", gen)
+            object.__setattr__(self, "_kernel_exponent", b)
         return self._kernel_gen
+
+    @property
+    def kernel_exponent(self) -> int:
+        """The exponent b of the separable kernel Z/a x Z/b (a | b): the
+        separable degree n for a cyclic kernel, 1 for a trivial one, and
+        otherwise the b the scan behind kernel_gen finds."""
+        if isinstance(self.kernel_gen, list):
+            return self._kernel_exponent
+        return self.separable_degree
 
     def __call__(self, P: Point) -> Point:
         return evaluate(self, P)
 
     # -- kernel -------------------------------------------------------------
 
-    def _kernel_points(self) -> list[Point]:
-        """All nonzero geometric kernel points (of the separable part).
+    def _kernel_points(self) -> tuple[list[Point], list[int], int]:
+        """(points, orders, b): all nonzero geometric kernel points (of the
+        separable part), the order of each, and the kernel's exponent b.
 
-        A kernel Z/a x Z/b (a | b, ab = n) lies in E[b], and n | b^2, so the
-        scan tries E[d] for the divisors d of n with n | d^2 in increasing
-        order; the first that holds n kernel points is E[b].  An E[d] beyond
-        the caps is skipped, since it need not lie inside E[b].  The isogeny
-        is a homomorphism, so i*P1 + j*Q1 is in the kernel exactly when
-        i*phi(P1) = j*phi(-Q1): two walks over the images and a lookup.
+        A kernel Z/a x Z/b (a | b, ab = n) lies in E[d] exactly when b | d,
+        and n | b^2, so the scan tries E[d] for the divisors d of n with
+        n | d^2 in increasing order; the first that holds n kernel points
+        is E[b].  An E[d] beyond the caps is skipped, since b need not
+        divide d; a refused E[b] refuses every E[d] with b | d.  The
+        isogeny is a homomorphism, so T = i*P1 + j*Q1 is in the kernel
+        exactly when i*phi(P1) = j*phi(-Q1): two walks over the images and
+        a lookup.  T has order d / gcd(i, j, d), read off its coordinates.
         """
         n = self.separable_degree
         refused = None
@@ -375,15 +390,15 @@ class Isogeny:
             cols: dict[Point, list[int]] = {}
             for j, W in enumerate(point_progression(Z, -evaluate(self, Q1), d)):
                 cols.setdefault(W, []).append(j)
-            jQ = point_progression(O, Q1, d)
-            pts = [
-                T
-                for R, V in zip(point_progression(O, P1, d), point_progression(Z, A, d))
-                for j in cols.get(V, ())
-                if (T := point_add(R, jQ[j]))
-            ]
+            iP, jQ = point_progression(O, P1, d), point_progression(O, Q1, d)
+            pts, orders = [], []
+            for i, V in enumerate(point_progression(Z, A, d)):
+                for j in cols.get(V, ()):
+                    if T := point_add(iP[i], jQ[j]):
+                        pts.append(T)
+                        orders.append(d // gcd(i, j, d))
             if len(pts) == n - 1:
-                return pts
+                return pts, orders, d
         if refused is not None:
             raise refused
         raise AssertionError("kernel size must equal the separable degree")

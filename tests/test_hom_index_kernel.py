@@ -8,9 +8,14 @@ applies (u + v*pi)/w through point division, a completely separate code
 path), and, over a prime field with trace zero, where f*gamma is the
 Frobenius itself, direct point arithmetic with frobenius_endo.  The
 comparisons with endo_ring.annihilator_index are not: it reads the same
-annihilator_lattice that hom_index checks its formula against.  The
+annihilator_lattice that hom_index checks its formula against, and
+pair_report's oracle_index is the index of that very lattice, read off
+hom_index's basis (one lattice per sample, which a counter checks).  The
 quaternionic index (t^2 = 4q) is checked only against the literal n^2,
 since hom_index and annihilator_index both return n^2 from the same test.
+Kernel points, their orders and the backtrack factor come from the
+isogeny's own E[b] scan, which tests/test_isogeny.py checks against
+oracles.prime_by_prime_order.
 """
 
 import json
@@ -18,6 +23,7 @@ from math import lcm, prod
 
 import pytest
 
+from isogenion import endo_ring, hom_index_kernel
 from isogenion.elliptic_curve import (
     base_change,
     curve_class,
@@ -787,6 +793,25 @@ class TestPairReport:
         E1, E2 = (curve_from_j(F53, j, 0) for j in js)
         doc = json.loads(pair_report(E1, E2, degrees=(2, 3, 4)))
         assert doc["oracle_index"] == doc["formula_index"] == [2]
+
+    def test_one_annihilator_lattice_per_sample(self, volcano, monkeypatch):
+        """oracle_index is read off the lattice hom_index builds and checks:
+        over the 49 ordered volcano pairs, 55 samples build 55 lattices."""
+        built = []
+
+        def counted(E, pts, n, real=endo_ring.annihilator_lattice):
+            built.append(n)
+            return real(E, pts, n)
+
+        for module in (endo_ring, hom_index_kernel):
+            monkeypatch.setattr(module, "annihilator_lattice", counted)
+        samples = 0
+        for E2 in volcano.values():
+            for E1 in volcano.values():
+                doc = json.loads(pair_report(E2, E1, degrees=(2, 3, 4, 6)))
+                assert doc["oracle_index"] == doc["formula_index"]
+                samples += len(doc["sample_degrees"])
+        assert samples == len(built) == 55
 
     def test_deterministic(self, volcano):
         once = pair_report(volcano[29], volcano[25])

@@ -68,6 +68,7 @@ from isogenion.isogeny import (
     velu,
 )
 from isogenion.minimal_degree import rB
+from oracles import prime_by_prime_order
 
 F41 = field_create(41, 1)
 
@@ -904,7 +905,7 @@ class TestCyclicIsogenies:
                     whole = parts[0]
                     for part in parts[1:]:
                         whole = compose(part, whole)
-                    pts = whole._kernel_points()
+                    pts, _, _ = whole._kernel_points()
                     K = pts[0].curve.field
                     FK = Poly.from_roots(K, [T.x for T in pts])
                     scan = subfield_embedding(F41, K).unmap_poly(FK)
@@ -943,6 +944,55 @@ class TestCyclicIsogenies:
 
 # ---------------------------------------------------------------------------
 # rational maps
+
+
+def scanned_kernels(E, multipliers):
+    """Isogenies from E that store no kernel generator: [m] for each
+    multiplier, the duals of the cyclic isogenies of degree 2, 3 and 4, and
+    every composite of two cyclic isogenies of those degrees."""
+    out = [multiplication_isogeny(E, m) for m in multipliers]
+    for n in (2, 3, 4):
+        out += [dual(phi) for phi in cyclic_isogenies(E, n)]
+        for phi in cyclic_isogenies(E, n):
+            for n2 in (2, 3, 4):
+                out += [compose(psi, phi) for psi in cyclic_isogenies(phi.target_curve, n2)]
+    return out
+
+
+class TestKernelScan:
+    @pytest.mark.parametrize(
+        "E, multipliers, count",
+        [
+            (curve_from_j(F41, 29, 6), (2, 3, 4, 5, 6), 65),
+            (curve_from_j(field_create(23), 14, -6), (2, 3, 4, 5, 6), 17),
+            # E[5] of this curve lies beyond the extension cap
+            (curve_from_j(field_create(7, 2), field_create(7, 2).from_coeffs([4, 2]), -6),
+             (2, 3, 4, 6), 26),
+        ],
+        ids=["GF(41)", "GF(23)", "GF(7^2)"],
+    )
+    def test_orders_exponent_and_generator_match_the_oracle(self, E, multipliers, count):
+        """The scan reads each kernel point's order off its coordinates in
+        E[d], and the first E[d] it finds is E[b], b the kernel's exponent;
+        kernel_gen is the first point of order n, the list when none is."""
+        kernels = scanned_kernels(E, multipliers)
+        assert len(kernels) == count
+        shapes = set()
+        for phi in kernels:
+            n = phi.separable_degree
+            pts, orders, b = phi._kernel_points()
+            want = [prime_by_prime_order(T, n) for T in pts]
+            assert len(pts) == n - 1 and orders == want
+            assert b == max(want) == phi.kernel_exponent
+            assert n % b == 0 and b % (n // b) == 0, "kernel is Z/a x Z/b, a | b"
+            assert phi.kernel_gen == (pts[want.index(n)] if n in want else pts)
+            shapes.add(n // b)
+        assert {1, 2} <= shapes
+
+    def test_exponent_of_trivial_and_stored_kernels(self, e29):
+        assert multiplication_isogeny(e29, 1).kernel_exponent == 1
+        phi = cyclic_isogenies(e29, 12)[0]
+        assert phi.kernel_exponent == 12
 
 
 class TestRationalMaps:

@@ -29,6 +29,7 @@ from isogenion.errors import BoundExceeded
 from isogenion.finite_field import field_create
 from isogenion.hom_index_kernel import (
     annihilator_ideal,
+    hom_index,
     kernel_of_ideal,
     p_part_ideal,
     rho,
@@ -52,6 +53,7 @@ from isogenion.quadratic_order import (
     primes_above,
     quad_order,
 )
+from oracles import deadline
 
 F41 = field_create(41)
 
@@ -175,6 +177,17 @@ def test_refusal_names_its_cap(site):
     err = refusal.value
     assert (err.cap, err.limit, err.requested) == named
     assert str(err) == message
+
+
+def test_hom_index_refuses_before_it_scans_the_kernel():
+    """[43] on GF(41), j = 29 has kernel E[43], whose annihilator lattice
+    needs E[86] (f0/f = 2): the order is refused before the 1,848 kernel
+    points over GF(41^21) are found."""
+    E = curve41(29)
+    with deadline(1), pytest.raises(BoundExceeded) as refusal:
+        hom_index(E, E, multiplication_isogeny(E, 43))
+    err = refusal.value
+    assert (err.cap, err.limit, err.requested) == ("M_MAX", 64, 86)
 
 
 GATED = {

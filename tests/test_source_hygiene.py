@@ -377,9 +377,15 @@ def test_each_decision_has_one_owner():
     """check_isogenous owns the same-trace refusal and check_kernel_generator
     the exact-order one; compose decides whether its middle models are
     isomorphic, and Isogeny.__eq__ whether its source models are, by
-    isomorphism_scale, not by computing two classes."""
+    isomorphism_scale, not by computing two classes.  The kernel scan owns
+    the orders of the kernel points, so neither kernel_gen nor hom_index
+    orders them again, and hom_index owns the annihilator lattice that
+    pair_report's oracle_index reads."""
     assert builds("TraceMismatch") == {"elliptic_curve.check_isogenous"}
     assert builds("WrongOrder") == {"elliptic_curve.check_kernel_generator"}
     for owner in ("isogeny.compose", "isogeny.__eq__"):
         assert owner not in builds("curve_class")
         assert owner in builds("isomorphism_scale")
+    assert not {"isogeny.kernel_gen", "hom_index_kernel.hom_index"} & builds("point_order")
+    for name in ("annihilator_index", "annihilator_lattice"):
+        assert "hom_index_kernel.pair_report" not in builds(name)
