@@ -47,6 +47,7 @@ from .errors import (
     NoSuchTwist,
     NotImaginaryQuadratic,
     NotIsogenous,
+    PPartUnsupported,
     SingularCurve,
     TraceMismatch,
     WrongOrder,
@@ -853,13 +854,13 @@ def _divide_in_field(P: Point, n: int) -> Point | None:
 
 def check_torsion_order(E: Curve, m: int) -> None:
     """The one gate for a torsion or kernel order m on E: ValueError unless
-    m is an int >= 1 (a bool is refused) coprime to p, then BoundExceeded
-    past M_MAX, so invalid input is refused before a valid one that is too
-    large."""
+    m is an int >= 1 (a bool is refused), PPartUnsupported (also a
+    ValueError) when p divides m, then BoundExceeded past M_MAX, so invalid
+    input is refused before a valid one that is too large."""
     if type(m) is not int or m < 1:
         raise ValueError(f"order must be a positive int, got {m!r}")
     if m % E.field.p == 0:
-        raise ValueError(f"order {m} must be coprime to the characteristic")
+        raise PPartUnsupported(f"order {m} must be coprime to the characteristic")
     if m > M_MAX:
         raise BoundExceeded(
             f"torsion and kernel orders are capped at {M_MAX}",

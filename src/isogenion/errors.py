@@ -107,8 +107,10 @@ class SearchExhausted(IsogenionError):
     """A bounded search that provably must succeed found nothing (a bug)."""
 
 
-class PPartUnsupported(IsogenionError):
-    """The inseparable part of a kernel cannot be represented here."""
+class PPartUnsupported(IsogenionError, ValueError):
+    """A torsion or kernel order that p divides: the p-part of a kernel is
+    no etale subgroup (p_part_ideal describes it as an ideal).  Also a
+    ValueError, as every invalid order is."""
 
 
 class SupersingularUnsupported(IsogenionError):

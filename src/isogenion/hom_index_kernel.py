@@ -42,7 +42,6 @@ from .errors import (
     BoundExceeded,
     CurveMismatch,
     OrderMismatch,
-    PPartUnsupported,
     SupersingularUnsupported,
 )
 from .finite_field import element_to_json
@@ -158,8 +157,10 @@ def hom_index(E2: Curve, E1: Curve, beta: Isogeny) -> HomIdealDescription:
     kernel, whose Hermite form (A, c, d) is the basis and is checked
     against the formula.  That lattice needs E2[m*w], w = f0/f; m is a
     multiple of d0 = prod ell^ceil(e/2) over sep = prod ell^e, so
-    E2[d0*w] passes check_torsion_order before the kernel is scanned.  The
-    pair must pass check_isogenous, which comes first.
+    E2[d0*w] passes check_torsion_order before the kernel is scanned; a
+    separable degree that p divides (the Verschiebung of an ordinary curve)
+    is refused there with PPartUnsupported.  The pair must pass
+    check_isogenous, which comes first.
     """
     if not isinstance(beta, Isogeny):
         raise TypeError("expected an isogeny")
@@ -272,8 +273,8 @@ def hom_lattice_basis(E2: Curve, E1: Curve, beta: Isogeny) -> HomBasis:
     first, (mult, b, corr) = desc.basis
     back = desc.backtrack_factor
     return HomBasis(
-        curve_class(E1),
-        curve_class(E2),
+        desc.target_class,
+        desc.source_class,
         first // back,
         mult // back,
         b,
@@ -290,10 +291,11 @@ def hom_lattice_basis(E2: Curve, E1: Curve, beta: Isogeny) -> HomBasis:
 def kernel_of_ideal(E: Curve, I: QuadIdeal) -> list[Point]:
     """All points of H(I), the subgroup annihilated by every element of I.
 
-    I must be an ideal of End(E) with norm coprime to p (the etale case),
-    and a*t must pass check_torsion_order.  H(I) sits inside E[a*t] and is
-    cut out there by the single generator t*(b + f*gamma); the identity is
-    included, so an invertible I returns exactly norm(I) points.
+    I must be an ideal of End(E), and a*t must pass check_torsion_order,
+    which refuses the p-part (p | N(I) = t^2*a exactly when p | a*t) with
+    PPartUnsupported.  H(I) sits inside E[a*t] and is cut out there by the
+    single generator t*(b + f*gamma); the identity is included, so an
+    invertible I returns exactly I.norm points.
     """
     if not isinstance(I, QuadIdeal):
         raise TypeError("expected a QuadIdeal")
@@ -302,10 +304,6 @@ def kernel_of_ideal(E: Curve, I: QuadIdeal) -> list[Point]:
         raise OrderMismatch(
             f"ideal belongs to {I.order!r}, not to End(E) = "
             f"QuadOrder(D0={desc.D0}, f={desc.f})"
-        )
-    if I.norm % E.field.p == 0:
-        raise PPartUnsupported(
-            "the p-part of an ideal kernel is not an etale subgroup"
         )
     n = I.a * I.t
     check_torsion_order(E, n)
@@ -322,8 +320,8 @@ def annihilator_ideal(E: Curve, points) -> QuadIdeal:
     any point set (the order is commutative), so this computes I(H) for H
     the End(E)-saturation of the subgroup the points generate; when the
     points span a Frobenius-stable subgroup, that saturation is the
-    subgroup itself.  Point orders must be coprime to p, and their lcm
-    must pass check_torsion_order.
+    subgroup itself.  The lcm of the point orders must pass
+    check_torsion_order (PPartUnsupported when p divides it).
     """
     pts = [T for T in points if T]
     order = compute_endo_conductor(E).order()
@@ -338,8 +336,6 @@ def annihilator_ideal(E: Curve, points) -> QuadIdeal:
             n = lcm(n, point_order(T, gcd(T.curve.order, L)))
         except ValueError:
             n = lcm(n, point_order(T))
-    if n % E.field.p == 0:
-        raise PPartUnsupported("point orders must be coprime to p")
     check_torsion_order(E, n)
     A, c, d = annihilator_lattice(E, pts, n)
     assert A % d == 0 and c % d == 0, "annihilators always form an ideal"
@@ -408,9 +404,8 @@ def pair_report(E2: Curve, E1: Curve, degrees=(2, 3, 4, 6, 8, 9, 12)) -> str:
     quotient lands on the class of E1 is taken; degrees with no such
     isogeny (or beyond the torsion caps) are dropped from the report.
     `formula_index` is hom_index's index, and `oracle_index` the index A*d
-    of the annihilator lattice that hom_index builds and checks against it
-    (deg^2 when there is no basis, t^2 = 4q), so one lattice is built per
-    sample; it is not an independent meter.
+    of the annihilator lattice that hom_index builds and checks against it,
+    so one lattice is built per sample; it is not an independent meter.
     """
     ratio = conductor_ratio(E2, E1)
     cls1 = curve_class(E1)
@@ -429,7 +424,7 @@ def pair_report(E2: Curve, E1: Curve, degrees=(2, 3, 4, 6, 8, 9, 12)) -> str:
                 continue
             sample.append(nd)
             formula.append(desc.index)
-            oracle.append(desc.basis[0] * desc.basis[1][0] if desc.basis else desc.index)
+            oracle.append(desc.basis[0] * desc.basis[1][0])
             break
     doc = {
         "source_j": element_to_json(curve_class(E2).j),

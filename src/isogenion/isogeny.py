@@ -529,29 +529,27 @@ def velu(E: Curve, kernel_gen, order: int) -> Isogeny:
 
     `kernel_gen` and `order` must pass check_kernel_generator (exact order
     `order`, on any base change of E), and the subgroup must be stable
-    under the base-field Frobenius (NotRational otherwise).  The returned
+    under the base-field Frobenius, which holds exactly when its kernel
+    polynomial descends to E's field (NotRational otherwise).  The returned
     maps are defined over E's own field.  order = 1 gives the identity.
     """
     check_kernel_generator(E, kernel_gen, order)
     if order == 1:
         return Isogeny((), E, None)
-    P = kernel_gen
-    if _frobenius_eigenvalue(P, order, E.field.r) is None:
-        raise NotRational("kernel is not stable under the base-field Frobenius")
-
     try:
-        step = _velu_step(E, P, order)
+        step = _velu_step(E, kernel_gen, order)
     except ValueError:
         raise NotRational("kernel polynomial does not descend to the base field")
-    return Isogeny((step,), E, P)
+    return Isogeny((step,), E, kernel_gen)
 
 
 def _velu_step(E: Curve, gen: Point, n: int) -> _VeluStep:
     """The Velu quotient of E by <gen>, for gen of exact order n coprime to
-    p with a Frobenius-stable span; the one constructor of Velu steps.
+    p; the one constructor of Velu steps.
 
     The target comes from the power sums of the kernel polynomial, which
-    must descend to E's field (ValueError otherwise).
+    must descend to E's field (ValueError otherwise, exactly when <gen> is
+    not stable under the base-field Frobenius).
     """
     base = E.field
     F = _kernel_poly(point_progression(gen, gen, n - 1), base)
@@ -656,7 +654,9 @@ def stable_cyclic_subgroups(E: Curve, ell: int, e: int = 1) -> list[Point]:
     subgroup is pointwise rational.  The Frobenius eigenvalue of a stable
     cyclic subgroup is a root c of x^2 - t x + q modulo ell^e, and the
     subgroup is pointwise rational exactly over GF(q^ord(c)); scanning those
-    extension degrees in increasing order finds each subgroup once.
+    extension degrees in increasing order finds each subgroup once, keeping
+    a candidate T when point_log reads pi_q(T) = c*T with ord(c) the
+    degree scanned.
     Only roots c = 1 mod ell^b can be eigenvalues, since the Frobenius fixes
     E[ell^b], b the second ell-Sylow exponent of E(k) capped at e.  ell must
     be a prime int and e a positive int (ValueError otherwise), and ell^e
@@ -687,16 +687,10 @@ def stable_cyclic_subgroups(E: Curve, ell: int, e: int = 1) -> list[Point]:
         if e2 == e:
             cands += point_progression(U2, scalar_mul(ell, U1), ell ** (e - 1))
         for T in cands:
-            c = _frobenius_eigenvalue(T, m, r0)
+            c = point_log(frobenius_endo(T, r0), T, m)
             if c is not None and multiplicative_order(c, m) == s:
                 out.append(T)
     return out
-
-
-def _frobenius_eigenvalue(T: Point, m: int, r0: int):
-    """c with pi_q(T) = c*T, or None if <T> is not pi_q-stable, for T of
-    order m."""
-    return point_log(frobenius_endo(T, r0), T, m)
 
 
 @lru_cache(maxsize=None, typed=True)

@@ -92,6 +92,10 @@ class IsogenyGraph:
         """Kernel count at v (a self-loop counts once per kernel)."""
         return sum(self._adj.get(v, {}).values())
 
+    def kernels_to_level(self, v: int, level: int) -> int:
+        """Number of kernels at v whose quotient lands on the given level."""
+        return sum(m for w, m in self._adj.get(v, {}).items() if self.levels[w] == level)
+
     def __repr__(self):
         return (
             f"IsogenyGraph(q={self.field.order}, t={self.trace}, "
@@ -197,11 +201,7 @@ def verify_volcano(g: IsogenyGraph) -> dict:
 
     for comp in g.components:
         surface = [v for v in comp if g.levels[v] == 0]
-        sdegs = {}
-        for v in surface:
-            sdegs[v] = sum(
-                m for w, m in g._adj.get(v, {}).items() if g.levels[w] == 0
-            )
+        sdegs = {v: g.kernels_to_level(v, 0) for v in surface}
         if sdegs:
             expected = min(sdegs.values())
             for v, dv in sdegs.items():
@@ -209,14 +209,7 @@ def verify_volcano(g: IsogenyGraph) -> dict:
                     surface_bad.append(v)
 
         for v in comp:
-            if g.levels[v] == 0:
-                continue
-            up = sum(
-                m
-                for w, m in g._adj.get(v, {}).items()
-                if g.levels[w] == g.levels[v] - 1
-            )
-            if up != 1:
+            if g.levels[v] > 0 and g.kernels_to_level(v, g.levels[v] - 1) != 1:
                 ascent_bad.append(v)
 
         if g.depth > 0:
@@ -266,9 +259,7 @@ def surface_degree(g: IsogenyGraph, v: int) -> int:
         )
     if g.levels[v] != 0:
         raise NotOnSurface(f"vertex {v} sits at level {g.levels[v]}")
-    horizontal = sum(
-        m for w, m in g._adj.get(v, {}).items() if g.levels[w] == 0
-    )
+    horizontal = g.kernels_to_level(v, 0)
     assert horizontal == 1 + kronecker(g.disc0, g.ell)
     return horizontal
 

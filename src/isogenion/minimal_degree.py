@@ -129,7 +129,7 @@ def _cyclic_closure(E: Curve, m: int):
 
 def _lands_on(phi, target, over_k: bool) -> bool:
     if over_k:
-        return phi.target.key() == target.key()
+        return phi.target == target
     model = phi.target_curve
     rep = target.representative
     steps = model.field.r // rep.field.r
@@ -185,7 +185,7 @@ def md_between(E2: Curve, E1: Curve, over_k: bool = True) -> MdResult:
 
     q, p, t = E2.field.order, E2.field.p, E2.trace
     c2, c1 = curve_class(E2), curve_class(E1)
-    same = c2.key() == c1.key() if over_k else j_invariant(E2) == j_invariant(E1)
+    same = c2 == c1 if over_k else j_invariant(E2) == j_invariant(E1)
     bound_val = eB(q, t) if t * t < 4 * q else 0
 
     if same:

@@ -4,7 +4,8 @@ Each case trips one raise site and checks the refusal's `cap`, `limit`
 and `requested`, and its message, so a caller can tell which cap tripped
 and by how much without reading the text.  The functions behind the one
 torsion gate refuse an order that is no order at all with ValueError, even
-past the cap, and an order past the cap with the same triple.
+past the cap (an order that p divides with PPartUnsupported, also a
+ValueError), and an order past the cap with the same triple.
 """
 
 import random
@@ -14,6 +15,7 @@ import pytest
 from isogenion.elliptic_curve import (
     Curve,
     base_change,
+    classes_with_trace,
     curve_from_j,
     point_order,
     torsion_basis,
@@ -25,7 +27,7 @@ from isogenion.endo_ring import (
     frobenius_matrix,
     gamma_matrix,
 )
-from isogenion.errors import BoundExceeded
+from isogenion.errors import BoundExceeded, PPartUnsupported
 from isogenion.finite_field import field_create
 from isogenion.hom_index_kernel import (
     annihilator_ideal,
@@ -38,6 +40,7 @@ from isogenion.hom_index_kernel import (
 from isogenion.isogeny import (
     compose,
     cyclic_isogenies,
+    dual,
     frobenius_isogeny,
     multiplication_isogeny,
     stable_cyclic_subgroups,
@@ -203,15 +206,38 @@ GATED = {
 
 @pytest.mark.parametrize("site", sorted(GATED))
 @pytest.mark.parametrize(
-    "E, n",
-    [(Curve(field_create(7), 1, 1), 70), (curve41(29), True)],
+    "E, n, error",
+    [
+        (Curve(field_create(7), 1, 1), 70, PPartUnsupported),
+        (curve41(29), True, ValueError),
+    ],
     ids=["multiple-of-p-past-the-cap", "bool"],
 )
-def test_an_invalid_order_is_refused_before_the_cap(site, E, n):
-    """check_torsion_order refuses an order that is no order at all (a
-    multiple of p, a bool) with ValueError, even when it is past M_MAX."""
-    with pytest.raises(ValueError):
+def test_an_invalid_order_is_refused_before_the_cap(site, E, n, error):
+    """check_torsion_order refuses an order that is no order at all with
+    ValueError, even when it is past M_MAX: a multiple of p with
+    PPartUnsupported, which is also a ValueError, and a bool."""
+    with pytest.raises(error):
         GATED[site](E, n)
+
+
+def test_annihilator_ideal_refuses_a_point_order_that_p_divides():
+    """#E = 41 on the trace-1 class over GF(41): every finite point has
+    order p, the p-part that no etale kernel carries."""
+    (cls,) = classes_with_trace(F41, 1)
+    E = cls.representative
+    with pytest.raises(PPartUnsupported, match="order 41 "):
+        annihilator_ideal(E, [E.random_point(random.Random(1))])
+
+
+def test_hom_index_refuses_the_verschiebung_as_the_p_part():
+    """The Verschiebung of an ordinary curve is separable of degree p, so
+    the annihilator lattice of its kernel would need E[p*f0/f]."""
+    E = curve41(29)
+    V = dual(frobenius_isogeny(E, 1))
+    assert (V.insep_exp, V.separable_degree) == (0, 41)
+    with pytest.raises(PPartUnsupported, match="order 82 "):
+        hom_index(V.source_curve, E, V)
 
 
 @pytest.mark.parametrize("site", sorted(GATED))

@@ -380,7 +380,10 @@ def test_each_decision_has_one_owner():
     isomorphism_scale, not by computing two classes.  The kernel scan owns
     the orders of the kernel points, so neither kernel_gen nor hom_index
     orders them again, and hom_index owns the annihilator lattice that
-    pair_report's oracle_index reads."""
+    pair_report's oracle_index reads.  check_torsion_order owns the p-part
+    refusal, the descent of the kernel polynomial decides whether velu's
+    kernel is Frobenius-stable, and IsogenyGraph alone reads its adjacency
+    map."""
     assert builds("TraceMismatch") == {"elliptic_curve.check_isogenous"}
     assert builds("WrongOrder") == {"elliptic_curve.check_kernel_generator"}
     for owner in ("isogeny.compose", "isogeny.__eq__"):
@@ -389,3 +392,14 @@ def test_each_decision_has_one_owner():
     assert not {"isogeny.kernel_gen", "hom_index_kernel.hom_index"} & builds("point_order")
     for name in ("annihilator_index", "annihilator_lattice"):
         assert "hom_index_kernel.pair_report" not in builds(name)
+    assert builds("PPartUnsupported") == {"elliptic_curve.check_torsion_order"}
+    for name in ("point_log", "_frobenius_eigenvalue"):
+        assert "isogeny.velu" not in builds(name)
+    graph = parse(Path(isogenion.__file__).parent / "isogeny_graph.py")
+    readers = {
+        node.name
+        for node in graph.body
+        for n in ast.walk(node)
+        if isinstance(n, ast.Attribute) and n.attr == "_adj"
+    }
+    assert readers == {"IsogenyGraph"}
