@@ -4,20 +4,21 @@ Everything here is desk-scale by design: point counting sweeps every x in
 rows x = y + c, c in GF(p), with integer arithmetic mod p per point and a
 byte table of quadratic characters (count_points; q <= 2^20); orders over
 extension fields come from the trace recurrence; torsion bases come from
-seeded random sampling certified after the fact (so the randomness only
-affects how long the search takes).  The field E[m] needs is known before
-any sampling: by Lenstra's theorem E(GF(q^s)) = O/(pi^s - 1) for O =
-End_k(E), so the least s with pi^s - 1 in m*O is integer arithmetic, exact
-on every field (see torsion_degree).  A request past the R_MAX tower is
-refused before any point is drawn over an extension.
+seeded random sampling, whose Sylow generators are certified as they are
+drawn (so the randomness only affects how long the search takes).  The
+field E[m] needs is known before any sampling: by Lenstra's theorem
+E(GF(q^s)) = O/(pi^s - 1) for O = End_k(E), so the least s with pi^s - 1
+in m*O is integer arithmetic, exact on every field (see torsion_degree).
+A request past the R_MAX tower is refused before any point is drawn over
+an extension.
 
 The group law is one routine on raw residues (the field's `raw_ops`: ints
 mod p for r = 1, residue tuples for r > 1).  `point_add` and `scalar_mul`
 unwrap the coordinates once, add or run the double-and-add ladder on raw
 residues, and make field elements only for the result; walks over the
 multiples of a point (point_progression, point_log, two_dim_dlog) step on
-raw residues as well.  `point_order` halves the prime powers of a known
-multiple and recurses on each half.
+raw residues as well.  `point_order` runs one ell-chain per prime power
+of a known multiple.
 
 Curves compare by value (field, A, B).  The point-count cache is write-once
 per instance.  Curves built from a counted curve inherit its count instead
@@ -27,12 +28,13 @@ the other member of a generic-j twist-scan pair, and the scan member
 isomorphic to a counted curve.  Only curves made from bare coefficients are
 swept.
 
-Three decisions have their one owner here.  Two models with one
+Four decisions have their one owner here.  Two models with one
 j-invariant are isomorphic over k when a ratio of their coefficients is a
 2nd, 4th or 6th power (_iso_ratio), the one rule the twist scan,
 curve_class and isomorphism_scale read; check_isogenous is Tate's
-criterion (same field, same trace); and check_kernel_generator, beside
-check_torsion_order, admits a kernel generator of exact order n.
+criterion (same field, same trace); check_kernel_generator, beside
+check_torsion_order, admits a kernel generator of exact order n; and
+check_coprime_to_p refuses an order, degree or multiplier that p divides.
 """
 
 from __future__ import annotations
@@ -332,34 +334,17 @@ def point_progression(start: Point, step: Point, count: int) -> list[Point]:
 
 def point_order(P: Point, multiple: int | None = None) -> int:
     """The exact order of P; `multiple` may supply a known annihilator
-    (ValueError if it is not a positive int or does not kill P)."""
+    (ValueError if it is not a positive int or does not kill P).  One
+    ell-chain per prime power ell^e || n: (n/ell^e)*P has order ell^k, and
+    ord(P) is the product of those ell^k."""
     if multiple is not None and (type(multiple) is not int or multiple < 1):
         raise ValueError(f"multiple must be a positive integer, got {multiple!r}")
     n = multiple if multiple is not None else P.curve.order
     if scalar_mul(n, P):
         raise ValueError(f"{n} does not annihilate the point")
-    return _order_dividing(P, factorize(n))
-
-
-def _order_dividing(P: Point, fac) -> int:
-    """ord(P), given that P is killed by the product of ell^e over fac.
-
-    The prime powers are split into two halves of coprime products n1, n2:
-    n2*P has order dividing n1 and n1*P order dividing n2, and ord(P) is the
-    product of the two (Sutherland, "Order computations in generic groups",
-    2007).  O(log n log k) group operations for k prime powers, where the
-    one-prime-at-a-time search needs O(k log n).
-    """
-    if not P:
-        return 1
-    if len(fac) == 1:
-        ell, e = fac[0]
-        return ell ** _ell_power_order(P, ell, e)[0]
-    left, right = fac[: len(fac) // 2], fac[len(fac) // 2 :]
-    n1 = prod(ell**e for ell, e in left)
-    n2 = prod(ell**e for ell, e in right)
-    return _order_dividing(scalar_mul(n2, P), left) * _order_dividing(
-        scalar_mul(n1, P), right
+    return prod(
+        ell ** _ell_power_order(scalar_mul(n // ell**e, P), ell, e)[0]
+        for ell, e in factorize(n)
     )
 
 
@@ -689,11 +674,14 @@ def sylow_basis(E: Curve, ell: int) -> tuple[Point, Point, int, int]:
 
     S1 is the draw of largest order (the earliest on a tie); each other draw
     T, or the S1 a larger draw displaces, is reduced into a complement of
-    <S1>: ell^b*T (b = v - a) has order at most ell^(a-b), so it is
-    z*ell^b*S1 with z < ell^(a-b) when T can be reduced, and S2 = T - z*S1
-    is killed by ell^b.  If ell^(b-1)*S2 is outside <S1>, the two cyclic
-    groups meet trivially and span all ell^v points.  No reduction is tried
-    when b > a or ell^(a-b) > DLOG_MAX.
+    <S1>.  With b = v - a <= a, ell^b*G is cyclic for the Sylow group
+    G = Z/ell^A x Z/ell^B (a <= A gives b >= B), so ell^b*T, of order at
+    most ell^(a-b), lies in the one subgroup of that order, generated by
+    ell^b*S1: it is z*ell^b*S1 with z < ell^(a-b), and S2 = T - z*S1 is
+    killed by ell^b.
+    If ell^(b-1)*S2 is outside <S1>, the two cyclic groups meet trivially
+    and span all ell^v points.  No reduction is tried when b > a or
+    ell^(a-b) > DLOG_MAX.
     """
     if type(ell) is not int or not is_prime(ell):
         raise ValueError(f"ell must be a prime int, got {ell!r}")
@@ -716,8 +704,6 @@ def sylow_basis(E: Curve, ell: int) -> tuple[Point, Point, int, int]:
         if not T or b > a or ell ** (a - b) > DLOG_MAX:
             continue
         z = point_log(scalar_mul(ell**b, T), scalar_mul(ell**b, S1), ell ** (a - b))
-        if z is None:
-            continue
         S2 = point_add(T, scalar_mul(-z, S1))
         if _bottom_independent(U1, scalar_mul(ell ** (b - 1), S2), ell):
             return (S1, S2, a, b)
@@ -852,15 +838,22 @@ def _divide_in_field(P: Point, n: int) -> Point | None:
     return None
 
 
+def check_coprime_to_p(m: int, p: int) -> None:
+    """The one owner of the p-part refusal: PPartUnsupported (also a
+    ValueError) when the characteristic p divides the order, degree or
+    multiplier m, whose p-part is no etale subgroup."""
+    if m % p == 0:
+        raise PPartUnsupported(f"order {m} must be coprime to the characteristic")
+
+
 def check_torsion_order(E: Curve, m: int) -> None:
     """The one gate for a torsion or kernel order m on E: ValueError unless
-    m is an int >= 1 (a bool is refused), PPartUnsupported (also a
-    ValueError) when p divides m, then BoundExceeded past M_MAX, so invalid
-    input is refused before a valid one that is too large."""
+    m is an int >= 1 (a bool is refused), check_coprime_to_p, then
+    BoundExceeded past M_MAX, so invalid input is refused before a valid
+    one that is too large."""
     if type(m) is not int or m < 1:
         raise ValueError(f"order must be a positive int, got {m!r}")
-    if m % E.field.p == 0:
-        raise PPartUnsupported(f"order {m} must be coprime to the characteristic")
+    check_coprime_to_p(m, E.field.p)
     if m > M_MAX:
         raise BoundExceeded(
             f"torsion and kernel orders are capped at {M_MAX}",
@@ -908,9 +901,12 @@ def torsion_basis(E: Curve, m: int) -> tuple[Point, Point, Field]:
     The extension degree is torsion_degree(E, m), found by integer
     arithmetic on the Frobenius, so points are sampled only over that one
     field, and a request beyond the R_MAX tower is refused before any point
-    work over an extension.  The basis is certified prime by prime (see
-    _certify_basis).  Bases are cached per (curve, m): every caller treats
-    the choice as arbitrary, and recomputing them dominated profile runs.
+    work over an extension.  P and Q need no certificate of their own: with
+    ell^e || m and u = m/ell^e, (m/ell)*P = u*ell^(a-1)*S1 and (m/ell)*Q =
+    u*ell^(b-1)*S2 are unit multiples of the bottoms sylow_basis proved
+    independent, and m kills both.  Bases are cached per (curve, m): every
+    caller treats the choice as arbitrary, and recomputing them dominated
+    profile runs.
     """
     s = torsion_degree(E, m)
     EK = base_change(E, s)
@@ -921,7 +917,6 @@ def torsion_basis(E: Curve, m: int) -> tuple[Point, Point, Field]:
             raise AssertionError(f"E[{m}] is not rational over GF(q^{s})")
         P = point_add(P, scalar_mul(ell ** (a - e), S1))
         Q = point_add(Q, scalar_mul(ell ** (b - e), S2))
-    _certify_basis(P, Q, m)
     return (P, Q, EK.field)
 
 
@@ -999,15 +994,3 @@ def torsion_degree(E: Curve, m: int) -> int:
             cap="R_MAX", limit=R_MAX, requested=s * r0,
         )
     return s
-
-
-def _certify_basis(P: Point, Q: Point, m: int):
-    """Raise unless P, Q are killed by m and, for each prime ell | m, the
-    points (m/ell)P and (m/ell)Q are independent of order ell.  Then no
-    nonzero (i, j) mod m has i*P + j*Q = O, so the pair spans E[m]."""
-    if scalar_mul(m, P) or scalar_mul(m, Q):
-        raise AssertionError("proposed basis is not m-torsion")
-    for ell, _ in factorize(m):
-        U1, U2 = scalar_mul(m // ell, P), scalar_mul(m // ell, Q)
-        if not U1 or not _bottom_independent(U1, U2, ell):
-            raise AssertionError(f"proposed basis is dependent modulo {ell}")

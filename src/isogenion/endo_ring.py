@@ -26,8 +26,8 @@ from .elliptic_curve import (
     CurveClass,
     Point,
     base_change,
+    check_coprime_to_p,
     check_kernel_generator,
-    check_torsion_order,
     curve_class,
     discriminant_frobenius_order,
     embed_point,
@@ -108,20 +108,20 @@ class FrobeniusMatrix:
 def conductor_level(E: Curve, ell: int) -> int:
     """v_ell of the conductor of End_k(E), read against depth = v_ell(f0).
 
-    ell must be a prime int other than the characteristic (ValueError
-    otherwise).  A vertex strictly above the floor has ell + 1 rational
-    ell-isogenies (the Frobenius is scalar on E[ell] there), a floor vertex
-    exactly one.  Every edge changes the level by at most one and a straight
-    descent reaches the floor in depth - level steps, so a breadth-first
-    search over k-isomorphism classes, testing each vertex as it leaves the
-    frontier, meets its first floor vertex at exactly that distance.  Past E
-    the search visits class representatives, so the cached enumerations of
-    cyclic_isogenies serve build_graph and the next search too.
+    ell must be a prime int (ValueError otherwise) that passes
+    check_coprime_to_p.  A vertex strictly above the floor has ell + 1
+    rational ell-isogenies (the Frobenius is scalar on E[ell] there), a
+    floor vertex exactly one.  Every edge changes the level by at most one
+    and a straight descent reaches the floor in depth - level steps, so a
+    breadth-first search over k-isomorphism classes, testing each vertex as
+    it leaves the frontier, meets its first floor vertex at exactly that
+    distance.  Past E the search visits class representatives, so the
+    cached enumerations of cyclic_isogenies serve build_graph and the next
+    search too.
     """
-    if type(ell) is not int or not is_prime(ell) or ell == E.field.p:
-        raise ValueError(
-            f"ell must be a prime other than the characteristic, got {ell!r}"
-        )
+    if type(ell) is not int or not is_prime(ell):
+        raise ValueError(f"ell must be a prime int, got {ell!r}")
+    check_coprime_to_p(ell, E.field.p)
     depth = valuation(discriminant_frobenius_order(E.field.order, E.trace)[1], ell)
     if depth == 0:
         return 0
@@ -173,13 +173,11 @@ def compute_endo_conductor(E: Curve) -> EndoDescriptor:
 def frobenius_matrix(E: Curve, m: int) -> FrobeniusMatrix:
     """Matrix of the base-field Frobenius on a basis of E[m].
 
-    m must pass check_torsion_order.  Entries are found by two-dimensional
-    discrete logarithm; the result is checked against x^2 - t*x + q before
-    being returned.
+    m must pass check_torsion_order, which torsion_basis applies (for m = 1
+    the basis is (O, O) and the matrix is zero).  Entries are found by
+    two-dimensional discrete logarithm; the result is checked against
+    x^2 - t*x + q before being returned.
     """
-    check_torsion_order(E, m)
-    if m == 1:
-        return FrobeniusMatrix(1, (E.infinity(), E.infinity()), ((0, 0), (0, 0)))
     P, Q, _ = torsion_basis(E, m)
     r0 = E.field.r
     cols = []
@@ -218,7 +216,7 @@ def gamma_matrix(E: Curve, m: int):
     E[m*w] (w the denominator f0/f), so the matrix comes from one Frobenius
     matrix there, divided by w and read mod m.  The result is checked
     against the minimal polynomial of f*gamma before being returned.  m*w
-    must pass check_torsion_order, which frobenius_matrix applies.
+    must pass check_torsion_order, which torsion_basis applies.
     """
     desc = compute_endo_conductor(E)
     u0, w = desc.u0, desc.f0 // desc.f

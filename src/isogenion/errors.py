@@ -108,9 +108,10 @@ class SearchExhausted(IsogenionError):
 
 
 class PPartUnsupported(IsogenionError, ValueError):
-    """A torsion or kernel order that p divides: the p-part of a kernel is
-    no etale subgroup (p_part_ideal describes it as an ideal).  Also a
-    ValueError, as every invalid order is."""
+    """A torsion or kernel order, an isogeny degree ell or a multiplier
+    that p divides: the p-part of a kernel is no etale subgroup
+    (p_part_ideal describes it as an ideal).  Also a ValueError, as every
+    invalid order is."""
 
 
 class SupersingularUnsupported(IsogenionError):

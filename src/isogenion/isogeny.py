@@ -41,6 +41,7 @@ from .elliptic_curve import (
     Point,
     base_change,
     base_change_degree,
+    check_coprime_to_p,
     check_kernel_generator,
     check_torsion_order,
     curve_class,
@@ -582,12 +583,11 @@ def frobenius_isogeny(E: Curve, e: int) -> Isogeny:
 
 def multiplication_isogeny(E: Curve, m: int) -> Isogeny:
     """[m] on E, a separable endomorphism of degree m^2; m must be a
-    positive integer coprime to the characteristic."""
+    positive integer (ValueError) that passes check_coprime_to_p."""
     # not check_torsion_order: [m] needs no torsion basis, so no cap applies
     if type(m) is not int or m < 1:
         raise ValueError(f"multiplier must be a positive int, got {m!r}")
-    if m % E.field.p == 0:
-        raise ValueError("multiplier must be coprime to the characteristic")
+    check_coprime_to_p(m, E.field.p)
     return Isogeny((_MulStep(E, m),), E, None)
 
 

@@ -30,11 +30,15 @@ from __future__ import annotations
 import json
 from collections import Counter
 
-from .elliptic_curve import classes_with_trace, discriminant_frobenius_order
+from .elliptic_curve import (
+    check_coprime_to_p,
+    classes_with_trace,
+    discriminant_frobenius_order,
+)
 from .endo_ring import conductor_level
 from .errors import NoCurveWithTrace, NotOnSurface
 from .finite_field import Field, element_to_json
-from .intmath import divisors, is_prime, kronecker, valuation
+from .intmath import divisors, is_prime, kronecker, prime_factors, valuation
 from .isogeny import cyclic_isogenies, modular_polynomial
 from .polyring import multiplicity
 from .quadratic_order import class_group, class_order, primes_above, quad_order
@@ -114,13 +118,13 @@ def build_graph(field: Field, trace: int, ell: int) -> IsogenyGraph:
     Φ_ℓ(j, Y) is checked: the targets sharing a j-invariant jt must not
     outnumber the factors (Y - jt) of Φ_ℓ(j, Y).  Raises
     NoCurveWithTrace when the sweep finds nothing, UnsupportedLevel when
-    no modular polynomial is available for ell, and ValueError when ell
-    is the field characteristic.
+    no modular polynomial is available for ell, and PPartUnsupported (a
+    ValueError, from check_coprime_to_p) when ell is the field
+    characteristic.
     """
     if type(ell) is not int or ell < 2:
         raise ValueError(f"ell must be a prime, got {ell!r}")
-    if ell == field.p:
-        raise ValueError(f"ell = {ell} equals the field characteristic")
+    check_coprime_to_p(ell, field.p)
     phi = modular_polynomial(ell)
 
     classes = classes_with_trace(field, trace)
@@ -273,11 +277,13 @@ def count_components(q: int, t: int, ell: int) -> int:
     ell in cl(O) (1 when ell is inert, so such vertices head their own
     components).  Summing h(O) / ord([l]) over the orders between Z[pi]
     and the maximal order that are maximal at ell counts every component
-    exactly once.  ell must be a prime int not dividing q (ValueError
-    otherwise, as build_graph refuses that graph).
+    exactly once.  ell must be a prime int (ValueError) not dividing q
+    (PPartUnsupported from check_coprime_to_p, as build_graph refuses that
+    graph).
     """
-    if type(ell) is not int or not is_prime(ell) or q % ell == 0:
+    if type(ell) is not int or not is_prime(ell):
         raise ValueError(f"ell must be a prime not dividing q = {q}, got {ell!r}")
+    check_coprime_to_p(ell, prime_factors(q)[0])
     disc0, cond0 = discriminant_frobenius_order(q, t)
     total = 0
     for f in divisors(cond0 // ell ** valuation(cond0, ell)):

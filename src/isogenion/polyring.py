@@ -298,7 +298,7 @@ class SubfieldEmbedding:
     """GF(p^a) -> GF(p^b) for a | b, determined by the image `root` of the
     generator of GF(p^a); subfield_embedding says which root that is."""
 
-    __slots__ = ("src", "dst", "root", "_powers", "_transform", "_pivots")
+    __slots__ = ("src", "dst", "root", "_powers", "_transform")
 
     def __init__(self, src: Field, dst: Field, root: FieldElement):
         self.src = src
@@ -309,9 +309,9 @@ class SubfieldEmbedding:
             pw.append(pw[-1] * root)
         self._powers = pw
         # row-reduce the (dst.r x src.r) matrix of basis images for unmapping
-        self._transform, self._pivots = row_reduce(
+        self._transform = row_reduce(
             [[w.coeffs[i] for w in pw] for i in range(dst.r)], dst.p
-        )
+        )[0]
 
     def map(self, el: FieldElement) -> FieldElement:
         if el.field is self.dst:
@@ -325,26 +325,23 @@ class SubfieldEmbedding:
         return acc
 
     def unmap(self, el: FieldElement) -> FieldElement:
-        """Inverse of map; raises ValueError if el is not in the image."""
+        """Inverse of map; raises ValueError if el is not in the image.
+
+        The embedding is injective, so every column of the basis-image
+        matrix is a pivot and its reduced form is the identity over zero
+        rows: el lies in the image exactly when the transformed rows past
+        src.r vanish, and the first src.r rows are then its preimage."""
         if el.field is self.src:
             return el
         if el.field is not self.dst:
             raise FieldMismatch("element not in the destination field")
-        p = self.src.p
-        # solution coordinates: apply the recorded row transform to el's vector
+        p, r = self.src.p, self.src.r
         transformed = [
             sum(t * v for t, v in zip(row, el.coeffs)) % p for row in self._transform
         ]
-        sol = [0] * self.src.r
-        for rank, col in enumerate(self._pivots):
-            sol[col] = transformed[rank]
-        # consistency: rows beyond the rank must vanish
-        if any(transformed[len(self._pivots):]):
+        if any(transformed[r:]):
             raise ValueError("element does not lie in the subfield")
-        out = self.src.from_coeffs(sol)
-        if self.map(out) != el:
-            raise ValueError("element does not lie in the subfield")
-        return out
+        return self.src.from_coeffs(transformed[:r])
 
     def map_poly(self, f: Poly) -> Poly:
         return f.map_coeffs(self.map, self.dst)

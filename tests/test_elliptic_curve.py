@@ -794,10 +794,13 @@ def _spans_m_squared_points(P, Q, m):
 
 
 def _certified(P, Q, m):
-    try:
-        elliptic_curve._certify_basis(P, Q, m)
-    except AssertionError:
-        return False
+    """The certificate sylow_basis leaves on a torsion basis: for each prime
+    ell | m the bottoms (m/ell)*P and (m/ell)*Q are independent of order
+    ell (m kills every pair made here)."""
+    for ell, _ in factorize(m):
+        U1, U2 = scalar_mul(m // ell, P), scalar_mul(m // ell, Q)
+        if not U1 or not elliptic_curve._bottom_independent(U1, U2, ell):
+            return False
     return True
 
 
@@ -810,7 +813,7 @@ VOLCANO_BASES = [
 
 @pytest.mark.parametrize("j, m", VOLCANO_BASES)
 def test_basis_certificate_agrees_with_the_span_oracle(j, m):
-    """The per-prime certificate accepts exactly the pairs whose m^2
+    """The per-prime bottom certificate accepts exactly the pairs whose m^2
     combinations are distinct: every volcano basis, and (for m <= 8) none
     of the degenerate pairs made from it."""
     P, Q, _ = torsion_basis(curve_from_j(field_create(41), j, 6), m)
@@ -1058,6 +1061,8 @@ def _order_grid():
 
 @pytest.mark.parametrize("E,T", _built_or_raised(_order_grid, width=2))
 def test_point_order_by_halving_matches_the_old_loop(E, T):
+    """point_order, with and without a multiple, agrees with the oracle
+    that divides the group order by one prime at a time."""
     _reraise(E)
     o = prime_by_prime_order(T, E.order)
     assert point_order(T) == o

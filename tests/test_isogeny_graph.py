@@ -20,6 +20,7 @@ from isogenion.errors import (
     NoCurveWithTrace,
     NotImaginaryQuadratic,
     NotOnSurface,
+    PPartUnsupported,
     UnsupportedLevel,
 )
 from isogenion.finite_field import field_create
@@ -614,7 +615,7 @@ class TestValidation:
             build_graph(F41, 6, 11)
 
     def test_ell_equal_to_characteristic(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(PPartUnsupported):
             build_graph(F7, 0, 7)
 
     def test_ell_must_be_a_small_prime(self):
@@ -625,17 +626,21 @@ class TestValidation:
 
     @pytest.mark.parametrize("ell", [41, 1, 4, 2.0])
     def test_count_components_refuses_a_bad_ell(self, monkeypatch, ell):
-        """An ell that is not a prime int, or that divides q, is refused
-        before any class group is built: count_components(41, 6, 41) used
-        to answer 7 for a graph build_graph refuses, and ell = 1 failed in
-        valuation."""
+        """An ell that is not a prime int (ValueError), or that divides q
+        (PPartUnsupported), is refused before any class group is built:
+        count_components(41, 6, 41) used to answer 7 for a graph build_graph
+        refuses, and ell = 1 failed in valuation."""
 
         def no_class_groups(*args):
             raise AssertionError("class-group work before ell was checked")
 
         monkeypatch.setattr(isogenion.isogeny_graph, "class_group", no_class_groups)
         monkeypatch.setattr(isogenion.isogeny_graph, "primes_above", no_class_groups)
-        with pytest.raises(ValueError, match="prime not dividing"):
+        if ell == 41:
+            error, message = PPartUnsupported, "coprime to the characteristic"
+        else:
+            error, message = ValueError, "prime not dividing"
+        with pytest.raises(error, match=message):
             count_components(41, 6, ell)
 
     def test_traces_all_match(self, g41_2, g53_2):

@@ -23,6 +23,7 @@ from isogenion.elliptic_curve import (
 )
 from isogenion.endo_ring import (
     annihilator_index,
+    conductor_level,
     coords_in_basis,
     frobenius_matrix,
     gamma_matrix,
@@ -93,6 +94,13 @@ def annihilator_of_orders_eight_and_nine():
     return annihilator_ideal(E, [torsion_basis(E, 8)[0], torsion_basis(E, 9)[0]])
 
 
+def annihilator_of_a_prime_order_past_the_cap():
+    """#E = 97 on the trace-5 class over GF(101): lcm(1, ..., 64) is prime
+    to 97 and kills no finite point, so the order comes from point_order."""
+    E = curve_from_j(field_create(101), 17, 5)
+    return annihilator_ideal(E, [E.random_point(random.Random(1))])
+
+
 def supersingular_pair_over_a_cubic_field():
     F = field_create(11, 3)  # j = 1728 and j = 0 are supersingular mod 11
     return md_between(Curve(F, 1, 0), Curve(F, 0, 1))
@@ -127,6 +135,11 @@ CASES = {
     "annihilator_ideal": (
         annihilator_of_orders_eight_and_nine,
         ("M_MAX", 64, 72),
+        "torsion and kernel orders are capped at 64",
+    ),
+    "annihilator_ideal-prime-order": (
+        annihilator_of_a_prime_order_past_the_cap,
+        ("M_MAX", 64, 97),
         "torsion and kernel orders are capped at 64",
     ),
     "p_part_ideal": (
@@ -228,6 +241,21 @@ def test_annihilator_ideal_refuses_a_point_order_that_p_divides():
     E = cls.representative
     with pytest.raises(PPartUnsupported, match="order 41 "):
         annihilator_ideal(E, [E.random_point(random.Random(1))])
+
+
+P_PART = {
+    "multiplication_isogeny": lambda: multiplication_isogeny(curve41(29), 41),
+    "conductor_level": lambda: conductor_level(curve41(29), 41),
+}
+
+
+@pytest.mark.parametrize("site", sorted(P_PART))
+def test_a_degree_or_multiplier_that_p_divides_is_the_p_part(site):
+    """An ell or a multiplier that p divides is refused by the one p-part
+    owner, with the type and message of every p-multiple order, as
+    build_graph and count_components refuse ell = p."""
+    with pytest.raises(PPartUnsupported, match="order 41 must be coprime"):
+        P_PART[site]()
 
 
 def test_hom_index_refuses_the_verschiebung_as_the_p_part():

@@ -380,7 +380,7 @@ def test_each_decision_has_one_owner():
     isomorphism_scale, not by computing two classes.  The kernel scan owns
     the orders of the kernel points, so neither kernel_gen nor hom_index
     orders them again, and hom_index owns the annihilator lattice that
-    pair_report's oracle_index reads.  check_torsion_order owns the p-part
+    pair_report's oracle_index reads.  check_coprime_to_p owns the p-part
     refusal, the descent of the kernel polynomial decides whether velu's
     kernel is Frobenius-stable, and IsogenyGraph alone reads its adjacency
     map."""
@@ -392,7 +392,7 @@ def test_each_decision_has_one_owner():
     assert not {"isogeny.kernel_gen", "hom_index_kernel.hom_index"} & builds("point_order")
     for name in ("annihilator_index", "annihilator_lattice"):
         assert "hom_index_kernel.pair_report" not in builds(name)
-    assert builds("PPartUnsupported") == {"elliptic_curve.check_torsion_order"}
+    assert builds("PPartUnsupported") == {"elliptic_curve.check_coprime_to_p"}
     for name in ("point_log", "_frobenius_eigenvalue"):
         assert "isogeny.velu" not in builds(name)
     graph = parse(Path(isogenion.__file__).parent / "isogeny_graph.py")
@@ -403,3 +403,25 @@ def test_each_decision_has_one_owner():
         if isinstance(n, ast.Attribute) and n.attr == "_adj"
     }
     assert readers == {"IsogenyGraph"}
+
+
+def test_each_point_is_certified_and_ordered_once():
+    """sylow_basis certifies the bottoms a torsion basis inherits, so
+    torsion_basis tests no independence again; point_order runs one
+    ell-chain per prime, with no recursion; frobenius_matrix is gated by
+    torsion_basis alone; and unmap's row test is its one membership test."""
+    for name in ("point_log", "_bottom_independent"):
+        assert "elliptic_curve.torsion_basis" not in builds(name)
+    assert builds("_bottom_independent") == {"elliptic_curve.sylow_basis"}
+    curve = parse(Path(isogenion.__file__).parent / "elliptic_curve.py")
+    names = {n.name for n in curve.body if isinstance(n, ast.FunctionDef)}
+    assert not {"_certify_basis", "_order_dividing"} & names
+    assert "elliptic_curve.point_order" not in builds("point_order")
+    assert "elliptic_curve.point_order" in builds("_ell_power_order")
+    assert "endo_ring.frobenius_matrix" not in builds("check_torsion_order")
+    calls_map = owners(
+        lambda n: isinstance(n, ast.Call)
+        and isinstance(n.func, ast.Attribute)
+        and n.func.attr == "map"
+    )
+    assert "polyring.unmap" not in calls_map
