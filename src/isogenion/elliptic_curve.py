@@ -633,6 +633,13 @@ def discriminant_frobenius_order(q: int, t: int) -> tuple[int, int]:
     return split_discriminant(disc)
 
 
+def frobenius_is_integer(q: int, t: int) -> bool:
+    """Whether t^2 = 4q, the one test of the quaternionic case: then
+    pi = t/2 is an integer, every endomorphism is defined over GF(q), and
+    End_k(E) is a maximal quaternion order (Waterhouse 1969)."""
+    return t * t == 4 * q
+
+
 # ---------------------------------------------------------------------------
 # Sylow bases, discrete logs, torsion
 
@@ -760,7 +767,7 @@ def two_dim_dlog(
     W = _unwrap_point(R)
     for j in range(ord2):
         if W in table:
-            return (table[W], (-j) % max(ord2, 1))
+            return (table[W], (-j) % ord2)
         W = _add_raw(ops, a, W, step2)
     return None
 
@@ -811,12 +818,10 @@ def _divide_in_field(P: Point, n: int) -> Point | None:
     parts = _sylow_projectors(N, n)
     sylows = prod(M for _, M, _ in parts)
     rest = N // sylows
-    # component of P away from the primes of n: n is invertible there
-    if rest > 1:
-        c_rest = sylows * pow(sylows, -1, rest)  # 1 mod rest, 0 mod each Sylow
-        Q = scalar_mul(c_rest * pow(n % rest, -1, rest), P)
-    else:
-        Q = E.infinity()
+    # component of P away from the primes of n: n is invertible there (O
+    # when rest = 1, as pow(0, -1, 1) == 0)
+    c_rest = sylows * pow(sylows, -1, rest)  # 1 mod rest, 0 mod each Sylow
+    Q = scalar_mul(c_rest * pow(n % rest, -1, rest), P)
     for ell, M, c in parts:
         Pl = scalar_mul(c, P)
         v = valuation(M, ell)
@@ -944,15 +949,15 @@ def torsion_degree(E: Curve, m: int) -> int:
     with pi not in Z has a prime ell != p in f0 only when r is odd, t = 0
     and p = 3 (mod 4): then ell = 2, h = 1 and x_1 = p^((r+1)/2) is odd, so
     an undecided level has b >= v_2(x_1 - 1) >= h and both ends are level
-    0.  When pi is an integer, E(GF(q^s)) = (Z/(pi^s - 1))^2 and
-    m | pi^s - 1 is exact.
+    0.  When pi is an integer (frobenius_is_integer), E(GF(q^s)) =
+    (Z/(pi^s - 1))^2 and m | pi^s - 1 is exact.
     """
     check_torsion_order(E, m)
     if m == 1:
         return 1
     q, t, r0 = E.field.order, E.trace, E.field.r
     cap = R_MAX // r0
-    if t * t == 4 * q:
+    if frobenius_is_integer(q, t):
         s = multiplicative_order(t // 2, m)
     else:
         D0, f0 = discriminant_frobenius_order(q, t)

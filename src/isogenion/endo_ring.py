@@ -32,6 +32,7 @@ from .elliptic_curve import (
     discriminant_frobenius_order,
     embed_point,
     frobenius_endo,
+    frobenius_is_integer,
     is_supersingular,
     scalar_mul,
     torsion_basis,
@@ -259,8 +260,8 @@ def annihilator_lattice(E: Curve, pts: list[Point], n: int) -> tuple[int, int, i
 def annihilator_index(E: Curve, kernel_gen, m: int) -> int:
     """[End(E) : I(<kernel_gen>)] for a point of exact order m.
 
-    When t^2 = 4q the Frobenius is an integer, End_k(E) is a maximal
-    quaternion order and End_k(E)/m the full ring M_2(Z/m); a point of
+    When frobenius_is_integer(q, t) the Frobenius is an integer, End_k(E)
+    is a maximal quaternion order and End_k(E)/m the full ring M_2(Z/m); a point of
     exact order m extends to a basis of E[m], so its annihilator has index
     m^2.  When End_k(E) is quadratic (ordinary curves, supersingular ones
     over GF(p)) the index is A*d for the annihilator_lattice of the
@@ -271,7 +272,7 @@ def annihilator_index(E: Curve, kernel_gen, m: int) -> int:
     check_kernel_generator(E, kernel_gen, m)
     if m == 1:
         return 1
-    if E.trace * E.trace == 4 * E.field.order:
+    if frobenius_is_integer(E.field.order, E.trace):
         return m * m
 
     A, _, d = annihilator_lattice(E, [kernel_gen], m)

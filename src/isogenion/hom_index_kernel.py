@@ -28,6 +28,7 @@ from .elliptic_curve import (
     check_isogenous,
     check_torsion_order,
     curve_class,
+    frobenius_is_integer,
     is_supersingular,
     point_add,
     point_order,
@@ -147,7 +148,8 @@ def hom_index(E2: Curve, E1: Curve, beta: Isogeny) -> HomIdealDescription:
 
     beta must start at exactly E2 and land on the k-isomorphism class of
     E1 (post-composing with an isomorphism changes neither the kernel nor
-    the module).  Curves with trace +-2*sqrt(q) carry the full quaternion
+    the module).  Curves whose Frobenius is an integer
+    (frobenius_is_integer: trace +-2*sqrt(q)) carry the full quaternion
     endomorphism ring and get index (deg beta)^2 with no quadratic
     presentation; every other supported curve goes through the conductor
     formula.  beta's separable kernel Z/a x Z/m (a | m, a*m = sep) gives
@@ -172,7 +174,7 @@ def hom_index(E2: Curve, E1: Curve, beta: Isogeny) -> HomIdealDescription:
         raise CurveMismatch("beta does not land on the class of the second curve")
     sep = beta.separable_degree
 
-    if E2.trace * E2.trace == 4 * E2.field.order:
+    if frobenius_is_integer(E2.field.order, E2.trace):
         # quaternionic End: the index doubles up in the exponent
         back = sep // beta.kernel_exponent
         return HomIdealDescription(

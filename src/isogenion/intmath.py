@@ -4,17 +4,14 @@ Hermite form of a planar lattice, and Gauss-Jordan elimination mod a prime.
 
 Everything here is arbitrary-precision and deterministic.  The only place the
 number pi appears in the whole package is `floor_two_over_pi_sqrt`, which
-brackets it by a 50-digit rational so the floor is provably exact.
+brackets it by Machin's formula in integer arithmetic, to as many digits as
+its argument needs, so the floor is provably exact.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from math import gcd, isqrt
-
-# floor(pi * 10**49); the next digit of pi is 0, so PI_NUM/PI_DEN < pi < (PI_NUM+1)/PI_DEN
-PI_NUM = 31415926535897932384626433832795028841971693993751
-PI_DEN = 10**49
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -158,33 +155,32 @@ def split_discriminant(disc: int) -> tuple[int, int]:
 def floor_two_over_pi_sqrt(x: int) -> int:
     """floor((2/pi) * sqrt(x)) for an integer x >= 0, provably exact.
 
-    Uses the 50-digit bracketing PI_NUM/PI_DEN < pi < (PI_NUM+1)/PI_DEN and
-    compares squares, so no floating point enters the decision path.  The
-    condition m <= (2/pi)sqrt(x) is equivalent (pi irrational, x integer,
-    hence never equality for m > 0) to m**2 * pi**2 < 4x.
+    pi comes from Machin's formula pi = 16*arctan(1/5) - 4*arctan(1/239),
+    each series summed in integers scaled by 10**(d + 10).  Every term is
+    off by under 2 units and each tail by under 1, so with k terms in all
+    the sum is within 32*k + 20 units, far below 10**10, and
+    a < pi * 10**d < a + 3 for a = sum // 10**10 - 1.  Then y = 4x/pi**2
+    lies between 4x * 100**d / (a + 3)**2 and 4x * 100**d / a**2, and
+    floor(sqrt(y)) = isqrt(floor(y)).  d starts at about half the digits
+    of x and doubles until both ends give the same floor; that ends,
+    because y is irrational for x > 0, so no square sits on it.
     """
     if x < 0:
         raise ValueError("negative radicand")
-    if x == 0:
-        return 0
-    # float seed, then correct with exact comparisons
-    m = isqrt(4 * x * PI_DEN**2 // PI_NUM**2)
-    four_x = 4 * x * PI_DEN**2
-
-    def definitely_valid(k: int) -> bool:
-        return k * k * (PI_NUM + 1) ** 2 < four_x
-
-    def definitely_invalid(k: int) -> bool:
-        return k * k * PI_NUM**2 > four_x
-
-    while definitely_valid(m + 1):
-        m += 1
-    while m > 0 and definitely_invalid(m):
-        m -= 1
-    # the 50-digit window decides every m in desk range; assert no straddle
-    if m > 0 and not definitely_valid(m):
-        raise AssertionError(f"pi bracketing too coarse for x={x}")
-    return m
+    digits = 10 + x.bit_length() // 6
+    while True:
+        one, total = 10 ** (digits + 10), 0
+        for c, n in ((16, 5), (-4, 239)):
+            power, k = one // n, 1
+            while power:
+                total += c * (power // k)
+                power, k, c = power // (n * n), k + 2, -c
+        a = total // 10**10 - 1
+        scaled = 4 * x * 100**digits
+        m = isqrt(scaled // (a + 3) ** 2)
+        if m == isqrt(scaled // a**2):
+            return m
+        digits *= 2
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:

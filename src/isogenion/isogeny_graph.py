@@ -34,6 +34,7 @@ from .elliptic_curve import (
     check_coprime_to_p,
     classes_with_trace,
     discriminant_frobenius_order,
+    frobenius_is_integer,
 )
 from .endo_ring import conductor_level
 from .errors import NoCurveWithTrace, NotOnSurface
@@ -134,7 +135,7 @@ def build_graph(field: Field, trace: int, ell: int) -> IsogenyGraph:
         )
     index = {cls: i for i, cls in enumerate(classes)}
 
-    if trace * trace == 4 * field.order:
+    if frobenius_is_integer(field.order, trace):
         disc0 = cond0 = None
         depth = 0
         levels = (0,) * len(classes)
@@ -254,10 +255,11 @@ def surface_degree(g: IsogenyGraph, v: int) -> int:
     discriminant of the vertex's endomorphism order; since a surface
     vertex's conductor is prime to ell, only the fundamental part D0
     enters the symbol.  Raises NotOnSurface for vertices below the
-    surface and for trace +-2*sqrt(q) graphs, which have no quadratic
+    surface and for graphs whose Frobenius is an integer
+    (frobenius_is_integer: trace +-2*sqrt(q)), which have no quadratic
     level structure at all.
     """
-    if g.disc0 is None:
+    if frobenius_is_integer(g.field.order, g.trace):
         raise NotOnSurface(
             "trace +-2*sqrt(q) classes carry no two-level structure"
         )

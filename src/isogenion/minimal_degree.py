@@ -25,6 +25,7 @@ from .elliptic_curve import (
     check_isogenous,
     classes_with_trace,
     curve_class,
+    frobenius_is_integer,
     is_supersingular,
     j_invariant,
     torsion_degree,
@@ -52,8 +53,9 @@ SEARCH_R_MAX = 2
 def eB(q: int, t: int) -> int:
     """floor((2/pi)sqrt(4q - t^2)): the minimal-degree bound for trace t.
 
-    Exact flooring comes from the shared rational bracketing of pi in
-    intmath; no floating point is involved.
+    Exact flooring comes from intmath's floor, which brackets pi by
+    Machin's formula; no floating point is involved.  ValueError when
+    t^2 >= 4q.
     """
     if type(q) is not int or type(t) is not int:
         raise TypeError("q and t must be integers")
@@ -164,12 +166,16 @@ def md_between(E2: Curve, E1: Curve, over_k: bool = True) -> MdResult:
     pair that passes check_isogenous; False searches the closure, where
     classes merge by j-invariant, and refuses with NotIsogenous curves over
     different fields, an ordinary and a supersingular curve, or ordinary
-    traces other than +-t.  The degree loop is capped by eB (ordinary,
-    distinct classes), by 4 (same class: the witness is then [2] on E2,
-    defined over the base field), or by p (supersingular beyond the prime
-    field).  Kernel enumerations that overflow the extension caps
-    propagate BoundExceeded rather than silently skipping a degree, so a
-    returned minimum is always exact.
+    traces other than +-t.  The degree loop stops at 3 within one class
+    (when neither 2 nor 3 lands, [2] on E2, defined over the base field,
+    is the witness of 4), at eB for distinct ordinary classes and over
+    GF(p), and at p for supersingular pairs over GF(p^2); beyond GF(p^2)
+    a supersingular pair of distinct classes is refused with
+    BoundExceeded.  The result carries bound_eB = eB(q, t), or 0 when
+    frobenius_is_integer(q, t) leaves no quadratic bound.  Kernel
+    enumerations that overflow the extension caps propagate BoundExceeded
+    rather than silently skipping a degree, so a returned minimum is
+    always exact.
     """
     if not isinstance(E2, Curve) or not isinstance(E1, Curve):
         raise TypeError("md_between expects two curves")
@@ -186,32 +192,28 @@ def md_between(E2: Curve, E1: Curve, over_k: bool = True) -> MdResult:
     q, p, t = E2.field.order, E2.field.p, E2.trace
     c2, c1 = curve_class(E2), curve_class(E1)
     same = c2 == c1 if over_k else j_invariant(E2) == j_invariant(E1)
-    bound_val = eB(q, t) if t * t < 4 * q else 0
+    bound_val = 0 if frobenius_is_integer(q, t) else eB(q, t)
 
+    # Same class: only 2 and 3 need searching; [2] settles 4 without
+    # enumerating any 4-torsion.
     if same:
-        bound = 4
-    elif not ss:
-        bound = bound_val
-    elif E2.field.r == 1:
-        bound = bound_val  # t = 0: this is floor((4/pi)sqrt(p))
+        top = 3
+    elif not ss or E2.field.r == 1:
+        top = bound_val  # supersingular over GF(p): t = 0, floor((4/pi)sqrt(p))
     elif E2.field.r == 2:
-        bound = p
+        top = p
     else:
         raise BoundExceeded(
             "supersingular search beyond GF(p^2) is not supported",
             cap="SEARCH_R_MAX", limit=SEARCH_R_MAX, requested=E2.field.r,
         )
-
-    # Same class: only 2 and 3 need searching; [2] settles 4 without
-    # enumerating any 4-torsion.
-    top = 3 if same else bound
     for m in range(2, top + 1):
         for phi in _degree_candidates(E2, m, over_k):
             if _lands_on(phi, c1, over_k):
                 return MdResult((c2, c1), m, phi, bound_val)
     if same:
         return MdResult((c2, c1), 4, multiplication_isogeny(E2, 2), bound_val)
-    raise SearchExhausted(f"no isogeny of degree <= {bound} connects the classes")
+    raise SearchExhausted(f"no isogeny of degree <= {top} connects the classes")
 
 
 def rB(field: Field, t: int) -> tuple:
@@ -266,16 +268,17 @@ def md_supersingular_bounds(p: int) -> dict:
     """Survey of minimal degrees through the supersingular classes at p.
 
     Over GF(p), all distinct trace-0 pairs must sit under the Minkowski
-    bound floor((4/pi)sqrt(p)).  Over GF(p^2), pairs of distinct classes
-    with trace not +-2p are expected to have minimal degree exactly p
-    (the p-power Frobenius being the only map that small), and trace +-2p
-    pairs to agree with the closure; deviations are collected in the
+    bound eB(p, 0) = floor((4/pi)sqrt(p)).  Over GF(p^2), pairs of
+    distinct classes whose Frobenius is not an integer are expected to
+    have minimal degree exactly p (the p-power Frobenius being the only
+    map that small), and pairs with trace +-2p (frobenius_is_integer) to
+    agree with the closure; deviations are collected in the
     report rather than raised, and pairs whose kernel enumeration
     overflows a cap are listed as skipped.
     """
     if type(p) is not int or p < 5:
         raise ValueError("p must be a prime >= 5")
-    fp_bound = floor_two_over_pi_sqrt(4 * p)
+    fp_bound = eB(p, 0)
     report = {
         "p": p,
         "fp_bound": fp_bound,
@@ -301,11 +304,11 @@ def md_supersingular_bounds(p: int) -> dict:
     by_trace: dict = {}
     for j in _supersingular_j_invariants(F2, trace0[0].j):
         for c in twist_classes(F2, j):
-            if c.trace % p == 0:
+            if is_supersingular(c.representative):
                 by_trace.setdefault(c.trace, {})[c.key()] = c
     for t, group in sorted(by_trace.items()):
         classes = sorted(group.values(), key=lambda c: c.key())
-        full = abs(t) == 2 * p
+        full = frobenius_is_integer(F2.order, t)
         for i, A in enumerate(classes):
             for B in classes[i + 1 :]:
                 pair = [A.key(), B.key()]

@@ -12,7 +12,9 @@ annihilator_lattice that hom_index checks its formula against, and
 pair_report's oracle_index is the index of that very lattice, read off
 hom_index's basis (one lattice per sample, which a counter checks).  The
 quaternionic index (t^2 = 4q) is checked only against the literal n^2,
-since hom_index and annihilator_index both return n^2 from the same test.
+since hom_index and annihilator_index both return n^2 once
+elliptic_curve.frobenius_is_integer holds, so comparing them is not
+independent either.
 Kernel points, their orders and the backtrack factor come from the
 isogeny's own E[b] scan, which tests/test_isogeny.py checks against
 oracles.prime_by_prime_order.

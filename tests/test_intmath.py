@@ -2,8 +2,8 @@
 
 The floor((2/pi)*sqrt(x)) routine is the one place the package flirts with a
 transcendental constant, so it gets the heaviest scrutiny here: an mpmath
-oracle at 60 significant digits, plus the frozen values the search bounds
-depend on.
+oracle carrying 40 more significant digits than x has, plus the frozen
+values the search bounds depend on.
 """
 
 import math
@@ -29,6 +29,7 @@ from isogenion.intmath import (
     valuation,
     xgcd,
 )
+from isogenion.minimal_degree import eB
 from oracles import cyclic_lines, deadline
 
 # ---------------------------------------------------------------------------
@@ -36,9 +37,10 @@ from oracles import cyclic_lines, deadline
 
 
 def _oracle_floor(x: int) -> int:
-    # 60 digits is far more than needed for x < 10**18; (2/pi)*sqrt(x) is
-    # irrational for x > 0 so there is no boundary ambiguity to worry about.
-    with mpmath.workdps(60):
+    # (2/pi)*sqrt(x) has about half the digits of x before the point, and
+    # 40 more digits than x has keep its fraction far from an integer;
+    # it is irrational for x > 0 so there is no boundary ambiguity.
+    with mpmath.workdps(40 + len(str(x))):
         return int(mpmath.floor(2 / mpmath.pi * mpmath.sqrt(x)))
 
 
@@ -89,8 +91,15 @@ def test_floor_two_over_pi_large_values():
     for q in (41, 53, 67, 1009, 2**16 - 15):
         for t in range(-int(2 * q**0.5), int(2 * q**0.5) + 1, 7):
             samples.append(4 * q - t * t)
+    # the top of the desk range: a 50-digit pi cannot settle these floors
+    for q in (65521**24, 40009**22, 12553**24):
+        samples += [4 * q - t * t for t in range(20)]
     for x in samples:
         assert floor_two_over_pi_sqrt(x) == _oracle_floor(x), x
+
+
+def test_eB_at_the_largest_field():
+    assert eB(65521**24, 1) == _oracle_floor(4 * 65521**24 - 1)
 
 
 def test_floor_two_over_pi_frozen_search_bounds():

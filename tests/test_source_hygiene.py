@@ -373,6 +373,24 @@ def builds(name):
     )
 
 
+def times(k):
+    """A test for a product with the literal factor k."""
+    return lambda n: (
+        isinstance(n, ast.BinOp)
+        and isinstance(n.op, ast.Mult)
+        and any(isinstance(x, ast.Constant) and x.value == k for x in (n.left, n.right))
+    )
+
+
+def compares(*tests):
+    """`module.function` for each function with a comparison that has, for
+    each test, an operand that passes it."""
+    return owners(
+        lambda n: isinstance(n, ast.Compare)
+        and all(any(test(x) for x in (n.left, *n.comparators)) for test in tests)
+    )
+
+
 def test_each_decision_has_one_owner():
     """check_isogenous owns the same-trace refusal and check_kernel_generator
     the exact-order one; compose decides whether its middle models are
@@ -383,7 +401,30 @@ def test_each_decision_has_one_owner():
     pair_report's oracle_index reads.  check_coprime_to_p owns the p-part
     refusal, the descent of the kernel polynomial decides whether velu's
     kernel is Frobenius-stable, and IsogenyGraph alone reads its adjacency
-    map."""
+    map.  frobenius_is_integer alone decides t^2 = 4q, for the seven sites
+    that choose the quaternionic case; only the Hasse check of _set_count
+    and eB's argument check compare with 4q themselves, and eB alone calls
+    the Minkowski floor."""
+    assert compares(times(4)) == {
+        "elliptic_curve.frobenius_is_integer",
+        "elliptic_curve._set_count",
+        "minimal_degree.eB",
+    }
+    calls_abs = lambda n: isinstance(n, ast.Call) and getattr(n.func, "id", None) == "abs"
+    assert not compares(times(2), calls_abs)
+    assert builds("frobenius_is_integer") == {
+        "elliptic_curve.torsion_degree",
+        "endo_ring.annihilator_index",
+        "hom_index_kernel.hom_index",
+        "isogeny_graph.build_graph",
+        "isogeny_graph.surface_degree",
+        "minimal_degree.md_between",
+        "minimal_degree.md_supersingular_bounds",
+    }
+    assert builds("floor_two_over_pi_sqrt") == {"minimal_degree.eB"}
+    is_none = lambda n: isinstance(n, ast.Constant) and n.value is None
+    names_disc0 = lambda n: getattr(n, "id", getattr(n, "attr", None)) == "disc0"
+    assert not compares(is_none, names_disc0)
     assert builds("TraceMismatch") == {"elliptic_curve.check_isogenous"}
     assert builds("WrongOrder") == {"elliptic_curve.check_kernel_generator"}
     for owner in ("isogeny.compose", "isogeny.__eq__"):

@@ -5,11 +5,11 @@
 PACKAGE_DIR defaults to src/isogenion beside this script's directory.  A
 code line is a line of a .py file that carries a token other than a
 comment: blank lines, comment-only lines and the lines of docstrings
-(module, class and function) are not counted.  Two last lines give how many
-code lines carry an `assert` statement or the name AssertionError, the
-checks that python -O strips or that a caller should never see, and how
-many module-level functions are decorated with lru_cache, the package's
-cache tables.
+(module, class and function) are not counted.  The second column gives how
+many code lines carry an `assert` statement or the name AssertionError, the
+checks that python -O strips or that a caller should never see, per module
+and in total.  The last line gives how many module-level functions are
+decorated with lru_cache, the package's cache tables.
 """
 
 import ast
@@ -68,14 +68,14 @@ def code_lines(path):
 def main(argv):
     root = Path(argv[1]) if len(argv) > 1 else Path(__file__).resolve().parent.parent / "src" / "isogenion"
     total = total_asserts = total_caches = 0
+    print("  code  assert  module")
     for path in sorted(root.glob("*.py")):
         n, asserts, caches = code_lines(path)
         total += n
         total_asserts += asserts
         total_caches += caches
-        print(f"{n:6d}  {path.name}")
-    print(f"{total:6d}  total")
-    print(f"{total_asserts:6d}  lines using assert or AssertionError")
+        print(f"{n:6d}  {asserts:6d}  {path.name}")
+    print(f"{total:6d}  {total_asserts:6d}  total")
     print(f"{total_caches:6d}  module-level lru_cache tables")
 
 
