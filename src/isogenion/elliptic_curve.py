@@ -370,7 +370,7 @@ def count_points(E: Curve) -> tuple[int, int]:
     if q > EXHAUSTIVE_COUNT_MAX:
         raise BoundExceeded(f"point counting sweeps only fields with q <= 2^20 (got q={q})",
                             cap="EXHAUSTIVE_COUNT_MAX", limit=EXHAUSTIVE_COUNT_MAX, requested=q)
-    mul, cs, half, rows = F._mul_packed, range(p), range((p + 1) // 2), range(q // p)
+    mul, cs, half, rows = F.raw_ops[3], range(p), range((p + 1) // 2), range(q // p)
     table = bytearray(q)
     for c in half:  # the row y = 0
         table[c * c % p] = 2

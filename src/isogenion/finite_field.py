@@ -11,11 +11,14 @@ Elements store their r residues as a tuple.  Each field also supplies its
 arithmetic on raw residues (`Field.raw_ops`): a plain int for r = 1, the
 coefficient tuple for r > 1, so a loop such as the elliptic-curve group law
 makes no element until it returns.  The `FieldElement` operations wrap the
-same functions.  The r > 1 kernel works on residues packed into one int of
-fixed-width slots (Kronecker substitution), so a product or a Frobenius map
-costs one big-int operation and O(r) Python steps.  The slot width is
-derived from p and r, never set.  Inverses and square tests go through the
-norm to GF(p), computed by one Itoh–Tsujii routine.
+same functions.  Products take one of three forms by degree: plain ints
+mod p for r = 1; a closed form on residue pairs for r = 2, six int
+products; and for r >= 3 a kernel on residues packed into one int of
+fixed-width slots (Kronecker substitution), so a product costs one big-int
+operation and O(r) Python steps.  Frobenius maps use the packed form for
+every r > 1.  The slot width is derived from p and r, never set.  Inverses
+and square tests go through the norm to GF(p): a0*b0 + m0*a1^2, b the
+conjugate, at r = 2, and one Itoh–Tsujii routine above it.
 
 Caps: p <= 2**16 and r <= 24.  These keep exhaustive point/torsion work in
 seconds; nothing here is meant for cryptographic sizes.
@@ -80,6 +83,19 @@ def _least_irreducible(p, r):
             if _is_irreducible(f, p):
                 return tuple(f)
     raise AssertionError("no irreducible polynomial found")  # impossible
+
+
+def _quadratic_mul(p, m0, m1):
+    """The product of residue pairs modulo x^2 + m1*x + m0, any m0 and m1:
+    with c = a1*b1, x^2 = -m1*x - m0 folds c*x^2 into both residues."""
+
+    def mul(a, b):
+        a0, a1 = a
+        b0, b1 = b
+        c = a1 * b1
+        return ((a0 * b0 - m0 * c) % p, (a0 * b1 + a1 * b0 - m1 * c) % p)
+
+    return mul
 
 
 # ---------------------------------------------------------------------------
@@ -229,14 +245,19 @@ class Field:
     r = 1, residue tuples for r > 1 (`unwrap` and `wrap` convert).  `inv`
     needs a nonzero argument.
 
-    For r > 1 the product packs each residue tuple little-endian into one
-    int, one w-bit slot per residue, w the least of 16, 32 and 64 above
-    (2r - 1)(p - 1)^2.  That bounds every slot of a product folded by
-    `_red_table` and of a Frobenius image, so no slot carries into the next.
+    The product is `raw_ops[3]`: ints mod p for r = 1, the closed form of
+    `_quadratic_mul` for r = 2, and `_mul_packed` for r >= 3.  The packed
+    kernel (and `frobenius` for every r > 1) packs each residue tuple
+    little-endian into one int, one w-bit slot per residue, w the least of
+    16, 32 and 64 above (2r - 1)(p - 1)^2.  That bounds every slot of a
+    product folded by `_red_table` and of a Frobenius image, so no slot
+    carries into the next.
 
     The product and `frobenius` are valid in GF(p)[x]/(f) for any monic f
     of degree r; such a candidate ring never leaves `_is_irreducible`.
-    Inverses and `is_square` go through `_norm` and need f irreducible.
+    Inverses and `is_square` go through `_norm` and need f irreducible:
+    only then is the conjugate at r = 2 the Frobenius image, so `frobenius`
+    keeps its table there.
     """
 
     __slots__ = (
@@ -296,7 +317,7 @@ class Field:
                 self.zero.coeffs,
                 lambda a, b: tuple([(u + v) % p for u, v in zip(a, b)]),
                 lambda a, b: tuple([(u - v) % p for u, v in zip(a, b)]),
-                self._mul_packed,
+                self._mul_packed if r > 2 else _quadratic_mul(p, modulus[0], modulus[1]),
                 self._inv_packed,
             )
 
@@ -352,10 +373,11 @@ class Field:
         return tuple([c % p for c in slots])
 
     def _mul_packed(self, a: tuple, b: tuple) -> tuple:
-        """The product of two residue tuples (r > 1)."""
+        """The product of two residue tuples (r > 1): `raw_ops[3]` for
+        r >= 3, and the oracle the tests hold the r = 2 closed form to."""
         p = self.p
-        # `_pack` and `_reduce` inlined: in GF(p^2) their method calls would
-        # be a sizeable share of the product
+        # `_pack` and `_reduce` inlined: in small fields their method calls
+        # would be a sizeable share of the product
         packer, high, low_mask = self._packer, self._high, self._low_mask
         n = int.from_bytes(packer.pack(*a), "little") * int.from_bytes(
             packer.pack(*b), "little")
@@ -370,10 +392,18 @@ class Field:
         """(a^(p + ... + p^(r-1)), N(a)) for a residue tuple a (r > 1): the
         norm N(a) = a^(1 + p + ... + p^(r-1)) is an int in [0, p).
 
-        Itoh–Tsujii: t_k = a^(1 + p + ... + p^(k-1)) satisfies
-        t_2k = t_k * t_k^(p^k) and t_(k+1) = a * t_k^p, so t_(r-1) follows
-        the bits of r - 1 in O(log r) products and Frobenius maps.
+        At r = 2, modulus x^2 + m1*x + m0, a^p is the conjugate
+        b = (a0 - m1*a1, -a1) (the roots of the modulus sum to -m1), and
+        N(a) = a*b = a0*b0 + m0*a1^2.  Otherwise Itoh–Tsujii:
+        t_k = a^(1 + p + ... + p^(k-1)) satisfies t_2k = t_k * t_k^(p^k) and
+        t_(k+1) = a * t_k^p, so t_(r-1) follows the bits of r - 1 in
+        O(log r) products and Frobenius maps.
         """
+        if self.r == 2:
+            p, (m0, m1, _) = self.p, self.modulus
+            a0, a1 = a
+            b0 = (a0 - m1 * a1) % p
+            return (b0, -a1 % p), (a0 * b0 + m0 * a1 * a1) % p
         mul, frob = self._mul_packed, self._frobenius_packed
         t, k = a, 1
         for bit in bin(self.r - 1)[3:]:
@@ -395,7 +425,7 @@ class Field:
     def _mul(self, a: FieldElement, b: FieldElement) -> FieldElement:
         if self.r == 1:
             return FieldElement(self, (a.coeffs[0] * b.coeffs[0] % self.p,))
-        return FieldElement(self, self._mul_packed(a.coeffs, b.coeffs))
+        return FieldElement(self, self.raw_ops[3](a.coeffs, b.coeffs))
 
     def _inv(self, a: FieldElement) -> FieldElement:
         if not a:
@@ -434,14 +464,25 @@ class Field:
         return FieldElement(self, self._frobenius_packed(a.coeffs, k))
 
     def least_nonresidue(self) -> FieldElement:
-        """Lexicographically least quadratic non-residue (p odd)."""
+        """Lexicographically least quadratic non-residue (p odd).
+
+        The lex order starts with the block c*x^(r-1), c < p.  Its norms
+        are c^r * N(x)^(r-1) with N(x) = (-1)^r * m0, so the block is
+        decided by Euler's criterion mod p alone (it is all squares when r
+        is even and m0 a square mod p); the scan goes on from element p.
+        """
         if self._nonresidue is None:
-            if self.p == 2:
+            p, r = self.p, self.r
+            if p == 2:
                 raise ValueError("every element is a square in characteristic 2")
-            for el in self.elements():
-                if el and not el.is_square():
-                    self._nonresidue = el
-                    break
+            nx = pow((-1) ** r * self.modulus[0], r - 1, p)
+            c = next((c for c in range(1, p)
+                      if pow(c**r * nx, (p - 1) // 2, p) != 1), None)
+            if c is not None:
+                self._nonresidue = FieldElement(self, (0,) * (r - 1) + (c,))
+            else:
+                rest = itertools.islice(self.elements(), p, None)
+                self._nonresidue = next(el for el in rest if not el.is_square())
         return self._nonresidue
 
 

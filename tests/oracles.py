@@ -192,6 +192,12 @@ def euler_is_square(F, a):
     return schoolbook_pow(F, a, (F.order - 1) // 2) == (1,) + (0,) * (F.r - 1)
 
 
+def scan_least_nonresidue(F):
+    """The lex-least non-square of GF(q), p odd: every element in
+    `F.elements()` order until `is_square` says no."""
+    return next(el for el in F.elements() if el and not el.is_square())
+
+
 # ---------------------------------------------------------------------------
 # group-law oracles: the FieldElement arithmetic that the raw-residue group
 # law of `elliptic_curve` replaced, and the prime-at-a-time order search

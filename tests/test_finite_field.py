@@ -21,13 +21,16 @@ from hypothesis import strategies as st
 
 from isogenion.errors import BoundExceeded, DivisionByZero, FieldMismatch, NotPrime
 from isogenion.finite_field import (
+    Field,
     _is_irreducible,
     field_create,
     sqrt,
 )
 from oracles import (
+    deadline,
     euclid_inverse,
     euler_is_square,
+    scan_least_nonresidue,
     schoolbook_mul,
     table_frobenius,
 )
@@ -389,14 +392,19 @@ def test_lex_ordering():
 
 # (p, r, slot bits): every slot width, and both sides of each switch, which
 # falls where (2r - 1)(p - 1)^2 reaches 2^16 or 2^32
+# (slot widths bound only the packed product at r >= 3 and `frobenius`);
+# the r = 2 rows run the closed-form product and norm from p = 3 to near 2^16
 KERNEL_FIELDS = [
     (2, 8, 16),
+    (3, 2, 16),
     (3, 5, 16),
+    (5, 2, 16),
     (11, 2, 16),
     (41, 20, 16),
     (41, 21, 32),
     (37831, 2, 32),
     (37847, 2, 64),
+    (65521, 2, 64),
     (65521, 24, 64),
 ]
 
@@ -487,3 +495,43 @@ def test_raw_ops_match_the_oracles(p, r, bits):
             assert F.wrap(sub(ra, rb)) == a - b
         if a:
             assert F.wrap(inv(ra)).coeffs == euclid_inverse(F, a.coeffs)
+
+
+# ---------------------------------------------------------------------------
+# the closed forms at r = 2 against the packed kernel
+
+
+@pytest.mark.parametrize(
+    "p,f",
+    [(3, None), (5, None), (11, None), (37831, None), (37847, None), (65521, None),
+     (2, (0, 0, 1)), (3, (0, 0, 1)), (5, (2, 2, 1)), (7, (2, 4, 1)), (65521, (2, 65518, 1))],
+    ids=lambda v: "lex-least" if v is None else str(v),
+)
+def test_quadratic_product_matches_packed_kernel(p, f):
+    """The r = 2 product against `_mul_packed` and the schoolbook product, in
+    the canonical field and in reducible rings (x^2 and (x - 1)(x - 2)):
+    `_is_irreducible` multiplies in GF(p)[x]/(f) for any monic f."""
+    ring = Field(p, 2, f or field_create(p, 2).modulus)
+    mul = ring.raw_ops[3]
+    ops = [a.coeffs for a in _kernel_operands(ring, 8, seed=11 * p)]
+    for a in ops:
+        for b in ops:
+            assert mul(a, b) == ring._mul_packed(a, b) == schoolbook_mul(ring, a, b)
+            assert ring.wrap(a) * ring.wrap(b) == ring.wrap(mul(a, b))
+
+
+# ---------------------------------------------------------------------------
+# the least non-residue against the plain lex scan
+
+
+@pytest.mark.parametrize(
+    "p,r",
+    [(3, 1), (65521, 1), (3, 2), (11, 2), (65521, 2), (5, 3), (3, 5), (7, 4),
+     (41, 6), (65521, 24)],
+)
+def test_least_nonresidue_matches_the_scan(p, r):
+    # a fresh field, so neither side reads the other's cached answer
+    modulus = field_create(p, r).modulus
+    with deadline(2):  # the plain scan takes over 10 s on GF(65521^24)
+        got = Field(p, r, modulus).least_nonresidue()
+    assert got.coeffs == scan_least_nonresidue(Field(p, r, modulus)).coeffs
