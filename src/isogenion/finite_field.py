@@ -11,14 +11,15 @@ Elements store their r residues as a tuple.  Each field also supplies its
 arithmetic on raw residues (`Field.raw_ops`): a plain int for r = 1, the
 coefficient tuple for r > 1, so a loop such as the elliptic-curve group law
 makes no element until it returns.  The `FieldElement` operations wrap the
-same functions.  Products take one of three forms by degree: plain ints
-mod p for r = 1; a closed form on residue pairs for r = 2, six int
-products; and for r >= 3 a kernel on residues packed into one int of
-fixed-width slots (Kronecker substitution), so a product costs one big-int
-operation and O(r) Python steps.  Frobenius maps use the packed form for
-every r > 1.  The slot width is derived from p and r, never set.  Inverses
-and square tests go through the norm to GF(p): a0*b0 + m0*a1^2, b the
-conjugate, at r = 2, and one Itoh–Tsujii routine above it.
+same functions.  Arithmetic takes one of three forms by degree: plain ints
+mod p for r = 1; for 2 <= r <= 6 straight-line add, subtract and
+schoolbook product on the residue tuple, compiled once per degree; and for
+r >= 7 a product on residues packed into one int of fixed-width slots
+(Kronecker substitution), so a product costs one big-int operation and
+O(r) Python steps.  Frobenius maps use the packed form for every r > 1.
+The slot width is derived from p and r, never set.  Inverses and square
+tests go through the norm to GF(p): a0*b0 + m0*a1^2, b the conjugate, at
+r = 2, and one Itoh–Tsujii routine above it.
 
 Caps: p <= 2**16 and r <= 24.  These keep exhaustive point/torsion work in
 seconds; nothing here is meant for cryptographic sizes.
@@ -85,17 +86,43 @@ def _least_irreducible(p, r):
     raise AssertionError("no irreducible polynomial found")  # impossible
 
 
-def _quadratic_mul(p, m0, m1):
-    """The product of residue pairs modulo x^2 + m1*x + m0, any m0 and m1:
-    with c = a1*b1, x^2 = -m1*x - m0 folds c*x^2 into both residues."""
+# the largest degree whose arithmetic is straight-line code: past it the
+# packed product is the faster one once p is large
+_SCHOOLBOOK_R_MAX = 6
 
-    def mul(a, b):
-        a0, a1 = a
-        b0, b1 = b
-        c = a1 * b1
-        return ((a0 * b0 - m0 * c) % p, (a0 * b1 + a1 * b0 - m1 * c) % p)
 
-    return mul
+@lru_cache(maxsize=None)
+def _schoolbook_kernel(r):
+    """make(p, m0, ..., m_{r-1}) -> (add, sub, mul) on residue r-tuples
+    modulo the monic x^r + m_{r-1}*x^(r-1) + ... + m0, for
+    2 <= r <= _SCHOOLBOOK_R_MAX: straight-line source compiled once per
+    degree, with p and the m_i as closure cells, so it serves any monic
+    modulus (the candidate rings of `_is_irreducible` too).
+
+    The product is the schoolbook convolution c_k = sum a_i*b_(k-i), folded
+    from the top by x^r = -(m0 + m1*x + ... + m_{r-1}*x^(r-1)): c_j, j >= r,
+    adds -m_i*c_j to c_(j-r+i), so each high c_j is final, and reduced mod p
+    below the top one, before it is folded.
+    """
+
+    def term(k):  # c_k: its convolution terms and the folds of the high c_j
+        conv = [f"a{i} * b{k - i}" for i in range(max(0, k - r + 1), min(k + 1, r))]
+        folds = [f"m{k - j + r} * c{j}" for j in range(max(r, k + 1), min(2 * r - 1, k + r + 1))]
+        return " - ".join([" + ".join(conv), *folds])
+
+    a, b, m = ([f"{v}{i}" for i in range(r)] for v in "abm")
+    unpack = f"        {', '.join(a)} = a\n        {', '.join(b)} = b\n"
+    src = f"def make(p, {', '.join(m)}):\n"
+    for name, op in (("add", "+"), ("sub", "-")):
+        residues = ", ".join(f"({u} {op} {v}) % p" for u, v in zip(a, b))
+        src += f"    def {name}(a, b):\n{unpack}        return ({residues})\n"
+    src += f"    def mul(a, b):\n{unpack}        c{2 * r - 2} = a{r - 1} * b{r - 1}\n"
+    src += "".join(f"        c{k} = ({term(k)}) % p\n" for k in range(2 * r - 3, r - 1, -1))
+    src += f"        return ({', '.join(f'({term(k)}) % p' for k in range(r))})\n"
+    src += "    return add, sub, mul\n"
+    namespace = {}
+    exec(compile(src, f"<schoolbook kernel, r = {r}>", "exec"), namespace)
+    return namespace["make"]
 
 
 # ---------------------------------------------------------------------------
@@ -245,13 +272,13 @@ class Field:
     r = 1, residue tuples for r > 1 (`unwrap` and `wrap` convert).  `inv`
     needs a nonzero argument.
 
-    The product is `raw_ops[3]`: ints mod p for r = 1, the closed form of
-    `_quadratic_mul` for r = 2, and `_mul_packed` for r >= 3.  The packed
-    kernel (and `frobenius` for every r > 1) packs each residue tuple
-    little-endian into one int, one w-bit slot per residue, w the least of
-    16, 32 and 64 above (2r - 1)(p - 1)^2.  That bounds every slot of a
-    product folded by `_red_table` and of a Frobenius image, so no slot
-    carries into the next.
+    The product is `raw_ops[3]`: ints mod p for r = 1, the straight-line
+    code of `_schoolbook_kernel(r)` (with add and sub) for 2 <= r <= 6, and
+    `_mul_packed` for r >= 7.  The packed product (and `frobenius` for every
+    r > 1) packs each residue tuple little-endian into one int, one w-bit
+    slot per residue, w the least of 16, 32 and 64 above (2r - 1)(p - 1)^2.
+    That bounds every slot of a product folded by `_red_table` and of a
+    Frobenius image, so no slot carries into the next.
 
     The product and `frobenius` are valid in GF(p)[x]/(f) for any monic f
     of degree r; such a candidate ring never leaves `_is_irreducible`.
@@ -312,12 +339,15 @@ class Field:
                 lambda a, b: a * b % p,
                 lambda a: pow(a, -1, p),
             )
+        elif r <= _SCHOOLBOOK_R_MAX:
+            add, sub, mul = _schoolbook_kernel(r)(p, *modulus[:-1])
+            self.raw_ops = (self.zero.coeffs, add, sub, mul, self._inv_packed)
         else:
             self.raw_ops = (
                 self.zero.coeffs,
                 lambda a, b: tuple([(u + v) % p for u, v in zip(a, b)]),
                 lambda a, b: tuple([(u - v) % p for u, v in zip(a, b)]),
-                self._mul_packed if r > 2 else _quadratic_mul(p, modulus[0], modulus[1]),
+                self._mul_packed,
                 self._inv_packed,
             )
 
@@ -374,7 +404,7 @@ class Field:
 
     def _mul_packed(self, a: tuple, b: tuple) -> tuple:
         """The product of two residue tuples (r > 1): `raw_ops[3]` for
-        r >= 3, and the oracle the tests hold the r = 2 closed form to."""
+        r >= 7, and the oracle the tests hold the straight-line kernels to."""
         p = self.p
         # `_pack` and `_reduce` inlined: in small fields their method calls
         # would be a sizeable share of the product
@@ -404,7 +434,7 @@ class Field:
             a0, a1 = a
             b0 = (a0 - m1 * a1) % p
             return (b0, -a1 % p), (a0 * b0 + m0 * a1 * a1) % p
-        mul, frob = self._mul_packed, self._frobenius_packed
+        mul, frob = self.raw_ops[3], self._frobenius_packed
         t, k = a, 1
         for bit in bin(self.r - 1)[3:]:
             t = mul(t, frob(t, k))

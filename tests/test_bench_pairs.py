@@ -1,4 +1,5 @@
-"""`tools/bench_pairs.summarize` on synthetic paired runs."""
+"""`tools/bench_pairs`: `summarize`, and the alternation and row directions
+of --micro, on synthetic paired runs."""
 
 import importlib.util
 from pathlib import Path
@@ -62,3 +63,35 @@ def test_summary_keys_match_the_bench_files(pairs):
         "change_quartiles", "parent_range", "change_range",
     }
     assert wall["change_wins"] == pairs
+
+
+def test_micro_runs_alternate_sides_and_summarize_each_row():
+    """--micro: the change runs first in even pairs, and every micro row gets
+    medians, quartiles and wins in `summarize`'s shape, judged in its
+    BENCHMARK.json direction (lower for a row that is not listed)."""
+    values = {"parent": iter([3000, 3100, 3200, 3300, 3400]),
+              "change": iter([2600, 2700, 3300, 2500, 2650])}
+    order = []
+
+    def run_side(tree):
+        order.append(tree)
+        mul_ns = next(values[tree])
+        rows = {"finite_field.mul_ns.r6": mul_ns, "elliptic_curve.point_add_us.r2": 4.6}
+        return {"correct": True, "metrics": {"micro": rows}}
+
+    runs = bench_pairs.paired_runs({"parent": "parent", "change": "change"}, 5, run_side)
+    assert order == ["change", "parent", "parent", "change", "change", "parent",
+                     "parent", "change", "change", "parent"]
+    assert [run["first"] for run in runs] == ["change", "parent", "change", "parent", "change"]
+    better = bench_pairs.micro_directions(
+        runs, [{"name": "finite_field.mul_ns.r6", "better": "lower"},
+               {"name": "finite_field.mul.calls", "better": "lower"}])
+    assert better == {"finite_field.mul_ns.r6": "lower",
+                      "elliptic_curve.point_add_us.r2": "lower"}
+    row = bench_pairs.summarize(runs, better)["micro"]
+    assert row["correct"] is True
+    mul = row["finite_field.mul_ns.r6"]
+    assert mul["change_wins"] == 4  # pair 2: 3300 against 3200
+    assert mul["parent_median"] == 3200 and mul["change_median"] == 2650
+    assert mul["parent_quartiles"] == [3100, 3300] and mul["change_quartiles"] == [2600, 2700]
+    assert row["elliptic_curve.point_add_us.r2"]["change_wins"] == 0  # ties

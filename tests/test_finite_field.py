@@ -13,6 +13,7 @@ with the implementation:
 """
 
 import itertools
+import math
 import random
 
 import pytest
@@ -392,19 +393,27 @@ def test_lex_ordering():
 
 # (p, r, slot bits): every slot width, and both sides of each switch, which
 # falls where (2r - 1)(p - 1)^2 reaches 2^16 or 2^32
-# (slot widths bound only the packed product at r >= 3 and `frobenius`);
-# the r = 2 rows run the closed-form product and norm from p = 3 to near 2^16
+# (slot widths bound only the packed product at r >= 7 and `frobenius`);
+# the rows with 2 <= r <= 6 run the straight-line kernels from p = 3 to near
+# 2^16, and the r = 7 rows the packed product just past them
 KERNEL_FIELDS = [
     (2, 8, 16),
     (3, 2, 16),
+    (3, 3, 16),
     (3, 5, 16),
     (5, 2, 16),
     (11, 2, 16),
+    (11, 4, 16),
+    (41, 4, 16),
+    (41, 7, 16),
     (41, 20, 16),
     (41, 21, 32),
+    (53, 6, 16),
     (37831, 2, 32),
     (37847, 2, 64),
     (65521, 2, 64),
+    (65521, 6, 64),
+    (65521, 7, 64),
     (65521, 24, 64),
 ]
 
@@ -498,7 +507,22 @@ def test_raw_ops_match_the_oracles(p, r, bits):
 
 
 # ---------------------------------------------------------------------------
-# the closed forms at r = 2 against the packed kernel
+# the raw add, subtract and product against the packed kernel, in canonical
+# fields and in reducible rings: `_is_irreducible` multiplies in
+# GF(p)[x]/(f) for any monic f
+
+
+def _check_raw_arithmetic(ring, seed):
+    """Raw add, subtract and product against the element operations, the
+    product also against `_mul_packed` and the schoolbook product."""
+    _, add, sub, mul, _ = ring.raw_ops
+    ops = [a.coeffs for a in _kernel_operands(ring, 8, seed)]
+    for a in ops:
+        for b in ops:
+            assert mul(a, b) == ring._mul_packed(a, b) == schoolbook_mul(ring, a, b)
+            x, y = ring.wrap(a), ring.wrap(b)
+            raw = (mul(a, b), add(a, b), sub(a, b))
+            assert (x * y, x + y, x - y) == tuple(map(ring.wrap, raw))
 
 
 @pytest.mark.parametrize(
@@ -508,16 +532,23 @@ def test_raw_ops_match_the_oracles(p, r, bits):
     ids=lambda v: "lex-least" if v is None else str(v),
 )
 def test_quadratic_product_matches_packed_kernel(p, f):
-    """The r = 2 product against `_mul_packed` and the schoolbook product, in
-    the canonical field and in reducible rings (x^2 and (x - 1)(x - 2)):
-    `_is_irreducible` multiplies in GF(p)[x]/(f) for any monic f."""
-    ring = Field(p, 2, f or field_create(p, 2).modulus)
-    mul = ring.raw_ops[3]
-    ops = [a.coeffs for a in _kernel_operands(ring, 8, seed=11 * p)]
-    for a in ops:
-        for b in ops:
-            assert mul(a, b) == ring._mul_packed(a, b) == schoolbook_mul(ring, a, b)
-            assert ring.wrap(a) * ring.wrap(b) == ring.wrap(mul(a, b))
+    """r = 2, in the canonical field and in the rings x^2 and (x - 1)(x - 2)."""
+    _check_raw_arithmetic(Field(p, 2, f or field_create(p, 2).modulus), seed=11 * p)
+
+
+def _power_of_linear(p, r, root):
+    """(x - root)^r mod p, constant term first."""
+    return tuple(math.comb(r, k) * (-root) ** (r - k) % p for k in range(r + 1))
+
+
+@pytest.mark.parametrize("root", [None, 0, 1], ids=["lex-least", "x^r", "(x - 1)^r"])
+@pytest.mark.parametrize("r", range(2, 8))
+@pytest.mark.parametrize("p", [2, 5, 41, 65521])
+def test_raw_arithmetic_matches_packed_kernel_at_every_small_degree(p, r, root):
+    """Both sides of the straight-line limit (r <= 6 straight-line, r = 7
+    packed), in the canonical field and in the rings x^r and (x - 1)^r."""
+    modulus = field_create(p, r).modulus if root is None else _power_of_linear(p, r, root)
+    _check_raw_arithmetic(Field(p, r, modulus), seed=13 * p + r)
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,12 @@ feature `annotations` and names re-exported through `__all__` excepted),
 no module reaches into another's private names with
 `from .module import _name`, every private top-level function or class
 is referenced somewhere in its module outside its own body, no module
-calls `velu`, only `elliptic_curve.py` builds raw points, and
-`isogeny_graph.py` never factors (no `roots`).  Every public function,
-class, method and property has a caller outside the tests, a function
-imports only what a top-level import would turn into a cycle, no module
-reads the environment, and the test oracles check with explicit raises
-rather than `assert`.
+calls `velu`, only `elliptic_curve.py` builds raw points,
+`isogeny_graph.py` never factors (no `roots`), and only `Field.__init__`
+reads the packed product.  Every public function, class, method and
+property has a caller outside the tests, a function imports only what a
+top-level import would turn into a cycle, no module reads the environment,
+and the test oracles check with explicit raises rather than `assert`.
 """
 
 import ast
@@ -444,6 +444,20 @@ def test_each_decision_has_one_owner():
         if isinstance(n, ast.Attribute) and n.attr == "_adj"
     }
     assert readers == {"IsogenyGraph"}
+
+
+def test_each_degree_has_one_product():
+    """Field.__init__ chooses each degree's product once, into raw_ops[3]:
+    it alone reads the packed kernel, so the norm, the group law and
+    count_points all multiply with the straight-line kernel where there is
+    one, and no second closed form for r = 2 is left beside it."""
+    reads_packed = owners(lambda n: isinstance(n, ast.Attribute) and n.attr == "_mul_packed")
+    assert reads_packed == {"finite_field.__init__"}
+    defined = {
+        node.name for path in SOURCES for node in ast.walk(parse(path))
+        if isinstance(node, ast.FunctionDef)
+    }
+    assert "_quadratic_mul" not in defined
 
 
 def test_each_point_is_certified_and_ordered_once():

@@ -2,6 +2,7 @@
 
     python3 tools/bench_pairs.py PARENT CHANGE --pairs 10 --seed 5
     python3 tools/bench_pairs.py PARENT CHANGE --pairs 10 --seed 5 --workload graph-fp2 --seconds 0
+    python3 tools/bench_pairs.py PARENT CHANGE --micro 5 --seed 5
 
 PARENT and CHANGE are two checkouts of this repository.  Each pair runs
 `bench/run.py --workload W --seed S --seconds T --trace 0` once in each
@@ -9,12 +10,17 @@ checkout, with the same arguments; the side that goes first alternates from
 pair to pair, the change first in pair 0.  Before every run the checkout's
 `src/isogenion/__pycache__` is removed, so neither side reads bytecode the
 other side's history left (a stale cache moves `setup_s` and `peak_rss_mb`).
+With --micro N the pairs are N runs per side of `bench/worker.py micro
+--seed S` instead, the per-layer L0/L1 timings, which move by 20-30 %
+between single runs of unchanged code.
 
 A line per pair goes to stderr.  stdout is one JSON object,
 {"summary": ..., "runs": [...]}: for each workload and end-to-end metric of
 BENCHMARK.json, both sides' medians, quartiles and ranges, the number of
 pairs the change won (ties count for neither), and whether every answer
-matched the reference on both sides.
+matched the reference on both sides.  With --micro the one workload is
+"micro", with a row per micro case, each judged in the direction its
+per-layer metric of BENCHMARK.json gives.
 """
 
 import argparse
@@ -68,17 +74,53 @@ def summarize(runs, better):
     return out
 
 
+def micro_directions(runs, per_layer):
+    """{row: "lower" or "higher"} for each micro row of `runs`, read off
+    BENCHMARK.json's `per_layer` list; a row it does not list is a time,
+    so lower is better."""
+    listed = {m["name"]: m["better"] for m in per_layer}
+    return {row: listed.get(row, "lower") for row in runs[0]["parent"]["metrics"]["micro"]}
+
+
+def paired_runs(trees, pairs, run_side):
+    """`pairs` pairs of `run_side(tree)`, one per side of `trees`
+    ({"parent": ..., "change": ...}), the change first in even pairs."""
+    runs = []
+    for i in range(pairs):
+        order = ("change", "parent") if i % 2 == 0 else ("parent", "change")
+        run = {"first": order[0]}
+        for side in order:
+            run[side] = run_side(trees[side])
+        runs.append(run)
+        print(f"pair {i}: {order[0]} first, correct "
+              f"{run['parent']['correct']}/{run['change']['correct']}", file=sys.stderr)
+    return runs
+
+
+def _run_script(tree, args):
+    """The last stdout line of `python3 args...` in checkout `tree`, the
+    bytecode cache cleared first; exit code 1 is a run with a wrong answer."""
+    shutil.rmtree(os.path.join(tree, "src", "isogenion", "__pycache__"), ignore_errors=True)
+    proc = subprocess.run([sys.executable, *args], cwd=tree, capture_output=True, text=True)
+    if proc.returncode not in (0, 1) or not proc.stdout.strip():
+        raise SystemExit(f"{tree}: {args[0]} exited {proc.returncode}:\n{proc.stderr}")
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def run_micro(tree, seed):
+    """One `bench/worker.py micro` run in checkout `tree`.
+
+    Returns {"correct": True, "metrics": {"micro": {row: value}}}."""
+    rows = _run_script(tree, [os.path.join("bench", "worker.py"), "micro", "--seed", str(seed)])
+    return {"correct": True, "metrics": {"micro": rows}}
+
+
 def run_bench(tree, workload, seed, seconds):
-    """One `bench/run.py` run in checkout `tree`, bytecode cache cleared first.
+    """One `bench/run.py` run in checkout `tree`.
 
     Returns {"correct": bool, "metrics": {workload: {metric: value}}}."""
-    shutil.rmtree(os.path.join(tree, "src", "isogenion", "__pycache__"), ignore_errors=True)
-    cmd = [sys.executable, os.path.join("bench", "run.py"), "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
-    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
-    if proc.returncode not in (0, 1) or not proc.stdout.strip():
-        raise SystemExit(f"{tree}: bench/run.py exited {proc.returncode}:\n{proc.stderr}")
-    line = json.loads(proc.stdout.splitlines()[-1])
+    line = _run_script(tree, [os.path.join("bench", "run.py"), "--workload", workload,
+                              "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"])
     metrics = {}
     for key, m in line["metrics"].items():
         name, _, metric = key.rpartition(".") if workload == "all" else (workload, "", key)
@@ -94,21 +136,22 @@ def main():
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--workload", default="all")
     ap.add_argument("--seconds", type=float, default=30)
+    ap.add_argument("--micro", type=int, metavar="N",
+                    help="N runs per side of the micro cases instead of the benchmark")
     args = ap.parse_args()
-    if args.pairs < 2:
+    pairs = args.pairs if args.micro is None else args.micro
+    if pairs < 2:
         ap.error("quartiles need at least 2 pairs")
     trees = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
     with open(os.path.join(trees["change"], "BENCHMARK.json")) as fh:
-        better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
-    runs = []
-    for i in range(args.pairs):
-        order = ("change", "parent") if i % 2 == 0 else ("parent", "change")
-        run = {"first": order[0]}
-        for side in order:
-            run[side] = run_bench(trees[side], args.workload, args.seed, args.seconds)
-        runs.append(run)
-        print(f"pair {i}: {order[0]} first, correct "
-              f"{run['parent']['correct']}/{run['change']['correct']}", file=sys.stderr)
+        bench = json.load(fh)
+    if args.micro is None:
+        runs = paired_runs(trees, pairs, lambda tree: run_bench(
+            tree, args.workload, args.seed, args.seconds))
+        better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    else:
+        runs = paired_runs(trees, pairs, lambda tree: run_micro(tree, args.seed))
+        better = micro_directions(runs, bench["per_layer"])
     print(json.dumps({"summary": summarize(runs, better), "runs": runs}, indent=1))
 
 
