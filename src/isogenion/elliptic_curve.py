@@ -13,12 +13,11 @@ A request past the R_MAX tower is refused before any point is drawn over
 an extension.
 
 The group law is one routine on raw residues (the field's `raw_ops`: ints
-mod p for r = 1, residue tuples for r > 1).  `point_add` and `scalar_mul`
-unwrap the coordinates once, add or run the double-and-add ladder on raw
-residues, and make field elements only for the result; walks over the
-multiples of a point (point_progression, point_log, two_dim_dlog) step on
-raw residues as well.  `point_order` runs one ell-chain per prime power
-of a known multiple.
+mod p for r = 1, residue tuples for r > 1), and a point stores its raw
+residue pair, so `point_add`, `scalar_mul` and the walks over the multiples
+of a point (point_progression, point_log, two_dim_dlog) pass it on as it
+is; a coordinate becomes a field element only when `x` or `y` is read.
+`point_order` runs one ell-chain per prime power of a known multiple.
 
 Curves compare by value (field, A, B).  The point-count cache is write-once
 per instance.  Curves built from a counted curve inherit its count instead
@@ -65,38 +64,45 @@ DLOG_MAX = 2**16  # the longest walk of point_log, the largest plane of two_dim_
 
 
 class Point:
-    """A point on a specific curve; x is None exactly for the identity."""
+    """A point on a specific curve, stored as its raw residue pair (x, y)
+    in the field's `raw_ops` format; `raw` is None exactly for the
+    identity.  `x` and `y` are the coordinates as field elements (None for
+    the identity), made on each access."""
 
-    __slots__ = ("curve", "x", "y")
+    __slots__ = ("curve", "raw")
 
-    def __init__(self, curve: "Curve", x, y):
+    def __init__(self, curve: "Curve", raw):
         self.curve = curve
-        self.x = x
-        self.y = y
+        self.raw = raw
+
+    @property
+    def x(self):
+        return None if self.raw is None else self.curve.field.wrap(self.raw[0])
+
+    @property
+    def y(self):
+        return None if self.raw is None else self.curve.field.wrap(self.raw[1])
 
     def __repr__(self):
-        if self.x is None:
+        if self.raw is None:
             return "Point(inf)"
         return f"Point({self.x!r}, {self.y!r})"
 
     def __bool__(self):
-        return self.x is not None
+        return self.raw is not None
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Point)
-            and self.curve == other.curve
-            and self.x == other.x
-            and self.y == other.y
-        )
+        return isinstance(other, Point) and self.curve == other.curve and self.raw == other.raw
 
     def __hash__(self):
-        return hash((self.x, self.y))
+        return hash(self.raw)
 
     def __neg__(self):
-        if self.x is None:
+        if self.raw is None:
             return self
-        return Point(self.curve, self.x, -self.y)
+        x, y = self.raw
+        zero, _, sub, _, _ = self.curve.field.raw_ops
+        return Point(self.curve, (x, sub(zero, y)))
 
     def __add__(self, other):
         return point_add(self, other)
@@ -150,7 +156,7 @@ class Curve:
     # -- points ------------------------------------------------------------
 
     def infinity(self) -> Point:
-        return Point(self, None, None)
+        return Point(self, None)
 
     def rhs(self, x: FieldElement) -> FieldElement:
         return (x * x + self.A) * x + self.B
@@ -165,7 +171,12 @@ class Curve:
             y = self.field.from_int(y)
         if not self.is_on(x, y):
             raise ValueError(f"({x!r}, {y!r}) is not on {self!r}")
-        return Point(self, x, y)
+        return self._at(x, y)
+
+    def _at(self, x: FieldElement, y: FieldElement) -> Point:
+        """The point with coordinates x and y, unchecked."""
+        unwrap = self.field.unwrap
+        return Point(self, (unwrap(x), unwrap(y)))
 
     def random_point(self, rng: random.Random) -> Point:
         F = self.field
@@ -173,10 +184,10 @@ class Curve:
             x = F.from_coeffs([rng.randrange(F.p) for _ in range(F.r)])
             fx = self.rhs(x)
             if not fx:
-                return Point(self, x, F.zero)
+                return self._at(x, F.zero)
             pair = field_sqrt(fx)
             if pair is not None:
-                return Point(self, x, pair[rng.randrange(2)])
+                return self._at(x, pair[rng.randrange(2)])
 
     # -- cached invariants ---------------------------------------------------
 
@@ -286,29 +297,11 @@ def _mul_raw(ops, a, m: int, R):
     return acc
 
 
-def _unwrap_point(P: Point):
-    if P.x is None:
-        return None
-    unwrap = P.curve.field.unwrap
-    return unwrap(P.x), unwrap(P.y)
-
-
-def _wrap_point(E: Curve, R) -> Point:
-    if R is None:
-        return E.infinity()
-    wrap = E.field.wrap
-    return Point(E, wrap(R[0]), wrap(R[1]))
-
-
 def point_add(P: Point, Q: Point) -> Point:
     E = P.curve
     if E is not Q.curve and E != Q.curve:
         raise CurveMismatch("points on different curves")
-    if P.x is None:
-        return Q
-    if Q.x is None:
-        return P
-    return _wrap_point(E, _add_raw(*_raw_law(E), _unwrap_point(P), _unwrap_point(Q)))
+    return Point(E, _add_raw(*_raw_law(E), P.raw, Q.raw))
 
 
 def scalar_mul(m: int, P: Point) -> Point:
@@ -316,7 +309,7 @@ def scalar_mul(m: int, P: Point) -> Point:
     if m < 0:
         m, P = -m, -P
     E = P.curve
-    return _wrap_point(E, _mul_raw(*_raw_law(E), m, _unwrap_point(P)))
+    return Point(E, _mul_raw(*_raw_law(E), m, P.raw))
 
 
 def point_progression(start: Point, step: Point, count: int) -> list[Point]:
@@ -324,11 +317,11 @@ def point_progression(start: Point, step: Point, count: int) -> list[Point]:
     residues (both points on one curve)."""
     E = start.curve
     ops, a = _raw_law(E)
-    R, d = _unwrap_point(start), _unwrap_point(step)
+    R, d = start.raw, step.raw
     out = [start]
     for _ in range(count - 1):
         R = _add_raw(ops, a, R, d)
-        out.append(_wrap_point(E, R))
+        out.append(Point(E, R))
     return out
 
 
@@ -451,10 +444,10 @@ def embed_point(P: Point, EK: Curve) -> Point:
     base_change_degree(P.curve, EK)
     if P.curve.field is EK.field:
         return P
-    if P.x is None:
+    if not P:
         return EK.infinity()
     emb = subfield_embedding(P.curve.field, EK.field)
-    return Point(EK, emb.map(P.x), emb.map(P.y))
+    return EK._at(emb.map(P.x), emb.map(P.y))
 
 
 def frobenius_endo(P: Point, k: int) -> Point:
@@ -464,10 +457,10 @@ def frobenius_endo(P: Point, k: int) -> Point:
     for a base change of E over GF(p^r0), k = r0 gives the Frobenius of
     E's own field.
     """
-    if P.x is None:
+    if not P:
         return P
     F = P.curve.field
-    return Point(P.curve, F.frobenius(P.x, k), F.frobenius(P.y, k))
+    return P.curve._at(F.frobenius(P.x, k), F.frobenius(P.y, k))
 
 
 def is_supersingular(E: Curve) -> bool:
@@ -658,13 +651,13 @@ def _ell_power_order(P: Point, ell: int, cap: int) -> tuple[int, Point]:
     point (O for k = 0)."""
     E = P.curve
     ops, a = _raw_law(E)
-    R, bottom, k = _unwrap_point(P), None, 0
+    R, bottom, k = P.raw, None, 0
     while R is not None:
         bottom, R = R, _mul_raw(ops, a, ell, R)
         k += 1
         if k > cap:
             raise AssertionError("point order is not the expected ell-power")
-    return k, _wrap_point(E, bottom)
+    return k, Point(E, bottom)
 
 
 def _bottom_independent(U1: Point, U2: Point, ell: int) -> bool:
@@ -731,7 +724,7 @@ def point_log(R: Point, T: Point, n: int) -> int | None:
     if R.curve is not E and R.curve != E:
         raise CurveMismatch("points on different curves")
     ops, a = _raw_law(E)
-    target, step = _unwrap_point(R), _unwrap_point(T)
+    target, step = R.raw, T.raw
     W = None
     for c in range(n):
         if W == target:
@@ -758,13 +751,13 @@ def two_dim_dlog(
     if not E == S1.curve == S2.curve:
         raise CurveMismatch("points on different curves")
     ops, a = _raw_law(E)
-    step1, step2 = _unwrap_point(S1), _unwrap_point(S2)
+    step1, step2 = S1.raw, S2.raw
     table = {}
     T = None
     for i in range(ord1):
         table.setdefault(T, i)
         T = _add_raw(ops, a, T, step1)
-    W = _unwrap_point(R)
+    W = R.raw
     for j in range(ord2):
         if W in table:
             return (table[W], (-j) % ord2)

@@ -10,16 +10,17 @@ that then serves the field.  Elements are immutable and hashable.
 Elements store their r residues as a tuple.  Each field also supplies its
 arithmetic on raw residues (`Field.raw_ops`): a plain int for r = 1, the
 coefficient tuple for r > 1, so a loop such as the elliptic-curve group law
-makes no element until it returns.  The `FieldElement` operations wrap the
-same functions.  Arithmetic takes one of three forms by degree: plain ints
-mod p for r = 1; for 2 <= r <= 6 straight-line add, subtract and
-schoolbook product on the residue tuple, compiled once per degree; and for
-r >= 7 a product on residues packed into one int of fixed-width slots
-(Kronecker substitution), so a product costs one big-int operation and
-O(r) Python steps.  Frobenius maps use the packed form for every r > 1.
-The slot width is derived from p and r, never set.  Inverses and square
-tests go through the norm to GF(p): a0*b0 + m0*a1^2, b the conjugate, at
-r = 2, and one Itoh–Tsujii routine above it.
+makes no element until it returns.  The `FieldElement` operations call the
+same functions (for r > 1 an element's tuple is its raw residue); the one
+element-level loop left is scaling by an int.  Arithmetic takes one of
+three forms by degree: plain ints mod p for r = 1; for 2 <= r <= 6
+straight-line add, subtract and schoolbook product on the residue tuple,
+compiled once per degree; and for r >= 7 a product on residues packed into
+one int of fixed-width slots (Kronecker substitution), so a product costs
+one big-int operation and O(r) Python steps.  Frobenius maps use the packed
+form for every r > 1.  The slot width is derived from p and r, never set.
+Inverses and square tests go through the norm to GF(p): a0*b0 + m0*a1^2, b
+the conjugate, at r = 2, and one Itoh–Tsujii routine above it.
 
 Caps: p <= 2**16 and r <= 24.  These keep exhaustive point/torsion work in
 seconds; nothing here is meant for cryptographic sizes.
@@ -184,25 +185,18 @@ class FieldElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        p = self.field.p
-        return FieldElement(
-            self.field, tuple([(a + b) % p for a, b in zip(self.coeffs, o.coeffs)])
-        )
+        return self.field._raw_op(1, self.coeffs, o.coeffs)
 
     __radd__ = __add__
 
     def __neg__(self):
-        p = self.field.p
-        return FieldElement(self.field, tuple([-a % p for a in self.coeffs]))
+        return self.field._raw_op(2, self.field.zero.coeffs, self.coeffs)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        p = self.field.p
-        return FieldElement(
-            self.field, tuple([(a - b) % p for a, b in zip(self.coeffs, o.coeffs)])
-        )
+        return self.field._raw_op(2, self.coeffs, o.coeffs)
 
     def __rsub__(self, other):
         return -(self - other)
@@ -270,7 +264,9 @@ class Field:
 
     `raw_ops` is (zero, add, sub, mul, inv) on raw residues: ints mod p for
     r = 1, residue tuples for r > 1 (`unwrap` and `wrap` convert).  `inv`
-    needs a nonzero argument.
+    needs a nonzero argument.  Element +, - and unary - call add and sub
+    through `_raw_op`; only scaling by an int loops over an element's
+    residues itself.
 
     The product is `raw_ops[3]`: ints mod p for r = 1, the straight-line
     code of `_schoolbook_kernel(r)` (with add and sub) for 2 <= r <= 6, and
@@ -451,6 +447,13 @@ class Field:
         b, norm = self._norm(a)
         c = pow(norm, -1, p)
         return tuple([v * c % p for v in b])
+
+    def _raw_op(self, i: int, a: tuple, b: tuple) -> FieldElement:
+        """The element raw_ops[i](a, b) for coefficient tuples a and b: for
+        r > 1 they are the raw residues themselves."""
+        if self.r == 1:
+            return FieldElement(self, (self.raw_ops[i](a[0], b[0]),))
+        return FieldElement(self, self.raw_ops[i](a, b))
 
     def _mul(self, a: FieldElement, b: FieldElement) -> FieldElement:
         if self.r == 1:

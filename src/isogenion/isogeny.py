@@ -118,13 +118,14 @@ class _VeluStep:
     def apply(self, P, dstK):
         K, base = dstK.field, self.src.field
         lift = (lambda f: f) if K is base else subfield_embedding(base, K).map_poly
-        Fx = lift(self.F).eval(P.x)
+        x = P.x
+        Fx = lift(self.F).eval(x)
         if not Fx:
             return dstK.infinity()
         N, _, Yn, _ = self.maps()
         Fx2 = Fx * Fx
-        X = lift(N).eval(P.x) / Fx2
-        return dstK.point(X, P.y * lift(Yn).eval(P.x) / (Fx2 * Fx))
+        X = lift(N).eval(x) / Fx2
+        return dstK.point(X, P.y * lift(Yn).eval(x) / (Fx2 * Fx))
 
     def dual(self):
         """(tau, scaling by 1/n), drawing no random points.

@@ -8,7 +8,6 @@ from functools import lru_cache
 from math import gcd
 
 from isogenion.elliptic_curve import (
-    Point,
     _bottom_independent,
     _ell_power_order,
     base_change,
@@ -84,6 +83,17 @@ def _reduction_rows(F):
         lead = cur.pop()
         cur = [(c - lead * m) % p for c, m in zip(cur, low)]
     return rows
+
+
+def residue_add(F, a, b):
+    """a + b, residue by residue: the loop element `+` ran before it called
+    `raw_ops`."""
+    return tuple([(u + v) % F.p for u, v in zip(a, b)])
+
+
+def residue_sub(F, a, b):
+    """a - b, residue by residue (unary minus is 0 - b)."""
+    return tuple([(u - v) % F.p for u, v in zip(a, b)])
 
 
 def schoolbook_mul(F, a, b):
@@ -220,7 +230,7 @@ def element_point_add(P, Q):
         slope = (Q.y - P.y) / (Q.x - P.x)
     x3 = slope * slope - P.x - Q.x
     y3 = slope * (P.x - x3) - P.y
-    return Point(P.curve, x3, y3)
+    return P.curve.point(x3, y3)
 
 
 def element_scalar_mul(m, P):

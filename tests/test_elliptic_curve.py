@@ -26,6 +26,7 @@ from isogenion.errors import (
 from isogenion.elliptic_curve import (
     Curve,
     CurveClass,
+    Point,
     base_change,
     count_points,
     curve_class,
@@ -40,6 +41,7 @@ from isogenion.elliptic_curve import (
     j_invariant,
     point_add,
     point_order,
+    point_progression,
     quadratic_twist,
     scalar_mul,
     sylow_basis,
@@ -49,7 +51,8 @@ from isogenion.elliptic_curve import (
     twist_classes,
     two_dim_dlog,
 )
-from isogenion.finite_field import field_create
+from isogenion.finite_field import FieldElement, field_create
+from isogenion.finite_field import sqrt as field_sqrt
 from isogenion.intmath import factorize, multiplicative_order, valuation
 from isogenion.polyring import Poly, roots, subfield_embedding
 from oracles import (
@@ -201,6 +204,50 @@ def test_cross_curve_addition_rejected():
     E2 = Curve(field_create(5), 1, 1)
     with pytest.raises(CurveMismatch):
         point_add(E1.point(0, 0), E2.point(0, 1))
+
+
+def _points_of_every_origin(p, s):
+    """Points of E = base_change(y^2 = x^3 + 3x + 5 over GF(p), s) from each
+    constructor: Curve.point, random_point, scalar_mul (O among them),
+    point_progression, embed_point and frobenius_endo."""
+    E0 = Curve(field_create(p), 3, 5)
+    E = base_change(E0, s)
+    F = E.field
+    rng = random.Random(p * s)
+    x = next(x for x in F.elements() if x and field_sqrt(E.rhs(x)))
+    P = E.point(x, field_sqrt(E.rhs(x))[1])
+    Q = E.random_point(rng)
+    return E, [
+        P, Q, E.infinity(),
+        scalar_mul(7, Q), scalar_mul(-3, P), scalar_mul(E.order, Q), scalar_mul(0, P),
+        *point_progression(P, Q, 4),
+        embed_point(E0.random_point(rng), E),
+        frobenius_endo(Q, 1), frobenius_endo(P, s + 1),
+    ]
+
+
+@pytest.mark.parametrize("p, s", [(41, 1), (11, 2), (41, 8)])
+def test_points_keep_their_element_semantics(p, s):
+    """A point stores its raw residue pair; x and y are elements of its
+    field (None for O), it equals and hashes like the point rebuilt from
+    them by Curve.point, and its negative is the one done with elements."""
+    assert Point.__slots__ == ("curve", "raw")
+    E, points = _points_of_every_origin(p, s)
+    for P in points + [-P for P in points]:
+        assert P.curve == E
+        if not P:
+            assert P.raw is P.x is P.y is None
+            assert P == E.infinity() and hash(P) == hash(E.infinity())
+            assert -P == P
+            continue
+        for c in (P.x, P.y):
+            assert isinstance(c, FieldElement) and c.field is E.field
+        R = E.point(P.x, P.y)
+        assert P == R and hash(P) == hash(R)
+        assert -P == E.point(P.x, -P.y)
+        assert (-P).x == P.x and (-P).y == -P.y
+    with pytest.raises(AttributeError):
+        points[0].x = E.field.zero
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,8 @@ from oracles import (
     deadline,
     euclid_inverse,
     euler_is_square,
+    residue_add,
+    residue_sub,
     scan_least_nonresidue,
     schoolbook_mul,
     table_frobenius,
@@ -490,6 +492,8 @@ RAW_FIELDS = [(41, 1, 64), (65521, 1, 64)] + KERNEL_FIELDS
 
 @pytest.mark.parametrize("p,r,bits", RAW_FIELDS, ids=lambda v: str(v))
 def test_raw_ops_match_the_oracles(p, r, bits):
+    """Raw and element add, subtract and negation against the residue loops
+    of `oracles`, the product against the schoolbook one."""
     F = field_create(p, r)
     zero, add, sub, mul, inv = F.raw_ops
     assert F.wrap(zero) == F.zero
@@ -500,8 +504,11 @@ def test_raw_ops_match_the_oracles(p, r, bits):
         for b in ops:
             rb = F.unwrap(b)
             assert F.wrap(mul(ra, rb)).coeffs == schoolbook_mul(F, a.coeffs, b.coeffs)
-            assert F.wrap(add(ra, rb)) == a + b
-            assert F.wrap(sub(ra, rb)) == a - b
+            want = residue_add(F, a.coeffs, b.coeffs)
+            assert F.wrap(add(ra, rb)).coeffs == (a + b).coeffs == want
+            want = residue_sub(F, a.coeffs, b.coeffs)
+            assert F.wrap(sub(ra, rb)).coeffs == (a - b).coeffs == want
+        assert (-a).coeffs == residue_sub(F, F.zero.coeffs, a.coeffs)
         if a:
             assert F.wrap(inv(ra)).coeffs == euclid_inverse(F, a.coeffs)
 
@@ -513,16 +520,19 @@ def test_raw_ops_match_the_oracles(p, r, bits):
 
 
 def _check_raw_arithmetic(ring, seed):
-    """Raw add, subtract and product against the element operations, the
-    product also against `_mul_packed` and the schoolbook product."""
-    _, add, sub, mul, _ = ring.raw_ops
+    """Raw and element add, subtract and negation against the residue loops
+    of `oracles`; the raw and element product against `_mul_packed` and the
+    schoolbook product."""
+    zero, add, sub, mul, _ = ring.raw_ops
     ops = [a.coeffs for a in _kernel_operands(ring, 8, seed)]
     for a in ops:
+        x = ring.wrap(a)
         for b in ops:
-            assert mul(a, b) == ring._mul_packed(a, b) == schoolbook_mul(ring, a, b)
-            x, y = ring.wrap(a), ring.wrap(b)
-            raw = (mul(a, b), add(a, b), sub(a, b))
-            assert (x * y, x + y, x - y) == tuple(map(ring.wrap, raw))
+            y = ring.wrap(b)
+            assert mul(a, b) == (x * y).coeffs == ring._mul_packed(a, b) == schoolbook_mul(ring, a, b)
+            assert add(a, b) == (x + y).coeffs == residue_add(ring, a, b)
+            assert sub(a, b) == (x - y).coeffs == residue_sub(ring, a, b)
+        assert (-x).coeffs == residue_sub(ring, zero, a)
 
 
 @pytest.mark.parametrize(

@@ -6,11 +6,13 @@ no module reaches into another's private names with
 `from .module import _name`, every private top-level function or class
 is referenced somewhere in its module outside its own body, no module
 calls `velu`, only `elliptic_curve.py` builds raw points,
-`isogeny_graph.py` never factors (no `roots`), and only `Field.__init__`
-reads the packed product.  Every public function, class, method and
-property has a caller outside the tests, a function imports only what a
-top-level import would turn into a cycle, no module reads the environment,
-and the test oracles check with explicit raises rather than `assert`.
+`isogeny_graph.py` never factors (no `roots`), only `Field.__init__`
+reads the packed product, element `+` and `-` hold no residue formula
+and no helper converts a point's format.  Every public function, class,
+method and property has a caller outside the tests, a function imports
+only what a top-level import would turn into a cycle, no module reads the
+environment, and the test oracles check with explicit raises rather than
+`assert`.
 """
 
 import ast
@@ -480,3 +482,26 @@ def test_each_point_is_certified_and_ordered_once():
         and n.func.attr == "map"
     )
     assert "polyring.unmap" not in calls_map
+
+
+def test_each_residue_format_has_one_owner():
+    """Element +, - and unary - call the field's raw_ops, so the residue
+    formulas live only in Field.__init__ and _schoolbook_kernel; a point
+    stores its raw residue pair, so no helper converts a point to that
+    format and back."""
+    field = parse(Path(isogenion.__file__).parent / "finite_field.py")
+    element = next(n for n in field.body if isinstance(n, ast.ClassDef) and n.name == "FieldElement")
+    formulas = [
+        f"FieldElement.{m.name}"
+        for m in element.body
+        if isinstance(m, ast.FunctionDef) and m.name in ("__add__", "__sub__", "__neg__")
+        and any(isinstance(n, ast.BinOp) and isinstance(n.op, ast.Mod) for n in ast.walk(m))
+    ]
+    assert not formulas, f"residue formulas outside raw_ops: {', '.join(formulas)}"
+    converters = {
+        f"{path.stem}.{node.name}"
+        for path in SOURCES
+        for node in ast.walk(parse(path))
+        if isinstance(node, ast.FunctionDef) and node.name in ("_unwrap_point", "_wrap_point")
+    }
+    assert not converters, f"point format converters: {', '.join(sorted(converters))}"

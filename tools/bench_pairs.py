@@ -10,9 +10,15 @@ checkout, with the same arguments; the side that goes first alternates from
 pair to pair, the change first in pair 0.  Before every run the checkout's
 `src/isogenion/__pycache__` is removed, so neither side reads bytecode the
 other side's history left (a stale cache moves `setup_s` and `peak_rss_mb`).
+So every pass compiles the package from source, and `peak_rss_mb` then
+follows the package's source text, not its work: any edit of it, comments
+and docstrings included, shifts the peak by up to 0.3 MiB, and precompiled
+trees of different work read alike.
 With --micro N the pairs are N runs per side of `bench/worker.py micro
 --seed S` instead, the per-layer L0/L1 timings, which move by 20-30 %
-between single runs of unchanged code.
+between single runs of unchanged code; even alternated and taken as
+medians, rows of code that two checkouts share read a few per cent apart,
+so --micro does not resolve a gain under about 5 %.
 
 A line per pair goes to stderr.  stdout is one JSON object,
 {"summary": ..., "runs": [...]}: for each workload and end-to-end metric of
