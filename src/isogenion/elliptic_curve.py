@@ -570,11 +570,28 @@ def twist_classes(field: Field, j) -> list[CurveClass]:
     ]
 
 
+@lru_cache(maxsize=None)
+def _j_line(field: Field) -> dict[int, tuple[tuple, ...]]:
+    """The one j-line sweep of a field: each trace of a class over it, mapped
+    to the j-invariants (coefficient tuples, ascending) carrying a class of
+    that trace.  It holds no classes, so it stays right when _twist_scan is
+    cleared: a class's trace depends only on (field, j)."""
+    by_trace: dict[int, list[tuple]] = {}
+    for j in field.elements():
+        for t in {c.trace for c in twist_classes(field, j)}:
+            by_trace.setdefault(t, []).append(j.coeffs)
+    return {t: tuple(js) for t, js in by_trace.items()}
+
+
 def classes_with_trace(field: Field, t: int) -> list[CurveClass]:
-    """Every k-isomorphism class with trace t, from a full j-line sweep,
-    sorted by key."""
+    """Every k-isomorphism class with trace t, sorted by key.  The first
+    call on a field sweeps its j-line (_j_line); later calls visit only the
+    j-invariants that carry trace t."""
     classes = [
-        c for j in field.elements() for c in twist_classes(field, j) if c.trace == t
+        c
+        for j in _j_line(field).get(t, ())
+        for c in twist_classes(field, FieldElement(field, j))
+        if c.trace == t
     ]
     classes.sort(key=CurveClass.key)
     return classes

@@ -112,7 +112,7 @@ class IsogenyGraph:
 def build_graph(field: Field, trace: int, ell: int) -> IsogenyGraph:
     """The ell-isogeny graph of all classes over `field` with this trace.
 
-    Vertices come from a full j-line sweep keeping every twist with the
+    Vertices are the field's classes (one j-line sweep per field) with the
     requested trace.  Each vertex's k-rational order-ell subgroups are
     pushed through Velu's formulas and the target class located among
     the vertices; as a safety net each target's multiplicity as a root of

@@ -8,6 +8,7 @@ from functools import lru_cache
 from math import gcd
 
 from isogenion.elliptic_curve import (
+    CurveClass,
     _bottom_independent,
     _ell_power_order,
     base_change,
@@ -22,6 +23,7 @@ from isogenion.elliptic_curve import (
     point_order,
     scalar_mul,
     sylow_basis,
+    twist_classes,
 )
 from isogenion.endo_ring import compute_endo_conductor
 from isogenion.errors import BoundExceeded, CurveMismatch
@@ -362,6 +364,21 @@ def swept_count(E):
         elif fx in squares:
             n += 2
     return n
+
+
+# ---------------------------------------------------------------------------
+# class-list oracle: the full j-line sweep that `classes_with_trace` made on
+# every call before it read a table of j-invariants by trace.
+
+
+def j_line_classes(field, t):
+    """Every class over `field` with trace t: twist_classes at every j of
+    the field, kept by trace and sorted by key, with no table between."""
+    classes = [
+        c for j in field.elements() for c in twist_classes(field, j) if c.trace == t
+    ]
+    classes.sort(key=CurveClass.key)
+    return classes
 
 
 # ---------------------------------------------------------------------------
