@@ -586,7 +586,10 @@ def _j_line(field: Field) -> dict[int, tuple[tuple, ...]]:
 def classes_with_trace(field: Field, t: int) -> list[CurveClass]:
     """Every k-isomorphism class with trace t, sorted by key.  The first
     call on a field sweeps its j-line (_j_line); later calls visit only the
-    j-invariants that carry trace t."""
+    j-invariants that carry trace t.  ValueError unless t is an int (a bool
+    or float is refused)."""
+    if type(t) is not int:
+        raise ValueError(f"trace must be an int, got {t!r}")
     classes = [
         c
         for j in _j_line(field).get(t, ())

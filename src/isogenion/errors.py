@@ -68,7 +68,7 @@ class ClassMismatch(IsogenionError):
 
 
 class UnsupportedLevel(IsogenionError):
-    """No modular polynomial is available for the requested prime."""
+    """modular_polynomial has no table for the requested level."""
 
 
 class NotAnIdeal(IsogenionError):

@@ -40,8 +40,7 @@ from .endo_ring import conductor_level
 from .errors import NoCurveWithTrace, NotOnSurface
 from .finite_field import Field, element_to_json
 from .intmath import divisors, is_prime, kronecker, prime_factors, valuation
-from .isogeny import cyclic_isogenies, modular_polynomial
-from .polyring import multiplicity
+from .isogeny import cyclic_isogenies
 from .quadratic_order import class_group, class_order, primes_above, quad_order
 
 
@@ -113,20 +112,16 @@ def build_graph(field: Field, trace: int, ell: int) -> IsogenyGraph:
     """The ell-isogeny graph of all classes over `field` with this trace.
 
     Vertices are the field's classes (one j-line sweep per field) with the
-    requested trace.  Each vertex's k-rational order-ell subgroups are
-    pushed through Velu's formulas and the target class located among
-    the vertices; as a safety net each target's multiplicity as a root of
-    Φ_ℓ(j, Y) is checked: the targets sharing a j-invariant jt must not
-    outnumber the factors (Y - jt) of Φ_ℓ(j, Y).  Raises
-    NoCurveWithTrace when the sweep finds nothing, UnsupportedLevel when
-    no modular polynomial is available for ell, and PPartUnsupported (a
-    ValueError, from check_coprime_to_p) when ell is the field
-    characteristic.
+    requested trace; each vertex's edges are its cyclic_isogenies, the
+    target class located among the vertices.  ell may be any prime int
+    not dividing q (ValueError, or PPartUnsupported from
+    check_coprime_to_p, before the sweep); a kernel past M_MAX or R_MAX
+    raises BoundExceeded.  Raises NoCurveWithTrace when the sweep finds
+    nothing.
     """
-    if type(ell) is not int or ell < 2:
+    if type(ell) is not int or not is_prime(ell):
         raise ValueError(f"ell must be a prime, got {ell!r}")
     check_coprime_to_p(ell, field.p)
-    phi = modular_polynomial(ell)
 
     classes = classes_with_trace(field, trace)
     if not classes:
@@ -144,19 +139,12 @@ def build_graph(field: Field, trace: int, ell: int) -> IsogenyGraph:
         depth = valuation(cond0, ell)
         levels = tuple(conductor_level(c.representative, ell) for c in classes)
 
-    counts: dict[tuple[int, int], int] = {}
-    for u, cls in enumerate(classes):
-        targets = Counter()
-        for edge in cyclic_isogenies(cls.representative, ell):
-            v = index[edge.target]
-            counts[(u, v)] = counts.get((u, v), 0) + 1
-            targets[edge.target.j] += 1
-        f = phi.univariate(cls.j)
-        for jt, n in targets.items():
-            if multiplicity(f, jt) < n:
-                raise AssertionError("Velu target is not a modular-polynomial root")
-
-    edges = tuple(sorted((u, v, m) for (u, v), m in counts.items()))
+    counts = Counter(
+        (u, index[edge.target])
+        for u, cls in enumerate(classes)
+        for edge in cyclic_isogenies(cls.representative, ell)
+    )
+    edges = [(u, v, m) for (u, v), m in counts.items()]
 
     parent = list(range(len(classes)))
 
@@ -279,13 +267,16 @@ def count_components(q: int, t: int, ell: int) -> int:
     ell in cl(O) (1 when ell is inert, so such vertices head their own
     components).  Summing h(O) / ord([l]) over the orders between Z[pi]
     and the maximal order that are maximal at ell counts every component
-    exactly once.  ell must be a prime int (ValueError) not dividing q
-    (PPartUnsupported from check_coprime_to_p, as build_graph refuses that
-    graph).
+    exactly once.  q must be a prime power and t an int (ValueError), and
+    ell a prime int (ValueError) not dividing q (PPartUnsupported from
+    check_coprime_to_p, as build_graph refuses that graph).
     """
+    primes = prime_factors(q) if type(q) is int and q > 1 else ()
+    if len(primes) != 1 or type(t) is not int:
+        raise ValueError(f"need a prime power q and an int t, got {q!r}, {t!r}")
     if type(ell) is not int or not is_prime(ell):
         raise ValueError(f"ell must be a prime not dividing q = {q}, got {ell!r}")
-    check_coprime_to_p(ell, prime_factors(q)[0])
+    check_coprime_to_p(ell, primes[0])
     disc0, cond0 = discriminant_frobenius_order(q, t)
     total = 0
     for f in divisors(cond0 // ell ** valuation(cond0, ell)):

@@ -12,8 +12,8 @@ from collections import Counter
 
 import pytest
 
+import isogenion.isogeny
 import isogenion.isogeny_graph
-import isogenion.polyring
 from isogenion.elliptic_curve import curve_from_j
 from isogenion.endo_ring import frobenius_matrix
 from isogenion.errors import (
@@ -21,7 +21,6 @@ from isogenion.errors import (
     NotImaginaryQuadratic,
     NotOnSurface,
     PPartUnsupported,
-    UnsupportedLevel,
 )
 from isogenion.finite_field import field_create
 from isogenion.intmath import kronecker
@@ -35,7 +34,7 @@ from isogenion.isogeny_graph import (
     surface_degree,
     verify_volcano,
 )
-from isogenion.polyring import Poly, roots
+from isogenion.polyring import Poly, multiplicity, roots
 from isogenion.quadratic_order import class_group, quad_order
 
 F7 = field_create(7)
@@ -529,13 +528,13 @@ class TestMutatedGraph:
 
 
 class TestModularPolynomialCheck:
-    """build_graph checks every Velu target against Phi_ell(j, Y) by
-    division, so the check needs no root finding and still catches a
-    wrong modular polynomial."""
+    """Four pinned graphs over GF(11^2), each with a vertex whose kernels
+    share a target j-invariant (two or three of them), so multiplicities
+    matter.  build_graph reads no modular polynomial; its edges are
+    checked against Phi_ell(j, Y) here, by division
+    (polyring.multiplicity), so the check needs no root finding."""
 
-    # sha256 of graph_to_json, pinned when the check factored
-    # Phi_ell(j, Y); each graph has a vertex whose kernels share a target
-    # j-invariant (two or three of them), so multiplicities matter
+    # sha256 of graph_to_json
     PINNED = {
         (2, -6): "18b487c8673e3e181414deca3424cd9a0945e3b435fcc44e69e4ee1808b646e7",
         (2, 22): "20adf509fcb887be0a1b3c9c9b80b3ffe04a453ffb5281ef8e64f477a0b8989a",
@@ -545,28 +544,24 @@ class TestModularPolynomialCheck:
 
     @pytest.mark.parametrize("ell, t", sorted(PINNED))
     def test_check_needs_no_roots(self, monkeypatch, ell, t):
-        F121 = field_create(11, 2)
-        before = graph_to_json(build_graph(F121, t, ell))
-        # enumerate afresh, so the check runs again with roots refused
+        phi = modular_polynomial(ell)
+        # enumerate afresh, with the modular-polynomial tables refused
         cyclic_isogenies.cache_clear()
 
         def refuse(*args):
-            raise AssertionError("roots called")
+            raise AssertionError("modular polynomial read")
 
-        monkeypatch.setattr(isogenion.polyring, "roots", refuse)
-        after = graph_to_json(build_graph(F121, t, ell))
-        assert after == before
-        assert hashlib.sha256(after.encode()).hexdigest() == self.PINNED[ell, t]
-
-    def test_wrong_modular_polynomial_is_caught(self, monkeypatch):
-        monkeypatch.setattr(
-            isogenion.isogeny_graph, "modular_polynomial",
-            lambda ell: modular_polynomial(3),
-        )
-        with pytest.raises(
-            AssertionError, match="Velu target is not a modular-polynomial root"
-        ):
-            build_graph(F41, 6, 2)
+        monkeypatch.setattr(isogenion.isogeny, "_load_modular_tables", refuse)
+        g = build_graph(field_create(11, 2), t, ell)
+        digest = hashlib.sha256(graph_to_json(g).encode()).hexdigest()
+        assert digest == self.PINNED[ell, t]
+        targets = {}
+        for u, v, m in g.edges:
+            targets.setdefault(u, Counter())[g.vertices[v].j] += m
+        for u, by_j in targets.items():
+            f = phi.univariate(g.vertices[u].j)
+            for jt, n in by_j.items():
+                assert multiplicity(f, jt) >= n, (u, jt)
 
 
 class TestExports:
@@ -610,9 +605,14 @@ class TestValidation:
         with pytest.raises(NoCurveWithTrace):
             build_graph(F49, 7, 2)  # t = p inadmissible for p = 1 mod 3
 
-    def test_unsupported_level(self):
-        with pytest.raises(UnsupportedLevel):
-            build_graph(F41, 6, 11)
+    @pytest.mark.parametrize("ell", [11, 13])
+    def test_primes_past_the_modular_tables(self, ell):
+        """build_graph reads no modular polynomial, so an ell past the
+        packaged tables (2, 3, 5, 7) answers, and its volcano agrees with
+        the class-group count."""
+        g = build_graph(F41, 6, ell)
+        assert verify_volcano(g)["ok"]
+        assert len(g.components) == count_components(41, 6, ell)
 
     def test_ell_equal_to_characteristic(self):
         with pytest.raises(PPartUnsupported):
@@ -624,24 +624,54 @@ class TestValidation:
         with pytest.raises(ValueError):
             build_graph(F41, 6, 2.0)
 
-    @pytest.mark.parametrize("ell", [41, 1, 4, 2.0])
-    def test_count_components_refuses_a_bad_ell(self, monkeypatch, ell):
-        """An ell that is not a prime int (ValueError), or that divides q
+    # test id -> (q, t, ell, message); the ids of the bad ells are the ells
+    BAD_COUNT_INPUTS = {
+        "41": (41, 6, 41, "coprime to the characteristic"),
+        "1": (41, 6, 1, "prime not dividing"),
+        "4": (41, 6, 4, "prime not dividing"),
+        "2.0": (41, 6, 2.0, "prime not dividing"),
+        "q=42": (42, 6, 5, "prime power q and an int t"),
+        "q=1": (1, 0, 2, "prime power q and an int t"),
+        "q=0": (0, 1, 2, "prime power q and an int t"),
+        "q=41.0": (41.0, 6, 2, "prime power q and an int t"),
+        "q=True": (True, 0, 2, "prime power q and an int t"),
+        "t=6.0": (41, 6.0, 2, "prime power q and an int t"),
+    }
+
+    @pytest.mark.parametrize(
+        "q, t, ell, message", BAD_COUNT_INPUTS.values(), ids=list(BAD_COUNT_INPUTS)
+    )
+    def test_count_components_refuses_a_bad_ell(
+        self, monkeypatch, q, t, ell, message
+    ):
+        """A q that is not a prime-power int, a t that is not an int, or an
+        ell that is not a prime int (ValueError) or divides q
         (PPartUnsupported), is refused before any class group is built:
         count_components(41, 6, 41) used to answer 7 for a graph build_graph
-        refuses, and ell = 1 failed in valuation."""
+        refuses, (42, 6, 5) answered 4, ell = 1 failed in valuation and
+        q = 1 in prime_factors."""
 
         def no_class_groups(*args):
-            raise AssertionError("class-group work before ell was checked")
+            raise AssertionError("class-group work before the input was checked")
 
-        monkeypatch.setattr(isogenion.isogeny_graph, "class_group", no_class_groups)
-        monkeypatch.setattr(isogenion.isogeny_graph, "primes_above", no_class_groups)
-        if ell == 41:
-            error, message = PPartUnsupported, "coprime to the characteristic"
-        else:
-            error, message = ValueError, "prime not dividing"
+        for name in ("class_group", "primes_above", "discriminant_frobenius_order"):
+            monkeypatch.setattr(isogenion.isogeny_graph, name, no_class_groups)
+        error = PPartUnsupported if ell == 41 else ValueError
         with pytest.raises(error, match=message):
-            count_components(41, 6, ell)
+            count_components(q, t, ell)
+
+    @pytest.mark.parametrize("ell", [1, 4, 9, 2.0, True])
+    def test_build_graph_refuses_a_bad_ell(self, monkeypatch, ell):
+        """An ell that is not a prime int is refused before the j-line
+        sweep: ell = 4 or 9 used to be refused only for want of a modular
+        polynomial."""
+
+        def no_sweep(*args):
+            raise AssertionError("j-line sweep before ell was checked")
+
+        monkeypatch.setattr(isogenion.isogeny_graph, "classes_with_trace", no_sweep)
+        with pytest.raises(ValueError, match="ell must be a prime"):
+            build_graph(F41, 6, ell)
 
     def test_traces_all_match(self, g41_2, g53_2):
         assert all(c.trace == g41_2.trace for c in g41_2.vertices)

@@ -23,6 +23,7 @@ from isogenion.elliptic_curve import (
 from isogenion.errors import SingularCurve
 from isogenion.finite_field import field_create
 from isogenion.intmath import divisors, is_prime
+from isogenion.isogeny_graph import build_graph
 from isogenion.quadratic_order import QuadOrder, class_group
 from oracles import j_line_classes
 
@@ -105,6 +106,23 @@ def test_only_the_first_call_on_a_field_sweeps_the_j_line(monkeypatch):
         js = {c.j for c in got}
         assert len(seen) == len(js) and set(seen) == js
     assert ec._j_line.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("t", [True, 6.0])
+def test_a_trace_that_is_not_an_int_is_refused(monkeypatch, t):
+    """A bool or float trace is refused before the table is read: True
+    used to answer the trace-1 classes (True == 1 as a dict key), and 6.0
+    failed later in split_discriminant with an untyped TypeError."""
+
+    def no_table(field):
+        raise AssertionError("j-line read before the trace was checked")
+
+    monkeypatch.setattr(ec, "_j_line", no_table)
+    F = field_create(41)
+    with pytest.raises(ValueError, match="trace must be an int"):
+        classes_with_trace(F, t)
+    with pytest.raises(ValueError, match="trace must be an int"):
+        build_graph(F, t, 2)
 
 
 def schoof_count(q, t):

@@ -146,8 +146,8 @@ def test_only_elliptic_curve_builds_raw_points():
 
 
 def test_isogeny_graph_does_not_find_roots():
-    """build_graph tests each Velu target by division (polyring.multiplicity),
-    so factoring Phi_ell(j, Y) cannot creep back into its per-vertex loop."""
+    """build_graph takes its edges from cyclic_isogenies alone, so no
+    factoring of Phi_ell(j, Y) can creep back into its per-vertex loop."""
     tree = parse(next(p for p in SOURCES if p.name == "isogeny_graph.py"))
     imports = [
         f"line {node.lineno}"
